@@ -29,7 +29,14 @@ from .scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from .segmap import FrameLabel, ScoreMap, SegmentationMap, segments_of
 from .smoothing import SmoothConfig, smooth, smooth_scores
 from .synth import SynthConfig, class_means, synth_video
-from .training import TrainConfig, TrainHistory, evaluate, predict_video, train
+from .training import (
+    TrainConfig,
+    TrainHistory,
+    TrainingDivergedError,
+    evaluate,
+    predict_video,
+    train,
+)
 from .transformer import (
     SequenceClassifier,
     TransformerConfig,

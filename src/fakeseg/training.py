@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -14,6 +15,16 @@ from .windowing import FeatureSequence, frames_from_windows, make_windows
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+class TrainingDivergedError(RuntimeError):
+    """A loss or gradient became non-finite; names the epoch and the step
+    (counted from 1 over the whole run) where it first happened."""
+
+    def __init__(self, what: str, epoch: int, step: int):
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+        self.epoch = epoch
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -75,6 +86,55 @@ def evaluate(model: SequenceClassifier, x: np.ndarray, y: np.ndarray, batch_size
     return total_loss / len(x), correct / len(x)
 
 
+class FlatAdam:
+    """Adam over a model's whole parameter buffer, with in-place updates.
+
+    The gradient, the two moments and two scratch arrays are flat buffers
+    the size of the model, allocated once. `pack` copies the per-tensor
+    gradients into `grad` (in `param_layout` order); `step` then applies
+    the update with in-place ufuncs. Element for element the arithmetic is
+    the textbook per-tensor Adam in the model's dtype, so the result is
+    bit-identical to it.
+    """
+
+    def __init__(self, model: SequenceClassifier, learning_rate: float):
+        self.model = model
+        self.names = list(model.params)
+        self.lr = model.dtype.type(learning_rate)
+        self.grad = np.empty_like(model.flat)
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
+        self._s1 = np.empty_like(model.flat)
+        self._s2 = np.empty_like(model.flat)
+        self.steps = 0
+
+    def pack(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Copy per-tensor gradients into `grad`; returns it."""
+        np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.grad)
+        return self.grad
+
+    def step(self) -> None:
+        """One Adam update from the gradient currently packed in `grad`."""
+        self.steps += 1
+        bias1 = 1.0 - ADAM_BETA1**self.steps
+        bias2 = 1.0 - ADAM_BETA2**self.steps
+        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(g, g, out=s1)
+        np.multiply(s1, 1 - ADAM_BETA2, out=s1)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.add(v, s1, out=v)
+        np.divide(v, bias2, out=s1)
+        np.sqrt(s1, out=s1)
+        np.add(s1, ADAM_EPS, out=s1)
+        np.divide(m, bias1, out=s2)
+        np.divide(s2, s1, out=s2)
+        np.multiply(s2, self.lr, out=s2)
+        np.subtract(self.model.flat, s2, out=self.model.flat)
+
+
 def train(
     model: SequenceClassifier,
     train_set: tuple[np.ndarray, np.ndarray],
@@ -85,7 +145,8 @@ def train(
     validation epoch) and the per-epoch history.
 
     Fully deterministic given the seed: shuffling and dropout draw from one
-    seeded generator in a fixed order.
+    seeded generator in a fixed order. Raises TrainingDivergedError at the
+    first non-finite training loss, gradient or validation loss.
     """
     x_tr, y_tr = train_set
     x_val, y_val = val_set
@@ -97,10 +158,7 @@ def train(
         raise ValueError("training set contains a single class; need both Real and Fake windows")
 
     rng = np.random.default_rng(cfg.seed)
-    m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    v = {k: np.zeros_like(p) for k, p in model.params.items()}
-    step = 0
-    lr = model.dtype.type(cfg.learning_rate)
+    adam = FlatAdam(model, cfg.learning_rate)
 
     best_val = np.inf
     best_params = model.copy_params()
@@ -117,18 +175,18 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = x_tr[idx], y_tr[idx]
             loss, probs, grads = loss_and_grads(model, xb, yb, train=True, rng=rng)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError("training loss", epoch, adam.steps + 1)
+            flat_grad = adam.pack(grads)
+            if not np.isfinite(flat_grad).all():
+                raise TrainingDivergedError("gradient", epoch, adam.steps + 1)
             run_loss += loss * len(idx)
             run_correct += int((probs.argmax(axis=1) == yb).sum())
-            step += 1
-            bias1 = 1.0 - ADAM_BETA1**step
-            bias2 = 1.0 - ADAM_BETA2**step
-            for name, g in grads.items():
-                m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
-                v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * (g * g)
-                update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
-                model.params[name] -= lr * update.astype(model.dtype)
+            adam.step()
 
         val_loss, val_acc = evaluate(model, x_val, y_val, cfg.batch_size)
+        if not math.isfinite(val_loss):
+            raise TrainingDivergedError("validation loss", epoch, adam.steps)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -149,7 +207,7 @@ def train(
                 stopped_early = True
                 break
 
-    model.params = best_params
+    model.flat[...] = best_params
     return model, TrainHistory(tuple(history), best_epoch=best_epoch, stopped_early=stopped_early)
 
 

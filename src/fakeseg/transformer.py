@@ -11,6 +11,11 @@ parameter tensor can be verified against central finite differences. Forward
 and backward are deterministic given the model, the inputs, and (in training
 mode) the dropout generator.
 
+All parameters live in one contiguous 1-D buffer; each named tensor is a view
+into it, laid out by `param_layout`. Whole-model operations (the optimizer
+step, snapshots, dtype casts) act on the buffer, while the layers and the
+gradients address tensors by name.
+
 Head projections are sized independently of the input dimension: each of the
 H heads projects the d-dim stream to head_dim, and the concatenated
 H * head_dim context is mapped back to d by the output projection.
@@ -104,64 +109,94 @@ class TransformerConfig:
         return cls(**kwargs)
 
 
-class SequenceClassifier:
-    """Parameter container for the transformer; all tensors live in a flat
-    name -> array dict so checkpoints, optimizers and gradient checks can
-    enumerate them uniformly."""
+def param_layout(config: TransformerConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor, in buffer (and init) order."""
+    d, proj = config.input_dim, config.num_heads * config.head_dim
+    layout: dict[str, tuple[int, ...]] = {}
+    if config.use_positional:
+        layout["pos_embed"] = (config.window, d)
+    for b in range(config.num_blocks):
+        pre = f"block{b}."
+        layout[pre + "ln1.gain"] = (d,)
+        layout[pre + "ln1.bias"] = (d,)
+        for name in ("q", "k", "v"):
+            layout[pre + "attn.w" + name] = (d, proj)
+            layout[pre + "attn.b" + name] = (proj,)
+        layout[pre + "attn.wo"] = (proj, d)
+        layout[pre + "attn.bo"] = (d,)
+        layout[pre + "ln2.gain"] = (d,)
+        layout[pre + "ln2.bias"] = (d,)
+        layout[pre + "ff.w1"] = (d, config.ff_dim)
+        layout[pre + "ff.b1"] = (config.ff_dim,)
+        layout[pre + "ff.w2"] = (config.ff_dim, d)
+        layout[pre + "ff.b2"] = (d,)
+    layout["final_norm.gain"] = (d,)
+    layout["final_norm.bias"] = (d,)
 
-    def __init__(self, config: TransformerConfig, params: dict[str, np.ndarray]):
+    widths = (d,) + tuple(config.mlp_hidden) + (NUM_CLASSES,)
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        layout[f"head.layer{i}.w"] = (fan_in, fan_out)
+        layout[f"head.layer{i}.b"] = (fan_out,)
+        if config.use_scale_shift_head:
+            layout[f"head.layer{i}.scale"] = (fan_out,)
+            layout[f"head.layer{i}.shift"] = (fan_out,)
+    return layout
+
+
+class SequenceClassifier:
+    """Parameter container for the transformer.
+
+    `flat` is one contiguous 1-D array holding every parameter; `params`
+    maps each tensor name of `param_layout(config)` to a view into it, so
+    checkpoints and gradient checks can enumerate tensors by name while the
+    optimizer and snapshots work on the whole buffer at once. Write into the
+    views (or `flat`) in place; rebinding them breaks the aliasing.
+    """
+
+    def __init__(self, config: TransformerConfig, flat: np.ndarray):
+        layout = param_layout(config)
+        size = sum(math.prod(shape) for shape in layout.values())
+        if flat.shape != (size,):
+            raise ValueError(f"parameter buffer has shape {flat.shape}, config needs ({size},)")
         self.config = config
-        self.params = params
+        self.flat = flat
+        self.params: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in layout.items():
+            n = math.prod(shape)
+            self.params[name] = flat[offset : offset + n].reshape(shape)
+            offset += n
+
+    @classmethod
+    def zeros(cls, config: TransformerConfig, dtype=np.float32) -> "SequenceClassifier":
+        return cls(config, np.zeros(sum(math.prod(s) for s in param_layout(config).values()), dtype))
 
     @classmethod
     def initialize(cls, config: TransformerConfig, seed: int = 0, dtype=np.float32) -> "SequenceClassifier":
+        """Glorot-normal weights, unit gains and scales, zero biases and
+        shifts; draws follow the layout order, so a seed fixes every value."""
         rng = np.random.default_rng(seed)
-        d, hd, nh = config.input_dim, config.head_dim, config.num_heads
-        proj = nh * hd
-        p: dict[str, np.ndarray] = {}
-
-        def glorot(fan_in, fan_out):
-            std = math.sqrt(2.0 / (fan_in + fan_out))
-            return (std * rng.standard_normal((fan_in, fan_out))).astype(dtype)
-
-        if config.use_positional:
-            p["pos_embed"] = (0.02 * rng.standard_normal((config.window, d))).astype(dtype)
-        for b in range(config.num_blocks):
-            pre = f"block{b}."
-            p[pre + "ln1.gain"] = np.ones(d, dtype=dtype)
-            p[pre + "ln1.bias"] = np.zeros(d, dtype=dtype)
-            for name in ("wq", "wk", "wv"):
-                p[pre + "attn." + name] = glorot(d, proj)
-                p[pre + "attn.b" + name[1]] = np.zeros(proj, dtype=dtype)
-            p[pre + "attn.wo"] = glorot(proj, d)
-            p[pre + "attn.bo"] = np.zeros(d, dtype=dtype)
-            p[pre + "ln2.gain"] = np.ones(d, dtype=dtype)
-            p[pre + "ln2.bias"] = np.zeros(d, dtype=dtype)
-            p[pre + "ff.w1"] = glorot(d, config.ff_dim)
-            p[pre + "ff.b1"] = np.zeros(config.ff_dim, dtype=dtype)
-            p[pre + "ff.w2"] = glorot(config.ff_dim, d)
-            p[pre + "ff.b2"] = np.zeros(d, dtype=dtype)
-        p["final_norm.gain"] = np.ones(d, dtype=dtype)
-        p["final_norm.bias"] = np.zeros(d, dtype=dtype)
-
-        widths = (d,) + tuple(config.mlp_hidden) + (NUM_CLASSES,)
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            p[f"head.layer{i}.w"] = glorot(fan_in, fan_out)
-            p[f"head.layer{i}.b"] = np.zeros(fan_out, dtype=dtype)
-            if config.use_scale_shift_head:
-                p[f"head.layer{i}.scale"] = np.ones(fan_out, dtype=dtype)
-                p[f"head.layer{i}.shift"] = np.zeros(fan_out, dtype=dtype)
-        return cls(config, p)
+        model = cls.zeros(config, dtype)
+        for name, view in model.params.items():
+            if name == "pos_embed":
+                view[...] = 0.02 * rng.standard_normal(view.shape)
+            elif view.ndim == 2:
+                fan_in, fan_out = view.shape
+                view[...] = math.sqrt(2.0 / (fan_in + fan_out)) * rng.standard_normal(view.shape)
+            elif name.endswith((".gain", ".scale")):
+                view.fill(1)
+        return model
 
     @property
     def dtype(self):
-        return next(iter(self.params.values())).dtype
+        return self.flat.dtype
 
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+    def copy_params(self) -> np.ndarray:
+        """A snapshot of the parameter buffer; restore with `model.flat[...] = snapshot`."""
+        return self.flat.copy()
 
     def astype(self, dtype) -> "SequenceClassifier":
-        return SequenceClassifier(self.config, {k: v.astype(dtype) for k, v in self.params.items()})
+        return SequenceClassifier(self.config, self.flat.astype(dtype))
 
 
 # -- primitives (forward returns a cache consumed by the matching backward) --
@@ -179,10 +214,15 @@ def _linear_backward(g, cache):
     return dx, dw, db
 
 
+def _mean_last(x):
+    # the same bits as x.mean(axis=-1, keepdims=True), without its Python wrapper
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return gain * xhat + bias, (xhat, inv, gain)
@@ -194,7 +234,7 @@ def _layer_norm_backward(g, cache):
     dgain = (g * xhat).sum(axis=lead)
     dbias = g.sum(axis=lead)
     dxhat = g * gain
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
     return dx, dgain, dbias
 
 
@@ -221,9 +261,9 @@ def _attention_forward(h, params, prefix, config):
     v_flat, cv = _linear_forward(h, params[prefix + "wv"], params[prefix + "bv"])
     q, k, v = split_heads(q_flat), split_heads(k_flat), split_heads(v_flat)
     scale = 1.0 / math.sqrt(hd)
-    scores = np.einsum("nhic,nhjc->nhij", q, k) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     probs = _softmax(scores)
-    ctx = np.einsum("nhij,nhjc->nhic", probs, v)
+    ctx = probs @ v
     ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
     out, co = _linear_forward(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])
     return out, (cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd))
@@ -235,11 +275,11 @@ def _attention_backward(g, cache, grads, prefix):
     grads[prefix + "wo"] = dwo
     grads[prefix + "bo"] = dbo
     dctx = dctx_flat.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
-    dprobs = np.einsum("nhic,nhjc->nhij", dctx, v)
-    dv = np.einsum("nhij,nhic->nhjc", probs, dctx)
+    dprobs = dctx @ v.swapaxes(-1, -2)
+    dv = probs.swapaxes(-1, -2) @ dctx
     dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-    dq = np.einsum("nhij,nhjc->nhic", dscores, k) * scale
-    dk = np.einsum("nhij,nhic->nhjc", dscores, q) * scale
+    dq = (dscores @ k) * scale
+    dk = (dscores.swapaxes(-1, -2) @ q) * scale
 
     def merge_heads(z):
         return z.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
@@ -272,7 +312,7 @@ def forward_with_cache(
         raise ValueError("training-mode forward with dropout needs a random generator")
 
     dtype = model.dtype
-    x = batch.astype(dtype, copy=True)
+    x = batch.astype(dtype, copy=False)  # never written in place
     if cfg.use_positional:
         x = x + p["pos_embed"]
 
@@ -299,7 +339,7 @@ def forward_with_cache(
         block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, z1, c_ff2, m_ff))
 
     normed, c_final = _layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"])
-    pooled = normed.mean(axis=1)  # 1-D global average pool over window positions
+    pooled = np.add.reduce(normed, axis=1) / cfg.window  # 1-D global average pool over window positions
 
     head_caches = []
     z = pooled

@@ -1,11 +1,22 @@
-"""Shared test oracles and fixtures: finite differences, pairwise AUC, configs."""
+"""Shared test oracles and fixtures: finite differences, pairwise AUC,
+per-tensor Adam, einsum attention, configs."""
 
 from __future__ import annotations
 
 import copy
+import math
+
 import numpy as np
 
-from fakeseg.transformer import SequenceClassifier, cross_entropy, forward_with_cache
+from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from fakeseg.transformer import (
+    SequenceClassifier,
+    _linear_backward,
+    _linear_forward,
+    _softmax,
+    cross_entropy,
+    forward_with_cache,
+)
 
 MICRO_CONFIG = {
     "dataset": {
@@ -109,3 +120,70 @@ def fd_gradcheck(
             if rel > rel_tol:
                 failures.append((name, int(i), float(rel)))
     return failures
+
+
+def adam_reference_step(
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    step: int,
+    lr,
+) -> None:
+    """Textbook Adam, one tensor at a time; updates `params`, `m` and `v` in place.
+
+    `m` and `v` start as zeros shaped like the parameters; `step` counts from 1.
+    """
+    bias1 = 1.0 - ADAM_BETA1**step
+    bias2 = 1.0 - ADAM_BETA2**step
+    for name, g in grads.items():
+        m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * (g * g)
+        update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
+        params[name] -= lr * update.astype(params[name].dtype)
+
+
+def einsum_attention_forward(h, params, prefix, config):
+    """Multi-head self-attention written with einsum; returns (out, cache)."""
+    n, w, _ = h.shape
+    nh, hd = config.num_heads, config.head_dim
+
+    def split_heads(z):
+        return z.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
+
+    q_flat, cq = _linear_forward(h, params[prefix + "wq"], params[prefix + "bq"])
+    k_flat, ck = _linear_forward(h, params[prefix + "wk"], params[prefix + "bk"])
+    v_flat, cv = _linear_forward(h, params[prefix + "wv"], params[prefix + "bv"])
+    q, k, v = split_heads(q_flat), split_heads(k_flat), split_heads(v_flat)
+    scale = 1.0 / math.sqrt(hd)
+    scores = np.einsum("nhic,nhjc->nhij", q, k) * scale
+    probs = _softmax(scores)
+    ctx = np.einsum("nhij,nhjc->nhic", probs, v)
+    ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
+    out, co = _linear_forward(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])
+    return out, (cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd))
+
+
+def einsum_attention_backward(g, cache, grads, prefix):
+    """Backward of `einsum_attention_forward`; fills `grads`, returns d(input)."""
+    cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd) = cache
+    dctx_flat, dwo, dbo = _linear_backward(g, co)
+    grads[prefix + "wo"] = dwo
+    grads[prefix + "bo"] = dbo
+    dctx = dctx_flat.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
+    dprobs = np.einsum("nhic,nhjc->nhij", dctx, v)
+    dv = np.einsum("nhij,nhic->nhjc", probs, dctx)
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dq = np.einsum("nhij,nhjc->nhic", dscores, k) * scale
+    dk = np.einsum("nhij,nhic->nhjc", dscores, q) * scale
+
+    def merge_heads(z):
+        return z.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
+
+    dh = np.zeros_like(cq[0])
+    for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
+        dhi, dwz, dbz = _linear_backward(merge_heads(dz), c)
+        grads[prefix + "w" + name] = dwz
+        grads[prefix + "b" + name] = dbz
+        dh += dhi
+    return dh

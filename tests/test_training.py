@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+import fakeseg.training
 from fakeseg import (
     FeatureSequence,
     SequenceClassifier,
     TrainConfig,
+    TrainingDivergedError,
     TransformerConfig,
     evaluate,
+    loss_and_grads,
     predict_video,
     train,
 )
+from fakeseg.training import FlatAdam
+from helpers import adam_reference_step
 
 CFG = TransformerConfig(
     input_dim=8, window=3, num_blocks=1, num_heads=2, head_dim=4,
@@ -136,3 +141,84 @@ def test_history_serialization():
     d = history.to_dict()
     assert len(d["epochs"]) == 2
     assert {"epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"} <= set(d["epochs"][0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_flat_adam_matches_per_tensor_oracle_bit_for_bit(dtype):
+    x, y = _separable_windows(16, CFG, seed=11)
+    model = SequenceClassifier.initialize(CFG, seed=4).astype(dtype)
+    ref = SequenceClassifier.initialize(CFG, seed=4).astype(dtype)
+    adam = FlatAdam(model, 1e-3)
+    m = {k: np.zeros_like(p) for k, p in ref.params.items()}
+    v = {k: np.zeros_like(p) for k, p in ref.params.items()}
+    rng = np.random.default_rng(0)
+    for step in range(1, 6):
+        _, _, grads = loss_and_grads(model, x, y, train=True, rng=rng)
+        adam.pack(grads)
+        adam.step()
+        adam_reference_step(ref.params, grads, m, v, step, dtype(1e-3))
+        assert np.array_equal(model.flat, ref.flat), f"step {step}"
+    assert np.array_equal(adam.m, np.concatenate([m[k].reshape(-1) for k in model.params]))
+    assert np.array_equal(adam.v, np.concatenate([v[k].reshape(-1) for k in model.params]))
+
+
+def test_best_epoch_snapshot_is_a_copy_and_restore_keeps_views(monkeypatch):
+    snapshots = []
+    original = SequenceClassifier.copy_params
+
+    def recording(self):
+        snap = original(self)
+        snapshots.append((self, snap))
+        return snap
+
+    monkeypatch.setattr(SequenceClassifier, "copy_params", recording)
+    train_set = _separable_windows(60, CFG, seed=6)
+    val_set = _separable_windows(20, CFG, seed=7)
+    cfg = TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=8, early_stop_patience=2, seed=0)
+    model = SequenceClassifier.initialize(CFG, seed=2)
+    buffer = model.flat
+    model, history = train(model, train_set, val_set, cfg)
+    assert model.flat is buffer
+    assert all(np.shares_memory(view, buffer) for view in model.params.values())
+    assert snapshots and all(owner is model for owner, _ in snapshots)
+    assert not any(np.shares_memory(snap, buffer) for _, snap in snapshots)
+    assert np.array_equal(model.flat, snapshots[-1][1])  # the best epoch's parameters
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the forward pass
+def test_infinite_parameter_stops_training_at_first_step():
+    train_set = _separable_windows(30, CFG, seed=2)
+    val_set = _separable_windows(10, CFG, seed=3)
+    model = SequenceClassifier.initialize(CFG, seed=0)
+    model.params["block0.ff.w1"][0, 0] = np.inf
+    cfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=5, early_stop_patience=2, seed=0)
+    with pytest.raises(TrainingDivergedError, match="epoch 1, step 1") as info:
+        train(model, train_set, val_set, cfg)
+    assert (info.value.epoch, info.value.step) == (1, 1)
+
+
+def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        loss, probs, grads = loss_and_grads(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 6:  # the second step of epoch 2 (four steps per epoch)
+            grads["head.layer1.b"] = np.full_like(grads["head.layer1.b"], np.nan)
+        return loss, probs, grads
+
+    monkeypatch.setattr(fakeseg.training, "loss_and_grads", poisoned)
+    train_set = _separable_windows(30, CFG, seed=2)
+    val_set = _separable_windows(10, CFG, seed=3)
+    cfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=5, early_stop_patience=2, seed=0)
+    with pytest.raises(TrainingDivergedError, match="non-finite gradient at epoch 2, step 6"):
+        train(SequenceClassifier.initialize(CFG, seed=0), train_set, val_set, cfg)
+
+
+def test_non_finite_validation_loss_is_an_error(monkeypatch):
+    monkeypatch.setattr(fakeseg.training, "evaluate", lambda *args: (float("nan"), 0.0))
+    train_set = _separable_windows(30, CFG, seed=2)
+    val_set = _separable_windows(10, CFG, seed=3)
+    cfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=5, early_stop_patience=2, seed=0)
+    with pytest.raises(TrainingDivergedError, match="validation loss at epoch 1, step 4"):
+        train(SequenceClassifier.initialize(CFG, seed=0), train_set, val_set, cfg)

@@ -8,8 +8,14 @@ from fakeseg import (
     loss_and_grads,
     save_checkpoint,
 )
-from fakeseg.transformer import LN_EPS, forward
-from helpers import fd_gradcheck
+from fakeseg.transformer import (
+    LN_EPS,
+    _attention_backward,
+    _attention_forward,
+    forward,
+    param_layout,
+)
+from helpers import einsum_attention_backward, einsum_attention_forward, fd_gradcheck
 
 TINY = TransformerConfig(
     input_dim=8,
@@ -197,3 +203,114 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: {k: v for k, v in t.items() if k != "block0.attn.wq"}, "missing.*block0.attn.wq"),
+        (lambda t: {**t, "block0.attn.extra": np.zeros(3)}, "block0.attn.extra"),
+        (lambda t: {**t, "block0.ff.w1": np.zeros((16, 8))}, "block0.ff.w1.*shape"),
+    ],
+    ids=["missing", "extra", "misshaped"],
+)
+def test_checkpoint_rejects_tensor_set_mismatch(tmp_path, edit, message):
+    model = SequenceClassifier.initialize(TINY, seed=5)
+    model.params = edit(model.params)  # the saver writes whatever tensors `params` holds
+    bad = tmp_path / "bad.tfkm"
+    save_checkpoint(bad, model)
+    with pytest.raises(ValueError, match=message) as info:
+        load_checkpoint(bad)
+    assert "bad.tfkm" in str(info.value)
+
+
+def test_checkpoint_rejects_truncated_header(tmp_path):
+    good = tmp_path / "good.tfkm"
+    save_checkpoint(good, SequenceClassifier.initialize(TINY, seed=5))
+    raw = good.read_bytes()
+    for cut in (6, 10, 30):
+        bad = tmp_path / f"cut{cut}.tfkm"
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated") as info:
+            load_checkpoint(bad)
+        assert bad.name in str(info.value)
+
+
+def test_checkpoint_rejects_truncated_tensor(tmp_path):
+    good = tmp_path / "good.tfkm"
+    save_checkpoint(good, SequenceClassifier.initialize(TINY, seed=5))
+    bad = tmp_path / "bad.tfkm"
+    bad.write_bytes(good.read_bytes()[:-3])
+    # tensors are written sorted by name, so the last one is cut short
+    last = sorted(SequenceClassifier.initialize(TINY, seed=5).params)[-1]
+    with pytest.raises(ValueError, match=f"truncated.*{last}"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    good = tmp_path / "good.tfkm"
+    save_checkpoint(good, SequenceClassifier.initialize(TINY, seed=5))
+    bad = tmp_path / "bad.tfkm"
+    bad.write_bytes(good.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing") as info:
+        load_checkpoint(bad)
+    assert "bad.tfkm" in str(info.value)
+
+
+def _assert_close_to_oracle(got, ref, dtype, what):
+    """Batched matmul and einsum sum the same products in different orders,
+    so each entry may differ by a few ulps of the tensor's scale: bound the
+    error by 32 eps of max(1, max |ref|). The scale is floored at 1 for
+    tensors that are zero in exact arithmetic (the key-bias gradient, since
+    softmax ignores a per-row shift) and hold only rounding noise."""
+    assert got.dtype == ref.dtype == dtype, what
+    bound = 32 * np.finfo(dtype).eps * max(1.0, float(np.abs(ref).max()))
+    err = float(np.abs(got - ref).max())
+    assert err <= bound, f"{what}: max error {err:.3g} > {bound:.3g}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 7, 64, 256])
+def test_matmul_attention_matches_einsum_oracle(dtype, n):
+    cfg = TransformerConfig(input_dim=16, window=5, num_blocks=1, num_heads=4, head_dim=16)
+    model = SequenceClassifier.initialize(cfg, seed=3).astype(dtype)
+    rng = np.random.default_rng(n)
+    h = rng.standard_normal((n, cfg.window, cfg.input_dim)).astype(dtype)
+    g = rng.standard_normal((n, cfg.window, cfg.input_dim)).astype(dtype)
+
+    out, cache = _attention_forward(h, model.params, "block0.attn.", cfg)
+    ref_out, ref_cache = einsum_attention_forward(h, model.params, "block0.attn.", cfg)
+    _assert_close_to_oracle(out, ref_out, dtype, "forward")
+
+    grads, ref_grads = {}, {}
+    dh = _attention_backward(g, cache, grads, "block0.attn.")
+    ref_dh = einsum_attention_backward(g, ref_cache, ref_grads, "block0.attn.")
+    _assert_close_to_oracle(dh, ref_dh, dtype, "input gradient")
+    assert set(grads) == set(ref_grads)
+    for name in ref_grads:
+        _assert_close_to_oracle(grads[name], ref_grads[name], dtype, name)
+
+
+def test_params_are_views_of_one_buffer():
+    model = SequenceClassifier.initialize(TINY, seed=0)
+    layout = param_layout(TINY)
+    assert list(model.params) == list(layout)
+    assert model.flat.ndim == 1 and model.flat.flags.c_contiguous
+    assert model.flat.size == sum(int(np.prod(shape)) for shape in layout.values())
+    for name, view in model.params.items():
+        assert view.shape == layout[name], name
+        assert np.shares_memory(view, model.flat), name
+    model.params["block0.ff.b1"][:] = 7.0  # a write through a view lands in the buffer
+    assert (model.flat == 7.0).sum() == TINY.ff_dim
+
+    snapshot = model.copy_params()
+    assert not np.shares_memory(snapshot, model.flat)
+    model.flat[...] = snapshot
+    cast = model.astype(np.float64)
+    assert not np.shares_memory(cast.flat, model.flat)
+    assert all(np.shares_memory(v, cast.flat) for v in cast.params.values())
+
+
+def test_model_rejects_buffer_of_wrong_size():
+    with pytest.raises(ValueError, match="buffer"):
+        SequenceClassifier(TINY, np.zeros(3, dtype=np.float32))
