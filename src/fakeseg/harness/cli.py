@@ -12,28 +12,26 @@ import os
 import sys
 from pathlib import Path
 
-from ..checkpoint import load_checkpoint
-from ..injection import (
-    dataset_stats,
-    plan_one_segment,
-    plan_two_segments,
-    read_plans,
-    read_videos,
-    write_plans,
-    write_stats,
-)
+from ..checkpoint import load_checkpoint, save_checkpoint
+from ..injection import dataset_stats, read_plans, read_videos, write_plans, write_stats
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
-from ..synth import SynthConfig, synth_video
-from ..training import predict_video
-from ..windowing import read_features, write_features
+from ..synth import SynthConfig
+from ..windowing import read_features
 from .config import ConfigError, load_experiment_config
 from .experiment import (
+    PLANNERS,
+    EvalReport,
     StageError,
     evaluate_maps,
+    fit,
+    load_split_features,
     run_experiment,
+    score_videos,
     sweep_segment_lengths,
     sweep_window_grid,
+    synth_features,
+    write_json,
 )
 from .report import write_report_files, write_rows
 
@@ -56,7 +54,7 @@ def _int_list(text: str) -> list[int]:
 
 def _cmd_plan(args) -> int:
     videos = read_videos(args.videos)
-    planner = plan_one_segment if args.mode == "one" else plan_two_segments
+    planner = PLANNERS[args.mode]
     records = [(v, planner(v, args.seed)) for v in videos]
     write_plans(args.out, records)
     if args.stats:
@@ -73,34 +71,20 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise_std,
         seed=args.seed,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = read_plans(args.plans)
-    for video, plan in records:
-        seq = synth_video(plan, video.length_frames, cfg)
-        write_features(out_dir / f"{video.id}.feat", seq)
-    print(f"synthesized {len(records)} videos -> {out_dir}")
+    synth_features(records, args.out_dir, cfg)
+    print(f"synthesized {len(records)} videos -> {Path(args.out_dir)}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    from ..training import train
-    from ..transformer import SequenceClassifier
-    from .experiment import load_split_features, windows_for_split
-
     cfg = load_experiment_config(args.config)
-    w, overlap = cfg.model.window, cfg.eval.overlap
-    train_set = windows_for_split(load_split_features(Path(args.train_dir)), w, overlap)
-    val_set = windows_for_split(load_split_features(Path(args.val_dir)), w, overlap)
-    model = SequenceClassifier.initialize(cfg.model, seed=cfg.train.seed)
-    model, history = train(model, train_set, val_set, cfg.train)
-    from ..checkpoint import save_checkpoint
-
+    train_seqs = load_split_features(Path(args.train_dir))
+    val_seqs = load_split_features(Path(args.val_dir))
+    model, history = fit(cfg.model, cfg.train, train_seqs, val_seqs, cfg.eval.overlap)
     save_checkpoint(args.out, model)
     if args.history:
-        Path(args.history).write_text(
-            json.dumps(history.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(args.history, history.to_dict())
     best = history.epochs[history.best_epoch - 1]
     print(
         f"trained {len(history.epochs)} epochs; best epoch {history.best_epoch} "
@@ -113,13 +97,9 @@ def _cmd_predict(args) -> int:
     model = load_checkpoint(args.model)
     feats = Path(args.features)
     paths = sorted(feats.glob("*.feat")) if feats.is_dir() else [feats]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in paths:
-        seq = read_features(path)
-        scores = predict_video(model, seq, args.overlap, mode=args.frame_mode)
-        (out_dir / f"{seq.video_id}.scores.json").write_text(scores.to_json() + "\n", encoding="utf-8")
-    print(f"scored {len(paths)} videos -> {out_dir}")
+    seqs = (read_features(path) for path in paths)
+    score_videos(model, seqs, args.overlap, args.frame_mode, args.out_dir)
+    print(f"scored {len(paths)} videos -> {Path(args.out_dir)}")
     return 0
 
 
@@ -177,19 +157,7 @@ def _cmd_sweep_window(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    from .experiment import EvalReport, VideoEval
-
-    report = EvalReport(
-        per_video=tuple(VideoEval(**row) for row in data["per_video"]),
-        aggregate=data["aggregate"],
-        video_level=data["video_level"],
-        baseline=data["baseline"],
-        threshold=data["threshold"],
-        smooth_k=data["smooth_k"],
-        length_sweep=tuple(data["length_sweep"]) if "length_sweep" in data else None,
-        window_grid=tuple(data["window_grid"]) if "window_grid" in data else None,
-    )
+    report = EvalReport.from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
     write_report_files(report, args.out)
     print(f"rendered report -> {args.out}.json/.txt/.csv")
     return 0

@@ -128,8 +128,6 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     model_data = dict(data.get("model", {}))
     if "input_dim" not in model_data:
         model_data["input_dim"] = dataset.feature_dim
-    if "mlp_hidden" in model_data and isinstance(model_data["mlp_hidden"], list):
-        model_data["mlp_hidden"] = tuple(model_data["mlp_hidden"])
     try:
         model = TransformerConfig.from_dict(model_data)
     except (TypeError, ValueError) as exc:

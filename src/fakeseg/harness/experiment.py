@@ -14,14 +14,16 @@ every file byte-identically:
       maps/<id>.{gt,pred,smooth}.map
       report.{json,txt,csv}
 
-A failing stage aborts with the stage name; artifacts written so far stay
-in place for inspection.
+`run_experiment` composes the stage functions below, which the CLI and the
+sweeps call too. A failing stage aborts with the stage name; artifacts
+written so far stay in place for inspection.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
@@ -35,7 +37,6 @@ from ..injection import (
     plan_fixed_segment,
     plan_one_segment,
     plan_two_segments,
-    render_map,
     write_plans,
 )
 from ..metrics import BaselineParams, expected_iou_baseline, frame_accuracy, frame_auc, iou, video_score
@@ -43,13 +44,14 @@ from ..prng import stream_for
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
-from ..training import predict_video, train
-from ..transformer import SequenceClassifier
+from ..training import TrainConfig, TrainHistory, predict_video, train
+from ..transformer import SequenceClassifier, TransformerConfig
 from ..windowing import FeatureSequence, make_windows, read_features, write_features
-from .config import ExperimentConfig
+from .config import EvalConfig, ExperimentConfig
 
 SPLITS = ("train", "val", "test")
 ASSUMED_FPS = 25.0  # frame<->seconds conversion used in sweep reports
+PLANNERS = {"one": plan_one_segment, "two": plan_two_segments}  # dataset mode -> planner
 
 
 class StageError(RuntimeError):
@@ -58,6 +60,15 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as StageError(name)."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,13 @@ class EvalReport:
         if self.window_grid is not None:
             out["window_grid"] = list(self.window_grid)
         return out
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "EvalReport":
+        """Inverse of `to_dict`, e.g. for a report JSON read back from disk."""
+        fields = {k: data[k] for k in ("aggregate", "video_level", "baseline", "threshold", "smooth_k")}
+        report = cls(per_video=tuple(VideoEval(**row) for row in data["per_video"]), **fields)
+        return report.with_sweeps(data.get("length_sweep"), data.get("window_grid"))
 
     def with_sweeps(
         self,
@@ -196,26 +214,26 @@ def evaluate_maps(
     )
 
 
-# -- dataset staging --
+# -- pipeline stages --
+
+
+def write_json(path: str | Path, obj: Any, indent: int | None = None) -> None:
+    """Write `obj` as JSON with sorted keys and a trailing newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
 
 
 def _make_videos(cfg: ExperimentConfig) -> dict[str, list[tuple[VideoSpec, SegmentPlan]]]:
+    """Every split's videos with their plans; all-real test videos come last."""
     ds = cfg.dataset
-    planner = plan_one_segment if ds.mode == "one" else plan_two_segments
-    out: dict[str, list[tuple[VideoSpec, SegmentPlan]]] = {}
+    planner = PLANNERS[ds.mode]
     counts = {"train": ds.num_train_videos, "val": ds.num_val_videos, "test": ds.num_test_videos}
-    for split, count in counts.items():
-        records = []
-        for i in range(count):
-            vid = f"{split}{i:04d}"
-            length = stream_for(ds.seed, "length/" + vid).randrange(ds.min_length, ds.max_length + 1)
-            video = VideoSpec(id=vid, length_frames=length)
-            records.append((video, planner(video, ds.seed)))
-        out[split] = records
-    for i in range(ds.num_real_test_videos):
-        vid = f"testreal{i:04d}"
+    jobs = [(split, f"{split}{i:04d}", planner) for split, n in counts.items() for i in range(n)]
+    jobs += [("test", f"testreal{i:04d}", None) for i in range(ds.num_real_test_videos)]
+    out: dict[str, list[tuple[VideoSpec, SegmentPlan]]] = {split: [] for split in SPLITS}
+    for split, vid, plan_fn in jobs:
         length = stream_for(ds.seed, "length/" + vid).randrange(ds.min_length, ds.max_length + 1)
-        out["test"].append((VideoSpec(id=vid, length_frames=length), SegmentPlan(vid, ())))
+        video = VideoSpec(id=vid, length_frames=length)
+        out[split].append((video, plan_fn(video, ds.seed) if plan_fn else SegmentPlan(vid, ())))
     return out
 
 
@@ -228,6 +246,37 @@ def _synth_config(cfg: ExperimentConfig) -> SynthConfig:
         noise_std=ds.noise_std,
         seed=ds.seed,
     )
+
+
+def synth_features(
+    records: Iterable[tuple[VideoSpec, SegmentPlan]], out_dir: str | Path, synth_cfg: SynthConfig
+) -> None:
+    """Synthesize each planned video and write it as `out_dir/<id>.feat` (+ labels)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for video, plan in records:
+        seq = synth_video(plan, video.length_frames, synth_cfg)
+        write_features(out_dir / f"{video.id}.feat", seq)
+
+
+def materialize_features(cfg: ExperimentConfig, run_dir: Path) -> Path:
+    """The plan and synth stages: write `plans/` and `features/` under
+    `run_dir` and return the features root. A config that names an
+    existing `features_dir` skips both stages and returns that directory.
+    """
+    if cfg.dataset.features_dir is not None:
+        return Path(cfg.dataset.features_dir)
+    with _stage("plan"):
+        split_records = _make_videos(cfg)
+        plans_dir = run_dir / "plans"
+        plans_dir.mkdir(parents=True, exist_ok=True)
+        for split in SPLITS:
+            write_plans(plans_dir / f"{split}.jsonl", split_records[split])
+    with _stage("synth"):
+        synth_cfg = _synth_config(cfg)
+        for split in SPLITS:
+            synth_features(split_records[split], run_dir / "features" / split, synth_cfg)
+    return run_dir / "features"
 
 
 def load_split_features(split_dir: Path) -> list[FeatureSequence]:
@@ -248,85 +297,94 @@ def windows_for_split(seqs: Iterable[FeatureSequence], window: int, overlap: int
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def fit(
+    model_cfg: TransformerConfig,
+    train_cfg: TrainConfig,
+    train_seqs: Iterable[FeatureSequence],
+    val_seqs: Iterable[FeatureSequence],
+    overlap: int,
+) -> tuple[SequenceClassifier, TrainHistory]:
+    """The train stage: window both splits, initialize a model and train it."""
+    train_set = windows_for_split(train_seqs, model_cfg.window, overlap)
+    val_set = windows_for_split(val_seqs, model_cfg.window, overlap)
+    model = SequenceClassifier.initialize(model_cfg, seed=train_cfg.seed)
+    return train(model, train_set, val_set, train_cfg)
+
+
+def score_videos(
+    model: SequenceClassifier,
+    seqs: Iterable[FeatureSequence],
+    overlap: int,
+    mode: str,
+    scores_dir: str | Path,
+) -> dict[str, ScoreMap]:
+    """The predict stage: frame scores per video, written to `scores_dir/<id>.scores.json`."""
+    scores_dir = Path(scores_dir)
+    scores_dir.mkdir(parents=True, exist_ok=True)
+    score_maps: dict[str, ScoreMap] = {}
+    for seq in seqs:
+        scores = predict_video(model, seq, overlap, mode=mode)
+        (scores_dir / f"{seq.video_id}.scores.json").write_text(
+            scores.to_json() + "\n", encoding="utf-8"
+        )
+        score_maps[seq.video_id] = scores
+    return score_maps
+
+
 def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
     """Execute the full pipeline under `run_dir` and return the report."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(run_dir / "config.json", cfg.to_dict(), indent=2)
+    ev = cfg.eval
+    features_root = materialize_features(cfg, run_dir)
 
-    stage = "plan"
-    try:
-        if cfg.dataset.features_dir is None:
-            split_records = _make_videos(cfg)
-            plans_dir = run_dir / "plans"
-            plans_dir.mkdir(exist_ok=True)
-            for split in SPLITS:
-                write_plans(plans_dir / f"{split}.jsonl", split_records[split])
-
-            stage = "synth"
-            synth_cfg = _synth_config(cfg)
-            features_root = run_dir / "features"
-            for split in SPLITS:
-                split_dir = features_root / split
-                split_dir.mkdir(parents=True, exist_ok=True)
-                for video, plan in split_records[split]:
-                    seq = synth_video(plan, video.length_frames, synth_cfg)
-                    write_features(split_dir / f"{video.id}.feat", seq)
-        else:
-            features_root = Path(cfg.dataset.features_dir)
-
-        stage = "train"
+    with _stage("train"):
         split_seqs = {s: load_split_features(features_root / s) for s in SPLITS}
-        w, overlap = cfg.model.window, cfg.eval.overlap
-        train_set = windows_for_split(split_seqs["train"], w, overlap)
-        val_set = windows_for_split(split_seqs["val"], w, overlap)
-        model = SequenceClassifier.initialize(cfg.model, seed=cfg.train.seed)
-        model, history = train(model, train_set, val_set, cfg.train)
+        model, history = fit(cfg.model, cfg.train, split_seqs["train"], split_seqs["val"], ev.overlap)
         save_checkpoint(run_dir / "model.tfkm", model)
-        (run_dir / "history.json").write_text(
-            json.dumps(history.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(run_dir / "history.json", history.to_dict())
 
-        stage = "predict"
-        scores_dir = run_dir / "scores"
-        maps_dir = run_dir / "maps"
-        scores_dir.mkdir(exist_ok=True)
-        maps_dir.mkdir(exist_ok=True)
+    with _stage("predict"):
         gt_maps: dict[str, SegmentationMap] = {}
-        score_maps: dict[str, ScoreMap] = {}
-        smoother = SmoothConfig(k=cfg.eval.smooth_k)
         for seq in split_seqs["test"]:
             if seq.labels is None:
                 raise ValueError(f"test video {seq.video_id!r} has no ground-truth labels")
-            scores = predict_video(model, seq, overlap, mode=cfg.eval.frame_mode)
             gt_maps[seq.video_id] = seq.labels
-            score_maps[seq.video_id] = scores
-            (scores_dir / f"{seq.video_id}.scores.json").write_text(
-                scores.to_json() + "\n", encoding="utf-8"
-            )
-            (maps_dir / f"{seq.video_id}.gt.map").write_text(seq.labels.to_text(), encoding="ascii")
-            (maps_dir / f"{seq.video_id}.pred.map").write_text(
-                scores.threshold(cfg.eval.threshold).to_text(), encoding="ascii"
-            )
-            (maps_dir / f"{seq.video_id}.smooth.map").write_text(
-                smooth_scores(scores, cfg.eval.threshold, smoother).to_text(), encoding="ascii"
-            )
+        score_maps = score_videos(model, split_seqs["test"], ev.overlap, ev.frame_mode, run_dir / "scores")
+        maps_dir = run_dir / "maps"
+        maps_dir.mkdir(exist_ok=True)
+        smoother = SmoothConfig(k=ev.smooth_k)
+        for vid, scores in score_maps.items():
+            pred = scores.threshold(ev.threshold)
+            smoothed = smooth_scores(scores, ev.threshold, smoother)
+            for kind, smap in (("gt", gt_maps[vid]), ("pred", pred), ("smooth", smoothed)):
+                (maps_dir / f"{vid}.{kind}.map").write_text(smap.to_text(), encoding="ascii")
 
-        stage = "eval"
-        report = evaluate_maps(gt_maps, score_maps, cfg.eval.threshold, cfg.eval.smooth_k)
+    with _stage("eval"):
+        report = evaluate_maps(gt_maps, score_maps, ev.threshold, ev.smooth_k)
         from .report import write_report_files
 
         write_report_files(report, run_dir / "report")
-        return report
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    return report
 
 
 # -- sweeps --
+
+
+def _mean_iou_auc(
+    model: SequenceClassifier, seqs: Iterable[FeatureSequence], overlap: int, ev: EvalConfig
+) -> tuple[float, float | None]:
+    """Mean unsmoothed IoU and AUC; single-class videos have no AUC (None if all are)."""
+    ious, aucs = [], []
+    for seq in seqs:
+        scores = predict_video(model, seq, overlap, mode=ev.frame_mode)
+        ious.append(iou(seq.labels, scores.threshold(ev.threshold)))
+        try:
+            aucs.append(frame_auc(seq.labels, scores))
+        except ValueError:
+            pass
+    return float(np.mean(ious)), (float(np.mean(aucs)) if aucs else None)
 
 
 def sweep_segment_lengths(
@@ -340,30 +398,28 @@ def sweep_segment_lengths(
 
     For each length, `num_videos` fresh synthetic test videos receive one
     segment of exactly that length at a uniformly random feasible start.
-    Lengths are in frames; the reported seconds assume 25 fps.
+    Lengths are in frames; the reported seconds assume 25 fps. A segment
+    as long as the video leaves no Real frame, so its AUC is None.
     """
-    synth_cfg = _synth_config(cfg)
+    synth_cfg, seed = _synth_config(cfg), cfg.dataset.seed
     rows = []
     for length in lengths:
         if length < 1:
             raise ValueError("segment lengths must be positive")
         if length > video_length:
             raise ValueError(f"segment length {length} exceeds video length {video_length}")
-        ious, aucs = [], []
-        for i in range(num_videos):
-            video = VideoSpec(id=f"len{length:05d}_{i:04d}", length_frames=video_length)
-            plan = plan_fixed_segment(video, length, cfg.dataset.seed)
-            seq = synth_video(plan, video.length_frames, synth_cfg)
-            scores = predict_video(model, seq, cfg.eval.overlap, mode=cfg.eval.frame_mode)
-            gt = render_map(plan, video.length_frames)
-            ious.append(iou(gt, scores.threshold(cfg.eval.threshold)))
-            aucs.append(frame_auc(gt, scores))
+        plans = (
+            plan_fixed_segment(VideoSpec(f"len{length:05d}_{i:04d}", video_length), length, seed)
+            for i in range(num_videos)
+        )
+        seqs = (synth_video(plan, video_length, synth_cfg) for plan in plans)
+        mean_iou, mean_auc = _mean_iou_auc(model, seqs, cfg.eval.overlap, cfg.eval)
         rows.append(
             {
                 "length_frames": int(length),
                 "length_seconds": length / ASSUMED_FPS,
-                "mean_iou": float(np.mean(ious)),
-                "mean_auc": float(np.mean(aucs)),
+                "mean_iou": mean_iou,
+                "mean_auc": mean_auc,
             }
         )
     return rows
@@ -377,17 +433,17 @@ def sweep_window_grid(
 ) -> list[dict[str, Any]]:
     """Train one desk-scale model per (window, overlap) cell and score it.
 
-    Cells with overlap >= window are emitted with status "skipped". Valid
-    cells report frame-level IoU (unsmoothed) and AUC on the test split;
-    the default geometry (window 5, overlap 4) is flagged.
+    A fresh run dir gets only `plans/` and `features/` (see
+    `materialize_features`). Cells with overlap >= window are emitted with
+    status "skipped". Valid cells report frame-level IoU (unsmoothed) and
+    AUC on the test split; the default geometry (window 5, overlap 4) is flagged.
     """
     run_dir = Path(run_dir)
-    features_root = (
-        Path(cfg.dataset.features_dir) if cfg.dataset.features_dir else run_dir / "features"
-    )
-    if not (features_root / "train").exists():
-        run_experiment(cfg, run_dir)  # materialize features once
+    features_root = run_dir / "features"
+    if cfg.dataset.features_dir is not None or not (features_root / "train").exists():
+        features_root = materialize_features(cfg, run_dir)
     split_seqs = {s: load_split_features(features_root / s) for s in SPLITS}
+    min_frames = min(seq.num_frames for seqs in split_seqs.values() for seq in seqs)
 
     rows = []
     for w in window_sizes:
@@ -397,30 +453,12 @@ def sweep_window_grid(
                 "overlap": int(o),
                 "default": (w, o) == (5, 4),
             }
-            if o >= w:
+            if o >= w or w > min_frames:
                 cell["status"] = "skipped"
-                rows.append(cell)
-                continue
-            min_frames = min(seq.num_frames for seqs in split_seqs.values() for seq in seqs)
-            if w > min_frames:
-                cell["status"] = "skipped"
-                rows.append(cell)
-                continue
-            model_cfg = dataclasses.replace(cfg.model, window=int(w))
-            train_set = windows_for_split(split_seqs["train"], w, o)
-            val_set = windows_for_split(split_seqs["val"], w, o)
-            model = SequenceClassifier.initialize(model_cfg, seed=cfg.train.seed)
-            model, _ = train(model, train_set, val_set, cfg.train)
-            ious, aucs = [], []
-            for seq in split_seqs["test"]:
-                scores = predict_video(model, seq, o, mode=cfg.eval.frame_mode)
-                ious.append(iou(seq.labels, scores.threshold(cfg.eval.threshold)))
-                try:
-                    aucs.append(frame_auc(seq.labels, scores))
-                except ValueError:
-                    pass
-            cell["status"] = "ok"
-            cell["mean_iou"] = float(np.mean(ious))
-            cell["mean_auc"] = float(np.mean(aucs)) if aucs else None
+            else:
+                model_cfg = dataclasses.replace(cfg.model, window=int(w))
+                model, _ = fit(model_cfg, cfg.train, split_seqs["train"], split_seqs["val"], o)
+                mean_iou, mean_auc = _mean_iou_auc(model, split_seqs["test"], o, cfg.eval)
+                cell.update(status="ok", mean_iou=mean_iou, mean_auc=mean_auc)
             rows.append(cell)
     return rows

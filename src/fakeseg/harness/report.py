@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Any
 
-from .experiment import EvalReport
+from .experiment import EvalReport, write_json
 
 
 def _fmt(value: float | None, width: int = 8) -> str:
@@ -82,14 +81,12 @@ _CSV_COLUMNS = (
 
 
 def write_report_files(report: EvalReport, prefix: str | Path) -> None:
-    """Write <prefix>.json, <prefix>.txt and <prefix>.csv."""
+    """Write <prefix>.json, <prefix>.txt and <prefix>.csv; a dotted prefix keeps its dots."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    prefix.with_suffix(".json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    prefix.with_suffix(".txt").write_text(render_text(report), encoding="utf-8")
-    with open(prefix.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
+    write_json(prefix.with_name(prefix.name + ".json"), report.to_dict(), indent=2)
+    prefix.with_name(prefix.name + ".txt").write_text(render_text(report), encoding="utf-8")
+    with open(prefix.with_name(prefix.name + ".csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for r in report.per_video:
@@ -97,18 +94,16 @@ def write_report_files(report: EvalReport, prefix: str | Path) -> None:
 
 
 def write_rows(rows: list[dict[str, Any]], prefix: str | Path) -> None:
-    """Write a sweep result table as <prefix>.json and <prefix>.csv."""
+    """Write a sweep result table as <prefix>.json and <prefix>.csv (suffixes appended)."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    prefix.with_suffix(".json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(prefix.with_name(prefix.name + ".json"), rows, indent=2)
     columns: list[str] = []
     for row in rows:
         for key in row:
             if key not in columns:
                 columns.append(key)
-    with open(prefix.with_suffix(".csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(prefix.with_name(prefix.name + ".csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:

@@ -180,15 +180,19 @@ def read_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
     """Read a binary feature file; picks up the sibling label file if present."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FEATURE_MAGIC:
-            raise ValueError(f"{path}: not a feature file (bad magic {magic!r})")
-        version, t, d = struct.unpack("<III", fh.read(12))
+        header = fh.read(16)
+        if header[:4] != FEATURE_MAGIC:
+            raise ValueError(f"{path}: not a feature file (bad magic {header[:4]!r})")
+        if len(header) < 16:
+            raise ValueError(f"{path}: truncated feature file header ({len(header)} of 16 bytes)")
+        version, t, d = struct.unpack("<III", header[4:])
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature file version {version}")
         data = fh.read(4 * t * d)
         if len(data) != 4 * t * d:
             raise ValueError(f"{path}: truncated feature file")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the {t}x{d} features")
     feats = np.frombuffer(data, dtype="<f4").reshape(t, d)
     labels = None
     lp = label_path_for(path)

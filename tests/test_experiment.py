@@ -164,3 +164,52 @@ def test_report_carries_sweep_tables(micro_run, tmp_path):
     assert "window/overlap grid" in text
     write_report_files(combined, tmp_path / "combined")
     assert (tmp_path / "combined.json").exists()
+
+
+def test_dotted_report_prefix_appends_suffixes(micro_run, tmp_path):
+    from fakeseg.harness.report import write_report_files, write_rows
+
+    _, _, report = micro_run
+    write_report_files(report, tmp_path / "report.v2")
+    write_rows([{"a": 1}], tmp_path / "grid.v2")
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["grid.v2.csv", "grid.v2.json", "report.v2.csv", "report.v2.json", "report.v2.txt"]
+
+
+def test_sweep_segment_lengths_whole_video_segment(micro_run):
+    # a segment covering the whole video leaves a single class: AUC is undefined
+    cfg, run_dir, _ = micro_run
+    model = load_checkpoint(run_dir / "model.tfkm")
+    rows = sweep_segment_lengths(model, [100, 300], cfg, num_videos=2, video_length=300)
+    assert rows[0]["mean_auc"] is not None
+    assert rows[1]["mean_auc"] is None
+    assert 0.0 <= rows[1]["mean_iou"] <= 1.0
+
+
+def test_stage_commands_reproduce_a_run(micro_run, tmp_path):
+    from fakeseg.harness.cli import main
+
+    cfg, run_dir, _ = micro_run
+    feats = run_dir / "features"
+    assert main(["train", "--config", str(run_dir / "config.json"),
+                 "--train-dir", str(feats / "train"), "--val-dir", str(feats / "val"),
+                 "--out", str(tmp_path / "model.tfkm"),
+                 "--history", str(tmp_path / "history.json")]) == 0
+    for name in ("model.tfkm", "history.json"):
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
+    assert main(["predict", "--model", str(tmp_path / "model.tfkm"),
+                 "--features", str(feats / "test"), "--overlap", str(cfg.eval.overlap),
+                 "--frame-mode", cfg.eval.frame_mode, "--out-dir", str(tmp_path / "scores")]) == 0
+    ours = sorted((tmp_path / "scores").iterdir())
+    theirs = sorted((run_dir / "scores").iterdir())
+    assert [p.name for p in ours] == [p.name for p in theirs]
+    for a, b in zip(ours, theirs):
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_window_grid_fresh_run_dir_holds_features_only(micro_run, tmp_path):
+    cfg, run_dir, _ = micro_run
+    fresh = tmp_path / "fresh"
+    rows = sweep_window_grid(cfg, fresh, window_sizes=[5], overlaps=[4])
+    assert sorted(p.name for p in fresh.iterdir()) == ["features", "plans"]
+    assert rows == sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4])

@@ -192,3 +192,19 @@ def test_feature_file_errors(tmp_path):
     (tmp_path / "vers.feat").write_bytes(data[:4] + b"\x09\x00\x00\x00" + data[8:])
     with pytest.raises(ValueError, match="version"):
         read_features(tmp_path / "vers.feat")
+
+
+def test_feature_file_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "junk.feat"
+    write_features(path, _seq(10, d=4))
+    path.write_bytes(path.read_bytes() + b"\x00\x01\x02\x03")
+    with pytest.raises(ValueError, match="junk.feat.*trailing"):
+        read_features(path)
+
+
+def test_feature_file_rejects_short_header(tmp_path):
+    path = tmp_path / "short.feat"
+    write_features(path, _seq(10, d=4))
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(ValueError, match="short.feat.*header"):
+        read_features(path)
