@@ -97,6 +97,8 @@ def _cmd_predict(args) -> int:
     model = load_checkpoint(args.model)
     feats = Path(args.features)
     paths = sorted(feats.glob("*.feat")) if feats.is_dir() else [feats]
+    if not paths:
+        raise FileNotFoundError(f"no .feat files in {feats}")
     seqs = (read_features(path) for path in paths)
     score_videos(model, seqs, args.overlap, args.frame_mode, args.out_dir)
     print(f"scored {len(paths)} videos -> {Path(args.out_dir)}")

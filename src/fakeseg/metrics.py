@@ -90,17 +90,13 @@ def frame_auc(gt: SegmentationMap, scores: ScoreMap) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties replaced by the mean rank of their group."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
+    order = np.argsort(values)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        # positions i..j (0-based) share the average 1-based rank
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+    # 0-based sorted positions where a group of equal values begins and ends
+    first = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    last = np.append(first[1:], values.size) - 1
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2 + 1, last - first + 1)
     return ranks
 
 

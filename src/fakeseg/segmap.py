@@ -90,7 +90,8 @@ class SegmentationMap:
     # -- text format: one 'R'/'F' char per frame, newline-terminated --
 
     def to_text(self) -> str:
-        return "".join("F" if v else "R" for v in self.labels) + "\n"
+        chars = np.where(self.labels, ord("F"), ord("R")).astype(np.uint8)
+        return chars.tobytes().decode("ascii") + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SegmentationMap":
@@ -103,7 +104,7 @@ class SegmentationMap:
     # -- JSON format: {"labels": [0, 1, ...]}, 1 = Fake --
 
     def to_json(self) -> str:
-        return json.dumps({"labels": [int(v) for v in self.labels]})
+        return json.dumps({"labels": self.labels.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "SegmentationMap":
@@ -140,7 +141,7 @@ class ScoreMap:
         return SegmentationMap(self.scores >= threshold)
 
     def to_json(self) -> str:
-        return json.dumps({"scores": [float(v) for v in self.scores]})
+        return json.dumps({"scores": self.scores.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "ScoreMap":

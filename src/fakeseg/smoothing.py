@@ -35,40 +35,31 @@ class SmoothConfig:
             raise ValueError("k must be >= 0")
 
 
-def _majority(window: np.ndarray) -> int | None:
-    """0 or 1 when one label strictly dominates, None on tie or empty."""
-    if window.size == 0:
-        return None
-    fakes = int(window.sum())
-    reals = window.size - fakes
-    if fakes > reals:
-        return 1
-    if reals > fakes:
-        return 0
-    return None
-
-
 def smooth(pred: SegmentationMap, cfg: SmoothConfig) -> SegmentationMap:
     """Majority-vote smoothing; output length equals input length."""
-    k = cfg.k
     labels = pred.labels
     out = labels.copy()
+    n = labels.size
+    k = min(cfg.k, n)  # wider windows are truncated to the map anyway
     if k == 0:
         return SegmentationMap(out)
-    n = labels.size
-    for i in range(n):
-        left = labels[max(0, i - k) : i]
-        right = labels[i + 1 : i + 1 + k]
-        m_left = _majority(left)
-        m_right = _majority(right)
-        if left.size == 0:
-            if m_right is not None and labels[i] != m_right:
-                out[i] = m_right
-        elif right.size == 0:
-            if m_left is not None and labels[i] != m_left:
-                out[i] = m_left
-        elif m_left is not None and m_left == m_right and labels[i] != m_left:
-            out[i] = m_left
+    # fakes[i] = Fake votes among labels[:i]
+    fakes = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(labels, dtype=np.int32, out=fakes[1:])
+    i = np.arange(n, dtype=np.int32)
+    lo = np.maximum(i - k, 0)
+    hi = np.minimum(i + (k + 1), n)
+    # 2 * Fake votes - side size: > 0 Fake majority, < 0 Real, 0 tie or empty
+    left = 2 * (fakes[:-1] - fakes[lo]) - (i - lo)
+    right = 2 * (fakes[hi] - fakes[1:]) - (hi - i - 1)
+    # a side votes against a frame when its majority is the other label
+    fake = labels.astype(bool)
+    against_left = np.where(fake, left < 0, left > 0)
+    against_right = np.where(fake, right < 0, right > 0)
+    flip = against_left & against_right
+    flip[0] = against_right[0]  # first frame: right side only
+    flip[-1] = against_left[-1]  # last frame: left side only
+    out[flip] ^= 1
     return SegmentationMap(out)
 
 

@@ -125,31 +125,40 @@ def frames_from_windows(
         raise ValueError("window extends outside the video")
 
     if mode == "mean":
-        total = np.zeros(num_frames)
-        count = np.zeros(num_frames)
-        for s, score in zip(starts, window_scores):
-            total[s : s + window] += score
-            count[s : s + window] += 1
+        # frame starts + j gets its window's score at offset j; laying the
+        # offsets out from window-1 down to 0 makes every frame add its
+        # covering windows in ascending start order, as a window-by-window
+        # loop over sorted starts does, so the sums agree bit for bit
+        frames = (starts + np.arange(window - 1, -1, -1)[:, None]).ravel()
+        total = np.bincount(frames, np.tile(window_scores, window), minlength=num_frames)
+        count = np.bincount(frames, minlength=num_frames)
         if (count == 0).any():
             raise RuntimeError("internal error: frame not covered by any window")
         return ScoreMap(total / count)
     if mode == "max":
+        # best score among the windows starting at s goes to s + window - 1;
+        # frame f then takes the maximum over f .. f + window - 1
+        by_start = np.full(num_frames + window - 1, -1.0)
+        np.maximum.at(by_start, starts + (window - 1), window_scores)
         best = np.full(num_frames, -1.0)
-        for s, score in zip(starts, window_scores):
-            np.maximum(best[s : s + window], score, out=best[s : s + window])
+        for j in range(window):
+            np.maximum(best, by_start[j : j + num_frames], out=best)
         if (best < 0).any():
             raise RuntimeError("internal error: frame not covered by any window")
         return ScoreMap(best)
     if mode == "center":
         frame_scores = np.full(num_frames, np.nan)
-        for s, score in zip(starts, window_scores):
-            frame_scores[s + window // 2] = score
+        frame_scores[starts + window // 2] = window_scores
         scored = np.flatnonzero(~np.isnan(frame_scores))
         if scored.size == 0:
             raise RuntimeError("internal error: no window centers")
         missing = np.flatnonzero(np.isnan(frame_scores))
         if missing.size:
-            nearest = scored[np.abs(missing[:, None] - scored[None, :]).argmin(axis=1)]
+            # nearest scored frame on each side; the left one wins a tie
+            after = np.searchsorted(scored, missing)
+            left = scored[np.maximum(after - 1, 0)]
+            right = scored[np.minimum(after, scored.size - 1)]
+            nearest = np.where(missing - left <= right - missing, left, right)
             frame_scores[missing] = frame_scores[nearest]
         return ScoreMap(frame_scores)
     raise ValueError(f"unknown projection mode {mode!r}")
@@ -197,5 +206,10 @@ def read_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
     labels = None
     lp = label_path_for(path)
     if lp.exists():
-        labels = SegmentationMap.from_text(lp.read_text(encoding="ascii"))
+        try:
+            labels = SegmentationMap.from_text(lp.read_text(encoding="ascii"))
+        except ValueError as exc:
+            raise ValueError(f"{lp}: {exc}") from exc
+        if len(labels) != t:
+            raise ValueError(f"{lp}: label length {len(labels)} does not match {t} frames")
     return FeatureSequence(video_id=video_id or path.stem, features=feats, labels=labels)

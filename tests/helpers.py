@@ -1,5 +1,6 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
-per-tensor Adam, einsum attention, configs."""
+per-tensor Adam, einsum attention, loop versions of the per-frame kernels,
+configs."""
 
 from __future__ import annotations
 
@@ -187,3 +188,91 @@ def einsum_attention_backward(g, cache, grads, prefix):
         grads[prefix + "b" + name] = dbz
         dh += dhi
     return dh
+
+
+# -- loop oracles for the vectorized per-frame kernels --
+
+
+def _majority_reference(window: np.ndarray) -> int | None:
+    """0 or 1 when one label strictly dominates, None on tie or empty."""
+    if window.size == 0:
+        return None
+    fakes = int(window.sum())
+    reals = window.size - fakes
+    if fakes > reals:
+        return 1
+    if reals > fakes:
+        return 0
+    return None
+
+
+def smooth_reference(labels: np.ndarray, k: int) -> np.ndarray:
+    """Frame-by-frame majority-vote smoothing (the rules of `fakeseg.smoothing`)."""
+    out = labels.copy()
+    if k == 0:
+        return out
+    for i in range(labels.size):
+        left = labels[max(0, i - k) : i]
+        right = labels[i + 1 : i + 1 + k]
+        m_left = _majority_reference(left)
+        m_right = _majority_reference(right)
+        if left.size == 0:
+            if m_right is not None and labels[i] != m_right:
+                out[i] = m_right
+        elif right.size == 0:
+            if m_left is not None and labels[i] != m_left:
+                out[i] = m_left
+        elif m_left is not None and m_left == m_right and labels[i] != m_left:
+            out[i] = m_left
+    return out
+
+
+def frames_from_windows_reference(
+    window_scores: np.ndarray, starts: np.ndarray, window: int, num_frames: int, mode: str
+) -> np.ndarray:
+    """Window-by-window projection of window scores to frames (mean, max or center)."""
+    if mode == "mean":
+        total = np.zeros(num_frames)
+        count = np.zeros(num_frames)
+        for s, score in zip(starts, window_scores):
+            total[s : s + window] += score
+            count[s : s + window] += 1
+        return total / count
+    if mode == "max":
+        best = np.full(num_frames, -1.0)
+        for s, score in zip(starts, window_scores):
+            np.maximum(best[s : s + window], score, out=best[s : s + window])
+        return best
+    if mode == "center":
+        frame_scores = np.full(num_frames, np.nan)
+        for s, score in zip(starts, window_scores):
+            frame_scores[s + window // 2] = score
+        scored = np.flatnonzero(~np.isnan(frame_scores))
+        missing = np.flatnonzero(np.isnan(frame_scores))
+        if missing.size:
+            # (missing x scored) distances: only for small T
+            nearest = scored[np.abs(missing[:, None] - scored[None, :]).argmin(axis=1)]
+            frame_scores[missing] = frame_scores[nearest]
+        return frame_scores
+    raise ValueError(f"unknown projection mode {mode!r}")
+
+
+def midranks_reference(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties replaced by the mean rank of their group."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        # positions i..j (0-based) share the average 1-based rank
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def map_text_reference(labels: np.ndarray) -> str:
+    """One 'R'/'F' character per frame, newline-terminated."""
+    return "".join("F" if v else "R" for v in labels) + "\n"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fakeseg import ScoreMap
+from fakeseg import ScoreMap, SequenceClassifier, TransformerConfig, save_checkpoint
 from fakeseg.harness.cli import main
 from helpers import micro_config_dict
 
@@ -123,6 +123,18 @@ def test_stage_failure_exit_code(tmp_path, capsys):
 def test_other_errors_exit_code(tmp_path, capsys):
     assert main(["predict", "--model", str(tmp_path / "none.tfkm"),
                  "--features", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == 3
+
+
+def test_predict_on_an_empty_directory_fails(tmp_path, capsys):
+    model_path = tmp_path / "model.tfkm"
+    model_cfg = TransformerConfig(input_dim=4, window=5, num_heads=1, head_dim=4,
+                                  ff_hidden=8, mlp_hidden=(8,))
+    save_checkpoint(model_path, SequenceClassifier.initialize(model_cfg, seed=0))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["predict", "--model", str(model_path), "--features", str(empty),
+                 "--out-dir", str(tmp_path / "o")]) == 3
+    assert f"no .feat files in {empty}" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():

@@ -208,3 +208,19 @@ def test_feature_file_rejects_short_header(tmp_path):
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(ValueError, match="short.feat.*header"):
         read_features(path)
+
+
+def test_feature_file_names_a_label_file_of_the_wrong_length(tmp_path):
+    path = tmp_path / "v.feat"
+    write_features(path, _seq(10, d=2))
+    label_path_for(path).write_text("RRFFR\n", encoding="ascii")
+    with pytest.raises(ValueError, match=r"v\.feat\.labels.*label length 5 does not match 10"):
+        read_features(path)
+
+
+def test_feature_file_names_a_label_file_with_a_bad_character(tmp_path):
+    path = tmp_path / "v.feat"
+    write_features(path, _seq(4, d=2))
+    label_path_for(path).write_text("RXFR\n", encoding="ascii")
+    with pytest.raises(ValueError, match=r"v\.feat\.labels.*invalid characters"):
+        read_features(path)
