@@ -23,6 +23,7 @@ H * head_dim context is mapped back to d by the output projection.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -33,6 +34,32 @@ from .scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 
 NUM_CLASSES = 2  # Real, Fake
 LN_EPS = 1e-5
+
+# glibc mallopt parameters (malloc.h)
+_M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Let freed activations stay in the heap for the next forward to reuse.
+
+    A batch-256 forward allocates and frees a few MB of arrays of 100 KB to
+    1 MB each. With glibc's defaults each free lifts the mmap threshold to
+    the array's size and the trim threshold to twice that, so what one call
+    frees at once is handed back to the kernel and the next call faults it
+    in again, page by page. A fixed 4 MiB mmap threshold keeps those arrays
+    on the heap, and a 16 MiB top pad keeps that much freed heap mapped.
+    The setting is process-wide; a libc without `mallopt` is left alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TOP_PAD, 16 << 20)
+
+
+_keep_freed_heap()
 
 # Full-size reference settings are 8 blocks, 8 heads, head dimension 512
 # over 768-dim frame features; the defaults below are desk-scale so the
@@ -238,10 +265,29 @@ def _layer_norm_backward(g, cache):
     return dx, dgain, dbias
 
 
+# numpy reduces a short contiguous last axis one row at a time, so the row
+# reductions below run on a contiguous (L, rows) copy and reduce its axis 0
+# in a few whole-array passes. Both orders add a row left to right for
+# L < 8, giving the same bits; from L = 8 numpy sums a last axis pairwise,
+# so the results agree only to rounding (no shipped config has W >= 8).
+
+
+def _rows_leading(x):
+    """A C-contiguous (L, rows) copy of the length-L rows of x's last axis."""
+    return x.reshape(-1, x.shape[-1]).T.copy()
+
+
+def _reduce_rows(ufunc, x):
+    """`ufunc.reduce(x, axis=-1, keepdims=True)`, reduced with the rows leading."""
+    return ufunc.reduce(_rows_leading(x), axis=0).reshape(x.shape[:-1] + (1,))
+
+
 def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    zt = _rows_leading(z)
+    zt -= np.maximum.reduce(zt, axis=0)
+    np.exp(zt, out=zt)
+    zt /= np.add.reduce(zt, axis=0)
+    return np.ascontiguousarray(zt.T).reshape(z.shape)
 
 
 def _dropout_mask(shape, rate, rng, dtype):
@@ -277,7 +323,7 @@ def _attention_backward(g, cache, grads, prefix):
     dctx = dctx_flat.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
     dv = probs.swapaxes(-1, -2) @ dctx
-    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
     dq = (dscores @ k) * scale
     dk = (dscores.swapaxes(-1, -2) @ q) * scale
 
@@ -374,8 +420,8 @@ def forward(
 
 def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean categorical cross-entropy from raw logits (numerically stable)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    shifted = logits - _reduce_rows(np.maximum, logits)
+    log_z = np.log(_reduce_rows(np.add, np.exp(shifted))[:, 0])
     picked = shifted[np.arange(len(targets)), targets]
     return float((log_z - picked).mean())
 

@@ -94,6 +94,10 @@ def make_windows(seq: FeatureSequence, window: int, overlap: int) -> WindowBatch
     The label of a window is the label of its center frame
     (start + window // 2) when the sequence carries labels.
     """
+    if window > seq.num_frames:
+        raise ValueError(
+            f"video {seq.video_id!r} has {seq.num_frames} frames, fewer than the window of {window}"
+        )
     starts = window_starts(seq.num_frames, window, overlap)
     views = np.lib.stride_tricks.sliding_window_view(seq.features, window, axis=0)
     windows = np.ascontiguousarray(views[starts].transpose(0, 2, 1))

@@ -1,6 +1,6 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
-per-tensor Adam, einsum attention, loop versions of the per-frame kernels,
-configs."""
+per-tensor Adam, row-wise softmax, einsum attention, loop versions of the
+per-frame kernels, configs."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from fakeseg.transformer import (
     SequenceClassifier,
     _linear_backward,
     _linear_forward,
-    _softmax,
     cross_entropy,
     forward_with_cache,
 )
@@ -144,6 +143,13 @@ def adam_reference_step(
         params[name] -= lr * update.astype(params[name].dtype)
 
 
+def softmax_reference(z):
+    """Softmax over the last axis, reduced along that axis row by row."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def einsum_attention_forward(h, params, prefix, config):
     """Multi-head self-attention written with einsum; returns (out, cache)."""
     n, w, _ = h.shape
@@ -158,7 +164,7 @@ def einsum_attention_forward(h, params, prefix, config):
     q, k, v = split_heads(q_flat), split_heads(k_flat), split_heads(v_flat)
     scale = 1.0 / math.sqrt(hd)
     scores = np.einsum("nhic,nhjc->nhij", q, k) * scale
-    probs = _softmax(scores)
+    probs = softmax_reference(scores)
     ctx = np.einsum("nhij,nhjc->nhic", probs, v)
     ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
     out, co = _linear_forward(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])

@@ -1,9 +1,17 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fakeseg import ScoreMap, SequenceClassifier, TransformerConfig, save_checkpoint
+from fakeseg import (
+    FeatureSequence,
+    ScoreMap,
+    SequenceClassifier,
+    TransformerConfig,
+    save_checkpoint,
+    write_features,
+)
 from fakeseg.harness.cli import main
 from helpers import micro_config_dict
 
@@ -135,6 +143,20 @@ def test_predict_on_an_empty_directory_fails(tmp_path, capsys):
     assert main(["predict", "--model", str(model_path), "--features", str(empty),
                  "--out-dir", str(tmp_path / "o")]) == 3
     assert f"no .feat files in {empty}" in capsys.readouterr().err
+
+
+def test_predict_names_a_video_shorter_than_the_window(tmp_path, capsys):
+    model_path = tmp_path / "model.tfkm"
+    model_cfg = TransformerConfig(input_dim=4, window=5, num_heads=1, head_dim=4,
+                                  ff_hidden=8, mlp_hidden=(8,))
+    save_checkpoint(model_path, SequenceClassifier.initialize(model_cfg, seed=0))
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    write_features(feats / "short.feat",
+                   FeatureSequence("short", np.zeros((3, 4), np.float32)))
+    assert main(["predict", "--model", str(model_path), "--features", str(feats),
+                 "--out-dir", str(tmp_path / "o")]) == 3
+    assert "video 'short' has 3 frames, fewer than the window of 5" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error():

@@ -1,5 +1,14 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fakeseg import (
     SequenceClassifier,
@@ -12,10 +21,19 @@ from fakeseg.transformer import (
     LN_EPS,
     _attention_backward,
     _attention_forward,
+    _softmax,
+    cross_entropy,
     forward,
     param_layout,
 )
-from helpers import einsum_attention_backward, einsum_attention_forward, fd_gradcheck
+from helpers import (
+    einsum_attention_backward,
+    einsum_attention_forward,
+    fd_gradcheck,
+    softmax_reference,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = TransformerConfig(
     input_dim=8,
@@ -314,3 +332,88 @@ def test_params_are_views_of_one_buffer():
 def test_model_rejects_buffer_of_wrong_size():
     with pytest.raises(ValueError, match="buffer"):
         SequenceClassifier(TINY, np.zeros(3, dtype=np.float32))
+
+
+@st.composite
+def softmax_inputs(draw):
+    """Logits up to +-80 shaped (N, 2) or (N, H, L, L), with tied values."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 40)), 2)
+    else:
+        length = draw(st.integers(1, 12))
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 4)), length, length)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.uniform(-80, 80, size=shape)
+    if draw(st.booleans()):  # a few distinct values, so rows hold ties
+        z = rng.choice(z.reshape(-1)[:3], size=shape)
+    return z.astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=softmax_inputs())
+def test_softmax_matches_the_row_wise_reference(z):
+    got, ref = _softmax(z), softmax_reference(z)
+    assert got.shape == z.shape and got.dtype == z.dtype
+    if z.shape[-1] < 8:  # both sum a row left to right
+        assert got.tobytes() == ref.tobytes()
+    else:  # numpy sums a long last axis pairwise
+        tol = 8 * np.finfo(z.dtype).eps
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol)
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=tol * z.shape[-1])
+    if z.ndim == 2:  # cross_entropy reduces the same (N, 2) rows
+        targets = np.arange(len(z)) % 2
+        shifted = z - z.max(axis=1, keepdims=True)
+        picked = shifted[np.arange(len(z)), targets]
+        ref_loss = float((np.log(np.exp(shifted).sum(axis=1)) - picked).mean())
+        assert cross_entropy(z, targets) == ref_loss
+
+
+# Runs in a fresh interpreter, so the heap it measures is its own: warm up,
+# size the activations one forward keeps, then count minor page faults over
+# 50 more forwards.
+_FAULT_PROBE = """
+import json, resource, sys
+import numpy as np
+from fakeseg.harness.config import load_experiment_config
+from fakeseg.transformer import SequenceClassifier, forward_with_cache
+
+def owned_bytes(obj, seen):
+    if isinstance(obj, (tuple, list)):
+        return sum(owned_bytes(o, seen) for o in obj)
+    if not isinstance(obj, np.ndarray):
+        return 0
+    base = obj if obj.base is None else obj.base
+    if not isinstance(base, np.ndarray) or id(base) in seen:
+        return 0
+    seen.add(id(base))
+    return base.nbytes
+
+cfg = load_experiment_config(sys.argv[1]).model
+model = SequenceClassifier.initialize(cfg, seed=0)
+rng = np.random.default_rng(0)
+batch = rng.standard_normal((256, cfg.window, cfg.input_dim)).astype(np.float32)
+for _ in range(5):
+    out = forward_with_cache(model, batch)
+pages = owned_bytes(out, set()) / 4096
+del out
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    forward_with_cache(model, batch)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"faults_per_call": faults / 50, "activation_pages": pages}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
+def test_batch_256_forwards_reuse_their_heap_pages():
+    """Without the allocator setting every forward faults its activations in
+    again, about one fault per page; with it the pages are reused."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, str(ROOT / "configs" / "quickstart.json")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    result = json.loads(proc.stdout)
+    assert result["activation_pages"] > 500
+    assert result["faults_per_call"] < 0.1 * result["activation_pages"], result

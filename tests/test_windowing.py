@@ -97,6 +97,12 @@ def test_unlabeled_sequence_has_no_window_labels():
     assert batch.window_labels is None
 
 
+def test_video_shorter_than_the_window_is_named():
+    seq = FeatureSequence(video_id="clip7", features=np.zeros((3, 2), np.float32))
+    with pytest.raises(ValueError, match=r"video 'clip7' has 3 frames, fewer than the window of 5"):
+        make_windows(seq, 5, 4)
+
+
 # -- frame projection --
 
 
