@@ -52,7 +52,7 @@ class SegmentationMap:
         arr = np.asarray(list(labels) if not isinstance(labels, np.ndarray) else labels)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("a segmentation map needs a 1-D sequence of at least one label")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("labels must be 0 (Real) or 1 (Fake)")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)

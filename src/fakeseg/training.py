@@ -218,8 +218,16 @@ def predict_video(
     mode: str = "mean",
     batch_size: int = 256,
 ) -> ScoreMap:
-    """Frame-level Fake scores for one video: window, classify, project back."""
-    w = model.config.window
+    """Frame-level Fake scores for one video: window, classify, project back.
+
+    Features of the wrong width or with a non-finite value raise a
+    ValueError naming the video, checked once per video."""
+    cfg = model.config
+    if seq.dim != cfg.input_dim:
+        raise ValueError(f"video {seq.video_id!r} has {seq.dim}-dim features, the model takes {cfg.input_dim}")
+    if not np.isfinite(seq.features).all():
+        raise ValueError(f"video {seq.video_id!r} has non-finite features")
+    w = cfg.window
     batch = make_windows(seq, w, overlap)
     scores = np.empty(batch.num_windows)
     for lo in range(0, batch.num_windows, batch_size):

@@ -227,18 +227,26 @@ class SequenceClassifier:
 
 
 # -- primitives (forward returns a cache consumed by the matching backward) --
+#
+# Activations are laid out for the products that read them: the residual
+# stream is one (N * W, d) array, so each linear is one GEMM with its bias
+# added in place; K is projected straight into its (N, H, hd, W) transpose,
+# and the attention context is written into an (N, W, H, hd) buffer that
+# the output projection reads as (N * W, H * hd), so neither is copied.
 
 
 def _linear_forward(x, w, b):
-    return x @ w + b, (x, w)
+    out = x @ w
+    out += b
+    return out, (x, w)
 
 
-def _linear_backward(g, cache):
+def _linear_backward(g, cache, window=None):
+    """(dx, dw, db) for 2-D rows g. With a window, dx is one product per window:
+    OpenBLAS rounds one folded product differently at some shapes (w of (16, 64))."""
     x, w = cache
-    dx = g @ w.T
-    dw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    db = g.reshape(-1, g.shape[-1]).sum(axis=0)
-    return dx, dw, db
+    rows = g if window is None else g.reshape(-1, window, g.shape[-1])
+    return (rows @ w.T).reshape(-1, w.shape[0]), x.T @ g, g.sum(axis=0)
 
 
 def _mean_last(x):
@@ -283,11 +291,12 @@ def _reduce_rows(ufunc, x):
 
 
 def _softmax(z):
+    """Softmax over the last axis; a view of z's shape on a rows-leading buffer."""
     zt = _rows_leading(z)
     zt -= np.maximum.reduce(zt, axis=0)
     np.exp(zt, out=zt)
     zt /= np.add.reduce(zt, axis=0)
-    return np.ascontiguousarray(zt.T).reshape(z.shape)
+    return zt.T.reshape(z.shape)
 
 
 def _dropout_mask(shape, rate, rng, dtype):
@@ -296,47 +305,45 @@ def _dropout_mask(shape, rate, rng, dtype):
 
 
 def _attention_forward(h, params, prefix, config):
-    n, w, _ = h.shape
-    nh, hd = config.num_heads, config.head_dim
-
-    def split_heads(z):
-        return z.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
-
-    q_flat, cq = _linear_forward(h, params[prefix + "wq"], params[prefix + "bq"])
-    k_flat, ck = _linear_forward(h, params[prefix + "wk"], params[prefix + "bk"])
-    v_flat, cv = _linear_forward(h, params[prefix + "wv"], params[prefix + "bv"])
-    q, k, v = split_heads(q_flat), split_heads(k_flat), split_heads(v_flat)
+    """Self-attention over windows of config.window rows; h is (N, W, d) or
+    (N * W, d) and the output has h's shape."""
+    w, nh, hd = config.window, config.num_heads, config.head_dim
+    h2 = h.reshape(-1, h.shape[-1])
+    n = h2.shape[0] // w
+    q, cq = _linear_forward(h2, params[prefix + "wq"], params[prefix + "bq"])
+    wk = params[prefix + "wk"]
+    kt = wk.T @ h2.reshape(n, w, -1).transpose(0, 2, 1)  # (N, H * hd, W)
+    kt += params[prefix + "bk"][:, None]
+    v, cv = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
+    q = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
+    kt = kt.reshape(n, nh, hd, w)
+    v = v.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     scale = 1.0 / math.sqrt(hd)
-    scores = (q @ k.swapaxes(-1, -2)) * scale
+    scores = q @ kt
+    scores *= scale
     probs = _softmax(scores)
-    ctx = probs @ v
-    ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
-    out, co = _linear_forward(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])
-    return out, (cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd))
+    ctx = np.empty((n, w, nh, hd), h2.dtype)
+    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    out, co = _linear_forward(ctx.reshape(n * w, nh * hd), params[prefix + "wo"], params[prefix + "bo"])
+    return out.reshape(h.shape), (cq, (h2, wk), cv, q, kt, v, probs, co, scale)
 
 
 def _attention_backward(g, cache, grads, prefix):
-    cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd) = cache
-    dctx_flat, dwo, dbo = _linear_backward(g, co)
-    grads[prefix + "wo"] = dwo
-    grads[prefix + "bo"] = dbo
-    dctx = dctx_flat.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
+    cq, ck, cv, q, kt, v, probs, co, scale = cache
+    n, nh, w, hd = q.shape
+    dctx, grads[prefix + "wo"], grads[prefix + "bo"] = _linear_backward(g.reshape(n * w, -1), co, w)
+    dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
     dv = probs.swapaxes(-1, -2) @ dctx
     dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
-    dq = (dscores @ k) * scale
+    dq = (dscores @ kt.swapaxes(-1, -2)) * scale
     dk = (dscores.swapaxes(-1, -2) @ q) * scale
-
-    def merge_heads(z):
-        return z.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
-
-    dh = np.zeros_like(cq[0])
+    dh = None
     for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
-        dhi, dwz, dbz = _linear_backward(merge_heads(dz), c)
-        grads[prefix + "w" + name] = dwz
-        grads[prefix + "b" + name] = dbz
-        dh += dhi
-    return dh
+        merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
+        dhi, grads[prefix + "w" + name], grads[prefix + "b" + name] = _linear_backward(merged, c, w)
+        dh = dhi if dh is None else np.add(dh, dhi, out=dh)
+    return dh.reshape(g.shape)
 
 
 def forward_with_cache(
@@ -358,53 +365,50 @@ def forward_with_cache(
         raise ValueError("training-mode forward with dropout needs a random generator")
 
     dtype = model.dtype
+    n, w, d = batch.shape
     x = batch.astype(dtype, copy=False)  # never written in place
     if cfg.use_positional:
         x = x + p["pos_embed"]
+    x = x.reshape(n * w, d)  # the residual stream, one row per frame
+    drop = train and cfg.dropout > 0.0
 
     block_caches = []
     for b in range(cfg.num_blocks):
         pre = f"block{b}."
         h, c_ln1 = _layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         attn_out, c_attn = _attention_forward(h, p, pre + "attn.", cfg)
-        m_attn = None
-        if train and cfg.dropout > 0.0:
-            m_attn = _dropout_mask(attn_out.shape, cfg.dropout, rng, dtype)
-            attn_out = attn_out * m_attn
-        x = x + attn_out
+        m_attn = _dropout_mask(attn_out.shape, cfg.dropout, rng, dtype) if drop else None
+        if drop:
+            attn_out *= m_attn
+        attn_out += x
+        x = attn_out
 
         h2, c_ln2 = _layer_norm_forward(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         z1, c_ff1 = _linear_forward(h2, p[pre + "ff.w1"], p[pre + "ff.b1"])
-        a1 = np.maximum(z1, 0)
-        ff_out, c_ff2 = _linear_forward(a1, p[pre + "ff.w2"], p[pre + "ff.b2"])
-        m_ff = None
-        if train and cfg.dropout > 0.0:
-            m_ff = _dropout_mask(ff_out.shape, cfg.dropout, rng, dtype)
-            ff_out = ff_out * m_ff
-        x = x + ff_out
-        block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, z1, c_ff2, m_ff))
+        ff_out, c_ff2 = _linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"])
+        m_ff = _dropout_mask(ff_out.shape, cfg.dropout, rng, dtype) if drop else None
+        if drop:
+            ff_out *= m_ff
+        ff_out += x
+        x = ff_out
+        block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff))
 
     normed, c_final = _layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"])
-    pooled = np.add.reduce(normed, axis=1) / cfg.window  # 1-D global average pool over window positions
+    z = np.add.reduce(normed.reshape(n, w, d), axis=1) / w  # 1-D global average pool over window positions
 
     head_caches = []
-    z = pooled
     n_layers = len(cfg.mlp_hidden) + 1
     for i in range(n_layers):
         z, c_lin = _linear_forward(z, p[f"head.layer{i}.w"], p[f"head.layer{i}.b"])
         c_ss = None
         if cfg.use_scale_shift_head:
-            ss = ScaleShift(p[f"head.layer{i}.scale"], p[f"head.layer{i}.shift"])
-            c_ss = (z, ss)
-            z = scale_shift_forward(z, ss)
+            c_ss = (z, ScaleShift(p[f"head.layer{i}.scale"], p[f"head.layer{i}.shift"]))
+            z = scale_shift_forward(*c_ss)
         z_pre = z
         if i < n_layers - 1:
             z = np.maximum(z, 0)
         head_caches.append((c_lin, c_ss, z_pre))
-    logits = z
-    probs = _softmax(logits)
-    cache = (block_caches, c_final, head_caches, batch.shape[0])
-    return logits, probs, cache
+    return z, _softmax(z), (block_caches, c_final, head_caches, n)
 
 
 def forward(
@@ -448,9 +452,9 @@ def loss_and_grads(
     block_caches, c_final, head_caches, n = cache
     grads: dict[str, np.ndarray] = {}
 
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), targets] = 1
-    g = (probs - onehot) / n
+    g = probs.copy(order="C")  # probs - onehot(targets), rows contiguous for the sums below
+    g[np.arange(n), targets] -= 1
+    g /= n
 
     for i in range(len(head_caches) - 1, -1, -1):
         c_lin, c_ss, z_pre = head_caches[i]
@@ -458,44 +462,32 @@ def loss_and_grads(
             g = g * (z_pre > 0)
         if c_ss is not None:
             x_ss, ss = c_ss
-            g, dgamma, dbeta = scale_shift_backward(x_ss, ss, g)
-            grads[f"head.layer{i}.scale"] = dgamma
-            grads[f"head.layer{i}.shift"] = dbeta
-        g, dw, db = _linear_backward(g, c_lin)
-        grads[f"head.layer{i}.w"] = dw
-        grads[f"head.layer{i}.b"] = db
+            g, grads[f"head.layer{i}.scale"], grads[f"head.layer{i}.shift"] = scale_shift_backward(x_ss, ss, g)
+        g, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"] = _linear_backward(g, c_lin)
 
     # un-pool: distribute the pooled gradient evenly over window positions
-    g = np.repeat(g[:, None, :], cfg.window, axis=1) / cfg.window
-    g, dgain, dbias = _layer_norm_backward(g, c_final)
-    grads["final_norm.gain"] = dgain
-    grads["final_norm.bias"] = dbias
+    g = np.repeat(g, cfg.window, axis=0) / cfg.window
+    g, grads["final_norm.gain"], grads["final_norm.bias"] = _layer_norm_backward(g, c_final)
 
     for b in range(cfg.num_blocks - 1, -1, -1):
         pre = f"block{b}."
-        c_ln1, c_attn, m_attn, c_ln2, c_ff1, z1, c_ff2, m_ff = block_caches[b]
+        c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff = block_caches[b]
 
         g_ff = g * m_ff if m_ff is not None else g
-        da1, dw2, db2 = _linear_backward(g_ff, c_ff2)
-        grads[pre + "ff.w2"] = dw2
-        grads[pre + "ff.b2"] = db2
-        dz1 = da1 * (z1 > 0)
-        dh2, dw1, db1 = _linear_backward(dz1, c_ff1)
-        grads[pre + "ff.w1"] = dw1
-        grads[pre + "ff.b1"] = db1
-        dx, dgain2, dbias2 = _layer_norm_backward(dh2, c_ln2)
-        grads[pre + "ln2.gain"] = dgain2
-        grads[pre + "ln2.bias"] = dbias2
-        g = g + dx  # residual around the feed-forward sublayer
+        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_backward(g_ff, c_ff2, cfg.window)
+        da1 *= c_ff2[0] > 0  # ReLU: the cached activation is positive where its input was
+        dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_backward(da1, c_ff1, cfg.window)
+        dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_backward(dh2, c_ln2)
+        dx += g  # residual around the feed-forward sublayer
+        g = dx
 
         g_attn = g * m_attn if m_attn is not None else g
         dh = _attention_backward(g_attn, c_attn, grads, pre + "attn.")
-        dx, dgain1, dbias1 = _layer_norm_backward(dh, c_ln1)
-        grads[pre + "ln1.gain"] = dgain1
-        grads[pre + "ln1.bias"] = dbias1
-        g = g + dx  # residual around attention
+        dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_backward(dh, c_ln1)
+        dx += g  # residual around attention
+        g = dx
 
     if cfg.use_positional:
-        grads["pos_embed"] = g.sum(axis=0)
+        grads["pos_embed"] = g.reshape(n, cfg.window, -1).sum(axis=0)
 
     return loss, probs, grads

@@ -1,6 +1,6 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
-per-tensor Adam, row-wise softmax, einsum attention, loop versions of the
-per-frame kernels, configs."""
+per-tensor Adam, row-wise softmax, einsum attention, the (N, W, d) forward
+and backward, loop versions of the per-frame kernels, configs."""
 
 from __future__ import annotations
 
@@ -10,10 +10,12 @@ import math
 import numpy as np
 
 from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from fakeseg.transformer import (
     SequenceClassifier,
-    _linear_backward,
-    _linear_forward,
+    _dropout_mask,
+    _layer_norm_backward,
+    _layer_norm_forward,
     cross_entropy,
     forward_with_cache,
 )
@@ -150,6 +152,18 @@ def softmax_reference(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _linear_reference(x, w, b):
+    return x @ w + b, (x, w)
+
+
+def _linear_reference_backward(g, cache):
+    x, w = cache
+    dx = g @ w.T
+    dw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    db = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    return dx, dw, db
+
+
 def einsum_attention_forward(h, params, prefix, config):
     """Multi-head self-attention written with einsum; returns (out, cache)."""
     n, w, _ = h.shape
@@ -158,23 +172,23 @@ def einsum_attention_forward(h, params, prefix, config):
     def split_heads(z):
         return z.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
 
-    q_flat, cq = _linear_forward(h, params[prefix + "wq"], params[prefix + "bq"])
-    k_flat, ck = _linear_forward(h, params[prefix + "wk"], params[prefix + "bk"])
-    v_flat, cv = _linear_forward(h, params[prefix + "wv"], params[prefix + "bv"])
+    q_flat, cq = _linear_reference(h, params[prefix + "wq"], params[prefix + "bq"])
+    k_flat, ck = _linear_reference(h, params[prefix + "wk"], params[prefix + "bk"])
+    v_flat, cv = _linear_reference(h, params[prefix + "wv"], params[prefix + "bv"])
     q, k, v = split_heads(q_flat), split_heads(k_flat), split_heads(v_flat)
     scale = 1.0 / math.sqrt(hd)
     scores = np.einsum("nhic,nhjc->nhij", q, k) * scale
     probs = softmax_reference(scores)
     ctx = np.einsum("nhij,nhjc->nhic", probs, v)
     ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
-    out, co = _linear_forward(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])
+    out, co = _linear_reference(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])
     return out, (cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd))
 
 
 def einsum_attention_backward(g, cache, grads, prefix):
     """Backward of `einsum_attention_forward`; fills `grads`, returns d(input)."""
     cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd) = cache
-    dctx_flat, dwo, dbo = _linear_backward(g, co)
+    dctx_flat, dwo, dbo = _linear_reference_backward(g, co)
     grads[prefix + "wo"] = dwo
     grads[prefix + "bo"] = dbo
     dctx = dctx_flat.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
@@ -189,11 +203,177 @@ def einsum_attention_backward(g, cache, grads, prefix):
 
     dh = np.zeros_like(cq[0])
     for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
-        dhi, dwz, dbz = _linear_backward(merge_heads(dz), c)
+        dhi, dwz, dbz = _linear_reference_backward(merge_heads(dz), c)
         grads[prefix + "w" + name] = dwz
         grads[prefix + "b" + name] = dbz
         dh += dhi
     return dh
+
+
+# -- the transformer with a 3-D (N, W, d) residual stream --
+#
+# The library's forward keeps a 2-D (N * W, d) stream and takes K^T straight
+# from its projection; these are the earlier bodies it replaced: every linear
+# is `x @ w + b` on (N, W, .) arrays, K is split into heads and transposed
+# inside the score product, and the context is merged back by a copy.
+
+
+def _attention_reference_forward(h, params, prefix, config):
+    n, w, _ = h.shape
+    nh, hd = config.num_heads, config.head_dim
+
+    def split_heads(z):
+        return z.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
+
+    q_flat, cq = _linear_reference(h, params[prefix + "wq"], params[prefix + "bq"])
+    k_flat, ck = _linear_reference(h, params[prefix + "wk"], params[prefix + "bk"])
+    v_flat, cv = _linear_reference(h, params[prefix + "wv"], params[prefix + "bv"])
+    q, k, v = split_heads(q_flat), split_heads(k_flat), split_heads(v_flat)
+    scale = 1.0 / math.sqrt(hd)
+    scores = (q @ k.swapaxes(-1, -2)) * scale
+    probs = softmax_reference(scores)
+    ctx = probs @ v
+    ctx_flat = ctx.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
+    out, co = _linear_reference(ctx_flat, params[prefix + "wo"], params[prefix + "bo"])
+    return out, (cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd))
+
+
+def _attention_reference_backward(g, cache, grads, prefix):
+    cq, ck, cv, q, k, v, probs, co, scale, (n, w, nh, hd) = cache
+    dctx_flat, dwo, dbo = _linear_reference_backward(g, co)
+    grads[prefix + "wo"] = dwo
+    grads[prefix + "bo"] = dbo
+    dctx = dctx_flat.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
+    dprobs = dctx @ v.swapaxes(-1, -2)
+    dv = probs.swapaxes(-1, -2) @ dctx
+    dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+    dq = (dscores @ k) * scale
+    dk = (dscores.swapaxes(-1, -2) @ q) * scale
+
+    def merge_heads(z):
+        return z.transpose(0, 2, 1, 3).reshape(n, w, nh * hd)
+
+    dh = np.zeros_like(cq[0])
+    for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
+        dhi, dwz, dbz = _linear_reference_backward(merge_heads(dz), c)
+        grads[prefix + "w" + name] = dwz
+        grads[prefix + "b" + name] = dbz
+        dh += dhi
+    return dh
+
+
+def forward_reference(model, batch, train=False, rng=None):
+    """(logits, probs, cache) of the classifier, computed on (N, W, d) arrays."""
+    cfg = model.config
+    p = model.params
+    dtype = model.dtype
+    x = batch.astype(dtype, copy=False)
+    if cfg.use_positional:
+        x = x + p["pos_embed"]
+
+    block_caches = []
+    for b in range(cfg.num_blocks):
+        pre = f"block{b}."
+        h, c_ln1 = _layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        attn_out, c_attn = _attention_reference_forward(h, p, pre + "attn.", cfg)
+        m_attn = None
+        if train and cfg.dropout > 0.0:
+            m_attn = _dropout_mask(attn_out.shape, cfg.dropout, rng, dtype)
+            attn_out = attn_out * m_attn
+        x = x + attn_out
+
+        h2, c_ln2 = _layer_norm_forward(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        z1, c_ff1 = _linear_reference(h2, p[pre + "ff.w1"], p[pre + "ff.b1"])
+        a1 = np.maximum(z1, 0)
+        ff_out, c_ff2 = _linear_reference(a1, p[pre + "ff.w2"], p[pre + "ff.b2"])
+        m_ff = None
+        if train and cfg.dropout > 0.0:
+            m_ff = _dropout_mask(ff_out.shape, cfg.dropout, rng, dtype)
+            ff_out = ff_out * m_ff
+        x = x + ff_out
+        block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, z1, c_ff2, m_ff))
+
+    normed, c_final = _layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"])
+    pooled = normed.sum(axis=1) / cfg.window
+
+    head_caches = []
+    z = pooled
+    n_layers = len(cfg.mlp_hidden) + 1
+    for i in range(n_layers):
+        z, c_lin = _linear_reference(z, p[f"head.layer{i}.w"], p[f"head.layer{i}.b"])
+        c_ss = None
+        if cfg.use_scale_shift_head:
+            ss = ScaleShift(p[f"head.layer{i}.scale"], p[f"head.layer{i}.shift"])
+            c_ss = (z, ss)
+            z = scale_shift_forward(z, ss)
+        z_pre = z
+        if i < n_layers - 1:
+            z = np.maximum(z, 0)
+        head_caches.append((c_lin, c_ss, z_pre))
+    logits = z
+    probs = softmax_reference(logits)
+    return logits, probs, (block_caches, c_final, head_caches, batch.shape[0])
+
+
+def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
+    """(loss, probs, grads) from `forward_reference` and its backward."""
+    targets = np.asarray(targets)
+    logits, probs, cache = forward_reference(model, batch, train=train, rng=rng)
+    loss = cross_entropy(logits, targets)
+
+    cfg = model.config
+    block_caches, c_final, head_caches, n = cache
+    grads: dict[str, np.ndarray] = {}
+
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), targets] = 1
+    g = (probs - onehot) / n
+
+    for i in range(len(head_caches) - 1, -1, -1):
+        c_lin, c_ss, z_pre = head_caches[i]
+        if i < len(head_caches) - 1:
+            g = g * (z_pre > 0)
+        if c_ss is not None:
+            x_ss, ss = c_ss
+            g, dgamma, dbeta = scale_shift_backward(x_ss, ss, g)
+            grads[f"head.layer{i}.scale"] = dgamma
+            grads[f"head.layer{i}.shift"] = dbeta
+        g, dw, db = _linear_reference_backward(g, c_lin)
+        grads[f"head.layer{i}.w"] = dw
+        grads[f"head.layer{i}.b"] = db
+
+    g = np.repeat(g[:, None, :], cfg.window, axis=1) / cfg.window
+    g, dgain, dbias = _layer_norm_backward(g, c_final)
+    grads["final_norm.gain"] = dgain
+    grads["final_norm.bias"] = dbias
+
+    for b in range(cfg.num_blocks - 1, -1, -1):
+        pre = f"block{b}."
+        c_ln1, c_attn, m_attn, c_ln2, c_ff1, z1, c_ff2, m_ff = block_caches[b]
+
+        g_ff = g * m_ff if m_ff is not None else g
+        da1, dw2, db2 = _linear_reference_backward(g_ff, c_ff2)
+        grads[pre + "ff.w2"] = dw2
+        grads[pre + "ff.b2"] = db2
+        dz1 = da1 * (z1 > 0)
+        dh2, dw1, db1 = _linear_reference_backward(dz1, c_ff1)
+        grads[pre + "ff.w1"] = dw1
+        grads[pre + "ff.b1"] = db1
+        dx, dgain2, dbias2 = _layer_norm_backward(dh2, c_ln2)
+        grads[pre + "ln2.gain"] = dgain2
+        grads[pre + "ln2.bias"] = dbias2
+        g = g + dx
+
+        g_attn = g * m_attn if m_attn is not None else g
+        dh = _attention_reference_backward(g_attn, c_attn, grads, pre + "attn.")
+        dx, dgain1, dbias1 = _layer_norm_backward(dh, c_ln1)
+        grads[pre + "ln1.gain"] = dgain1
+        grads[pre + "ln1.bias"] = dbias1
+        g = g + dx
+
+    if cfg.use_positional:
+        grads["pos_embed"] = g.sum(axis=0)
+    return loss, probs, grads
 
 
 # -- loop oracles for the vectorized per-frame kernels --

@@ -159,6 +159,27 @@ def test_predict_names_a_video_shorter_than_the_window(tmp_path, capsys):
     assert "video 'short' has 3 frames, fewer than the window of 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "features, message",
+    [
+        (np.full((20, 4), np.nan, np.float32), "video 'bad' has non-finite features"),
+        (np.zeros((20, 8), np.float32), "video 'bad' has 8-dim features, the model takes 4"),
+    ],
+    ids=["nan", "dim"],
+)
+def test_predict_names_a_video_with_bad_features(tmp_path, capsys, features, message):
+    model_path = tmp_path / "model.tfkm"
+    model_cfg = TransformerConfig(input_dim=4, window=5, num_heads=1, head_dim=4,
+                                  ff_hidden=8, mlp_hidden=(8,))
+    save_checkpoint(model_path, SequenceClassifier.initialize(model_cfg, seed=0))
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    write_features(feats / "bad.feat", FeatureSequence("bad", features))
+    assert main(["predict", "--model", str(model_path), "--features", str(feats),
+                 "--out-dir", str(tmp_path / "o")]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -25,6 +25,31 @@ def test_map_validation():
     assert m[1] is FrameLabel.FAKE
 
 
+@pytest.mark.parametrize(
+    "labels, accepted",
+    [
+        (np.array([False, True, True]), True),
+        (np.array([0, 1, 0], dtype=np.uint8), True),
+        (np.array([1, 0, 1], dtype=np.int64), True),
+        (np.array([0.0, 1.0]), True),
+        ([FrameLabel.REAL, FrameLabel.FAKE], True),
+        (np.array([0, 2]), False),
+        (np.array([-1, 0]), False),
+        (np.array([0.5, 1.0]), False),
+        (np.array([np.nan, 0.0]), False),
+        (np.array(["0", "1"]), False),
+    ],
+    ids=["bool", "uint8", "int64", "float", "enum", "two", "minus-one", "half", "nan", "str"],
+)
+def test_map_accepts_the_labels_isin_accepts(labels, accepted):
+    assert bool(np.isin(np.asarray(labels), (0, 1)).all()) is accepted
+    if accepted:
+        assert SegmentationMap(labels).labels.tolist() == np.asarray(labels).astype(int).tolist()
+    else:
+        with pytest.raises(ValueError, match="0 \\(Real\\) or 1 \\(Fake\\)"):
+            SegmentationMap(labels)
+
+
 def test_map_is_immutable():
     m = SegmentationMap([0, 1])
     with pytest.raises(AttributeError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fakeseg import (
@@ -24,12 +24,15 @@ from fakeseg.transformer import (
     _softmax,
     cross_entropy,
     forward,
+    forward_with_cache,
     param_layout,
 )
 from helpers import (
     einsum_attention_backward,
     einsum_attention_forward,
     fd_gradcheck,
+    forward_reference,
+    loss_and_grads_reference,
     softmax_reference,
 )
 
@@ -369,18 +372,103 @@ def test_softmax_matches_the_row_wise_reference(z):
         assert cross_entropy(z, targets) == ref_loss
 
 
+# (input_dim, num_heads, head_dim, ff_hidden, mlp_hidden) of the quickstart
+# model and of the micro model the CLI and experiment tests train
+SHIPPED_WIDTHS = ((16, 4, 16, 64, 32), (8, 2, 8, 32, 16))
+
+
+@st.composite
+def layout_cases(draw, widths):
+    """A model of the drawn widths (H * head_dim != d), a batch, targets, a
+    mode and a seed for the dropout generator."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d, heads, head_dim, ff, mlp = draw(widths)
+    assume(heads * head_dim != d)
+    cfg = TransformerConfig(
+        input_dim=d, window=draw(st.integers(1, 7)), num_blocks=draw(st.integers(1, 2)),
+        num_heads=heads, head_dim=head_dim, ff_hidden=ff, mlp_hidden=(mlp,),
+        dropout=draw(st.sampled_from([0.0, 0.25])),
+        use_positional=draw(st.booleans()), use_scale_shift_head=draw(st.booleans()),
+    )
+    n = draw(st.sampled_from([1, 7, 64, 256]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    model = SequenceClassifier.initialize(cfg, seed=seed % 1000).astype(dtype)
+    x = rng.standard_normal((n, cfg.window, d)).astype(dtype)
+    return model, x, rng.integers(0, 2, n), draw(st.booleans()), seed
+
+
+def _layout_pairs(case):
+    """(name, 2-D layout, 3-D reference) for the logits, the probs and every
+    gradient; in train mode both sides draw their dropout masks from
+    generators seeded alike, in the same order and shapes."""
+    model, x, y, train, seed = case
+    logits, probs, _ = forward_with_cache(model, x, train, np.random.default_rng(seed))
+    ref_logits, ref_probs, _ = forward_reference(model, x, train, np.random.default_rng(seed))
+    loss, g_probs, grads = loss_and_grads(model, x, y, train, np.random.default_rng(seed))
+    ref_loss, _, ref_grads = loss_and_grads_reference(model, x, y, train, np.random.default_rng(seed))
+    assert set(grads) == set(ref_grads) == set(model.params)
+    pairs = [("loss", np.array(loss), np.array(ref_loss)), ("logits", logits, ref_logits),
+             ("probs", probs, ref_probs), ("loss probs", g_probs, ref_probs)]
+    return pairs + [(name, grads[name], ref_grads[name]) for name in sorted(ref_grads)]
+
+
+def _assert_within_rounding(pairs, dtype):
+    for name, got, ref in pairs:
+        assert got.shape == ref.shape and got.dtype == ref.dtype, name
+        tol = 256 * np.finfo(dtype).eps * max(1.0, float(np.abs(ref).max()))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol, err_msg=name)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=layout_cases(st.sampled_from(SHIPPED_WIDTHS)))
+def test_2d_layout_matches_the_3d_reference_bit_for_bit(case):
+    """At the shipped widths OpenBLAS sums every folded product in the order
+    of the per-window ones, so the bytes agree. Two cases take a different
+    OpenBLAS call and agree only to rounding: one frame per window (a
+    vector-matrix product per window against one matrix product), and
+    float64 scores for W <= 4 at head_dim 16 (Q @ K^T from a contiguous K^T
+    and from K read transposed use different small dgemm kernels)."""
+    model, pairs = case[0], _layout_pairs(case)
+    cfg = model.config
+    if cfg.window == 1 or (model.dtype == np.float64 and cfg.window <= 4 and cfg.head_dim >= 16):
+        _assert_within_rounding(pairs, model.dtype)
+        return
+    for name, got, ref in pairs:
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), name
+
+
+@st.composite
+def any_widths(draw):
+    return (draw(st.integers(4, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 20)),
+            draw(st.integers(1, 24)), draw(st.integers(1, 8)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=layout_cases(any_widths()))
+def test_2d_layout_matches_the_3d_reference_at_any_width(case):
+    """At other widths OpenBLAS may block a folded product differently from
+    the per-window ones, so the layouts agree to rounding. (From d = 4: layer
+    norm over fewer features amplifies the rounding past any fixed bound.)"""
+    _assert_within_rounding(_layout_pairs(case), case[0].dtype)
+
+
 # Runs in a fresh interpreter, so the heap it measures is its own: warm up,
-# size the activations one forward keeps, then count minor page faults over
-# 50 more forwards.
+# size the activations one call keeps, then count minor page faults over 50
+# more calls. Two kinds of call: a batch-256 forward (predict) and a batch-64
+# training step (loss_and_grads, then the Adam update).
 _FAULT_PROBE = """
 import json, resource, sys
 import numpy as np
 from fakeseg.harness.config import load_experiment_config
-from fakeseg.transformer import SequenceClassifier, forward_with_cache
+from fakeseg.training import FlatAdam
+from fakeseg.transformer import SequenceClassifier, forward_with_cache, loss_and_grads
 
 def owned_bytes(obj, seen):
     if isinstance(obj, (tuple, list)):
         return sum(owned_bytes(o, seen) for o in obj)
+    if isinstance(obj, dict):
+        return owned_bytes(list(obj.values()), seen)
     if not isinstance(obj, np.ndarray):
         return 0
     base = obj if obj.base is None else obj.base
@@ -389,31 +477,60 @@ def owned_bytes(obj, seen):
     seen.add(id(base))
     return base.nbytes
 
+def probe(call, keeps):  # faults per call of call(), and the pages of what keeps() returns
+    for _ in range(5):
+        call()
+    pages = owned_bytes(keeps(), set()) / 4096
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return {"faults_per_call": faults / 50, "activation_pages": pages}
+
 cfg = load_experiment_config(sys.argv[1]).model
 model = SequenceClassifier.initialize(cfg, seed=0)
 rng = np.random.default_rng(0)
 batch = rng.standard_normal((256, cfg.window, cfg.input_dim)).astype(np.float32)
-for _ in range(5):
-    out = forward_with_cache(model, batch)
-pages = owned_bytes(out, set()) / 4096
-del out
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(50):
-    forward_with_cache(model, batch)
-faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-print(json.dumps({"faults_per_call": faults / 50, "activation_pages": pages}))
+small, targets = batch[:64].copy(), rng.integers(0, 2, 64)
+adam = FlatAdam(model, 1e-3)
+
+def train_step():
+    _, _, grads = loss_and_grads(model, small, targets, train=True, rng=rng)
+    adam.pack(grads)
+    adam.step()
+
+def train_activations():
+    # what a step holds at its peak: the training forward's cache and the gradients
+    return forward_with_cache(model, small, train=True, rng=rng), loss_and_grads(model, small, targets)
+
+forward = lambda: forward_with_cache(model, batch)
+calls = {"forward": (forward, forward), "train_step": (train_step, train_activations)}
+print(json.dumps(probe(*calls[sys.argv[2]])))
 """
+
+
+def _fault_probe(call):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, str(ROOT / "configs" / "quickstart.json"), call],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    return json.loads(proc.stdout)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
 def test_batch_256_forwards_reuse_their_heap_pages():
     """Without the allocator setting every forward faults its activations in
     again, about one fault per page; with it the pages are reused."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULT_PROBE, str(ROOT / "configs" / "quickstart.json")],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
-    result = json.loads(proc.stdout)
+    result = _fault_probe("forward")
     assert result["activation_pages"] > 500
+    assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
+def test_batch_64_training_steps_reuse_their_heap_pages():
+    """A training step (forward with dropout, backward, pack and Adam update)
+    reuses its pages too, the written-in-place context and K^T included."""
+    result = _fault_probe("train_step")
+    assert result["activation_pages"] > 250
     assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
