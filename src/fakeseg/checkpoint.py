@@ -47,9 +47,10 @@ def load_checkpoint(path: str | Path) -> SequenceClassifier:
     """Read a TFKM v1 file into a float32 model.
 
     Raises ValueError, naming the file and where applicable the tensor, for a
-    bad magic or version, a truncated header or tensor, a tensor that is
-    missing from, extra to or mis-shaped against `param_layout(config)`, and
-    trailing bytes.
+    bad magic or version, a truncated header or tensor, a config that is not
+    valid JSON or not a valid `TransformerConfig`, a tensor that is missing
+    from, extra to or mis-shaped against `param_layout(config)`, and trailing
+    bytes.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -68,7 +69,11 @@ def load_checkpoint(path: str | Path) -> SequenceClassifier:
     version, config_len = struct.unpack("<II", take(8, "header"))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    config = TransformerConfig.from_dict(json.loads(take(config_len, "config").decode("utf-8")))
+    blob = take(config_len, "config")
+    try:
+        config = TransformerConfig.from_dict(json.loads(blob.decode("utf-8")))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: invalid model config: {exc}") from exc
     model = SequenceClassifier.zeros(config, np.float32)
     (count,) = struct.unpack("<I", take(4, "header"))
     missing = set(model.params)

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..checkpoint import load_checkpoint, save_checkpoint
@@ -17,7 +18,7 @@ from ..injection import dataset_stats, read_plans, read_videos, write_plans, wri
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
 from ..synth import SynthConfig
-from ..windowing import read_features
+from ..windowing import feature_paths, read_features
 from .config import ConfigError, load_experiment_config
 from .experiment import (
     PLANNERS,
@@ -45,6 +46,16 @@ def _resolve_run_dir(raw: str) -> Path:
     return path
 
 
+@contextmanager
+def _reading(path: str | Path):
+    """Raise a malformed input file's error as a ValueError that names the file."""
+    try:
+        yield Path(path)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {detail}") from exc
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
@@ -53,7 +64,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_plan(args) -> int:
-    videos = read_videos(args.videos)
+    with _reading(args.videos):
+        videos = read_videos(args.videos)
     planner = PLANNERS[args.mode]
     records = [(v, planner(v, args.seed)) for v in videos]
     write_plans(args.out, records)
@@ -71,7 +83,8 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise_std,
         seed=args.seed,
     )
-    records = read_plans(args.plans)
+    with _reading(args.plans):
+        records = read_plans(args.plans)
     synth_features(records, args.out_dir, cfg)
     print(f"synthesized {len(records)} videos -> {Path(args.out_dir)}")
     return 0
@@ -95,23 +108,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_checkpoint(args.model)
-    feats = Path(args.features)
-    paths = sorted(feats.glob("*.feat")) if feats.is_dir() else [feats]
-    if not paths:
-        raise FileNotFoundError(f"no .feat files in {feats}")
-    seqs = (read_features(path) for path in paths)
-    score_videos(model, seqs, args.overlap, args.frame_mode, args.out_dir)
-    print(f"scored {len(paths)} videos -> {Path(args.out_dir)}")
+    seqs = (read_features(path) for path in feature_paths(args.features))
+    scores = score_videos(model, seqs, args.overlap, args.frame_mode, args.out_dir)
+    print(f"scored {len(scores)} videos -> {Path(args.out_dir)}")
     return 0
 
 
 def _cmd_smooth(args) -> int:
     cfg = SmoothConfig(k=args.k)
-    text = Path(args.input).read_text(encoding="utf-8")
-    if args.threshold is not None:
-        result = smooth_scores(ScoreMap.from_json(text), args.threshold, cfg)
-    else:
-        result = smooth(SegmentationMap.from_text(text), cfg)
+    with _reading(args.input) as path:
+        text = path.read_text(encoding="utf-8")
+        if args.threshold is not None:
+            result = smooth_scores(ScoreMap.from_json(text), args.threshold, cfg)
+        else:
+            result = smooth(SegmentationMap.from_text(text), cfg)
     Path(args.output).write_text(result.to_text(), encoding="ascii")
     return 0
 
@@ -123,11 +133,13 @@ def _cmd_eval(args) -> int:
     gt_maps = {}
     for path in paths:
         vid = path.name.removesuffix(".gt.map").removesuffix(".map")
-        gt_maps[vid] = SegmentationMap.from_text(path.read_text(encoding="ascii"))
+        with _reading(path):
+            gt_maps[vid] = SegmentationMap.from_text(path.read_text(encoding="ascii"))
     score_maps = {}
     for path in sorted(Path(args.scores_dir).glob("*.scores.json")):
         vid = path.name.removesuffix(".scores.json")
-        score_maps[vid] = ScoreMap.from_json(path.read_text(encoding="utf-8"))
+        with _reading(path):
+            score_maps[vid] = ScoreMap.from_json(path.read_text(encoding="utf-8"))
     report = evaluate_maps(gt_maps, score_maps, args.threshold, args.k)
     write_report_files(report, args.out)
     print(f"evaluated {len(report.per_video)} videos -> {args.out}.json/.txt/.csv")
@@ -159,7 +171,8 @@ def _cmd_sweep_window(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = EvalReport.from_dict(json.loads(Path(args.report).read_text(encoding="utf-8")))
+    with _reading(args.report) as path:
+        report = EvalReport.from_dict(json.loads(path.read_text(encoding="utf-8")))
     write_report_files(report, args.out)
     print(f"rendered report -> {args.out}.json/.txt/.csv")
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ..synth import SynthConfig
 from ..training import TrainConfig
 from ..transformer import TransformerConfig
 
@@ -28,7 +29,7 @@ class DatasetConfig:
 
     When `features_dir` is set, it must contain train/, val/ and test/
     subdirectories of binary feature files with sibling label files, and
-    every other generation field is ignored.
+    every other generation field is ignored; otherwise `synth` checks them.
     """
 
     mode: str = "one"
@@ -62,6 +63,12 @@ class DatasetConfig:
                     f"dataset.min_length must be >= {floor} for mode {self.mode!r} "
                     f"so planned segments fit"
                 )
+            self.synth  # noqa: B018 - SynthConfig raises ValueError for invalid settings
+
+    @property
+    def synth(self) -> SynthConfig:
+        """The feature generator's settings (dim, separation, temporal_rho, noise_std, seed)."""
+        return SynthConfig(self.feature_dim, self.separation, self.temporal_rho, self.noise_std, self.seed)
 
 
 @dataclass(frozen=True)

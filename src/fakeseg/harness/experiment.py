@@ -46,7 +46,7 @@ from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
 from ..training import TrainConfig, TrainHistory, predict_video, train
 from ..transformer import SequenceClassifier, TransformerConfig
-from ..windowing import FeatureSequence, make_windows, read_features, write_features
+from ..windowing import FeatureSequence, feature_paths, make_windows, read_features, write_features
 from .config import EvalConfig, ExperimentConfig
 
 SPLITS = ("train", "val", "test")
@@ -237,17 +237,6 @@ def _make_videos(cfg: ExperimentConfig) -> dict[str, list[tuple[VideoSpec, Segme
     return out
 
 
-def _synth_config(cfg: ExperimentConfig) -> SynthConfig:
-    ds = cfg.dataset
-    return SynthConfig(
-        dim=ds.feature_dim,
-        separation=ds.separation,
-        temporal_rho=ds.temporal_rho,
-        noise_std=ds.noise_std,
-        seed=ds.seed,
-    )
-
-
 def synth_features(
     records: Iterable[tuple[VideoSpec, SegmentPlan]], out_dir: str | Path, synth_cfg: SynthConfig
 ) -> None:
@@ -273,17 +262,13 @@ def materialize_features(cfg: ExperimentConfig, run_dir: Path) -> Path:
         for split in SPLITS:
             write_plans(plans_dir / f"{split}.jsonl", split_records[split])
     with _stage("synth"):
-        synth_cfg = _synth_config(cfg)
         for split in SPLITS:
-            synth_features(split_records[split], run_dir / "features" / split, synth_cfg)
+            synth_features(split_records[split], run_dir / "features" / split, cfg.dataset.synth)
     return run_dir / "features"
 
 
-def load_split_features(split_dir: Path) -> list[FeatureSequence]:
-    paths = sorted(split_dir.glob("*.feat"))
-    if not paths:
-        raise FileNotFoundError(f"no .feat files in {split_dir}")
-    return [read_features(p) for p in paths]
+def load_split_features(split_dir: str | Path) -> list[FeatureSequence]:
+    return [read_features(p) for p in feature_paths(split_dir)]
 
 
 def windows_for_split(seqs: Iterable[FeatureSequence], window: int, overlap: int):
@@ -372,19 +357,16 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
 # -- sweeps --
 
 
-def _mean_iou_auc(
+def _sweep_cell(
     model: SequenceClassifier, seqs: Iterable[FeatureSequence], overlap: int, ev: EvalConfig
-) -> tuple[float, float | None]:
-    """Mean unsmoothed IoU and AUC; single-class videos have no AUC (None if all are)."""
-    ious, aucs = [], []
+) -> dict[str, float | None]:
+    """Mean unsmoothed IoU and AUC from `evaluate_maps` (AUC None if every video is single-class)."""
+    gt_maps, score_maps = {}, {}
     for seq in seqs:
-        scores = predict_video(model, seq, overlap, mode=ev.frame_mode)
-        ious.append(iou(seq.labels, scores.threshold(ev.threshold)))
-        try:
-            aucs.append(frame_auc(seq.labels, scores))
-        except ValueError:
-            pass
-    return float(np.mean(ious)), (float(np.mean(aucs)) if aucs else None)
+        gt_maps[seq.video_id] = seq.labels
+        score_maps[seq.video_id] = predict_video(model, seq, overlap, mode=ev.frame_mode)
+    aggregate = evaluate_maps(gt_maps, score_maps, ev.threshold, 0).aggregate
+    return {"mean_iou": aggregate["iou_raw"], "mean_auc": aggregate["auc"]}
 
 
 def sweep_segment_lengths(
@@ -401,7 +383,7 @@ def sweep_segment_lengths(
     Lengths are in frames; the reported seconds assume 25 fps. A segment
     as long as the video leaves no Real frame, so its AUC is None.
     """
-    synth_cfg, seed = _synth_config(cfg), cfg.dataset.seed
+    synth_cfg, seed = cfg.dataset.synth, cfg.dataset.seed
     rows = []
     for length in lengths:
         if length < 1:
@@ -413,13 +395,11 @@ def sweep_segment_lengths(
             for i in range(num_videos)
         )
         seqs = (synth_video(plan, video_length, synth_cfg) for plan in plans)
-        mean_iou, mean_auc = _mean_iou_auc(model, seqs, cfg.eval.overlap, cfg.eval)
         rows.append(
             {
                 "length_frames": int(length),
                 "length_seconds": length / ASSUMED_FPS,
-                "mean_iou": mean_iou,
-                "mean_auc": mean_auc,
+                **_sweep_cell(model, seqs, cfg.eval.overlap, cfg.eval),
             }
         )
     return rows
@@ -458,7 +438,6 @@ def sweep_window_grid(
             else:
                 model_cfg = dataclasses.replace(cfg.model, window=int(w))
                 model, _ = fit(model_cfg, cfg.train, split_seqs["train"], split_seqs["val"], o)
-                mean_iou, mean_auc = _mean_iou_auc(model, split_seqs["test"], o, cfg.eval)
-                cell.update(status="ok", mean_iou=mean_iou, mean_auc=mean_auc)
+                cell.update(status="ok", **_sweep_cell(model, split_seqs["test"], o, cfg.eval))
             rows.append(cell)
     return rows

@@ -3,7 +3,7 @@
 A parameter-efficient adapter that linearly remaps each feature channel of a
 frozen representation. Initialized to the identity (gamma = 1, beta = 0) so
 training departs smoothly from the unmodulated features. Used standalone on
-ingested frame features and after each linear layer of the classifier head.
+ingested frame features; the classifier head computes the same map inline.
 """
 
 from __future__ import annotations

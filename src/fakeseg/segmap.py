@@ -83,10 +83,6 @@ class SegmentationMap:
         """Fraction of frames labeled Fake."""
         return float(self.labels.mean())
 
-    @classmethod
-    def all_real(cls, length: int) -> "SegmentationMap":
-        return cls(np.zeros(length, dtype=np.uint8))
-
     # -- text format: one 'R'/'F' char per frame, newline-terminated --
 
     def to_text(self) -> str:

@@ -15,6 +15,7 @@ from .windowing import FeatureSequence, frames_from_windows, make_windows
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PREDICT_BATCH = 256  # windows per forward in predict_video
 
 
 class TrainingDivergedError(RuntimeError):
@@ -216,7 +217,6 @@ def predict_video(
     seq: FeatureSequence,
     overlap: int,
     mode: str = "mean",
-    batch_size: int = 256,
 ) -> ScoreMap:
     """Frame-level Fake scores for one video: window, classify, project back.
 
@@ -230,7 +230,7 @@ def predict_video(
     w = cfg.window
     batch = make_windows(seq, w, overlap)
     scores = np.empty(batch.num_windows)
-    for lo in range(0, batch.num_windows, batch_size):
-        _, probs, _ = forward_with_cache(model, batch.windows[lo : lo + batch_size])
-        scores[lo : lo + batch_size] = probs[:, 1]
+    for lo in range(0, batch.num_windows, PREDICT_BATCH):
+        _, probs, _ = forward_with_cache(model, batch.windows[lo : lo + PREDICT_BATCH])
+        scores[lo : lo + PREDICT_BATCH] = probs[:, 1]
     return frames_from_windows(scores, batch.window_starts, w, seq.num_frames, mode=mode)

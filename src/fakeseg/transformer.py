@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
-
-from .scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 
 NUM_CLASSES = 2  # Real, Fake
 LN_EPS = 1e-5
@@ -111,18 +109,7 @@ class TransformerConfig:
         return self.ff_hidden if self.ff_hidden is not None else 4 * self.input_dim
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "input_dim": self.input_dim,
-            "window": self.window,
-            "num_blocks": self.num_blocks,
-            "num_heads": self.num_heads,
-            "head_dim": self.head_dim,
-            "ff_hidden": self.ff_hidden,
-            "mlp_hidden": list(self.mlp_hidden),
-            "dropout": self.dropout,
-            "use_positional": self.use_positional,
-            "use_scale_shift_head": self.use_scale_shift_head,
-        }
+        return {**asdict(self), "mlp_hidden": list(self.mlp_hidden)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TransformerConfig":
@@ -400,14 +387,13 @@ def forward_with_cache(
     n_layers = len(cfg.mlp_hidden) + 1
     for i in range(n_layers):
         z, c_lin = _linear_forward(z, p[f"head.layer{i}.w"], p[f"head.layer{i}.b"])
-        c_ss = None
+        z_ss = None  # the scale-shift adapter's input
         if cfg.use_scale_shift_head:
-            c_ss = (z, ScaleShift(p[f"head.layer{i}.scale"], p[f"head.layer{i}.shift"]))
-            z = scale_shift_forward(*c_ss)
+            z_ss, z = z, p[f"head.layer{i}.scale"] * z + p[f"head.layer{i}.shift"]
         z_pre = z
         if i < n_layers - 1:
             z = np.maximum(z, 0)
-        head_caches.append((c_lin, c_ss, z_pre))
+        head_caches.append((c_lin, z_ss, z_pre))
     return z, _softmax(z), (block_caches, c_final, head_caches, n)
 
 
@@ -457,12 +443,13 @@ def loss_and_grads(
     g /= n
 
     for i in range(len(head_caches) - 1, -1, -1):
-        c_lin, c_ss, z_pre = head_caches[i]
+        c_lin, z_ss, z_pre = head_caches[i]
         if i < len(head_caches) - 1:
             g = g * (z_pre > 0)
-        if c_ss is not None:
-            x_ss, ss = c_ss
-            g, grads[f"head.layer{i}.scale"], grads[f"head.layer{i}.shift"] = scale_shift_backward(x_ss, ss, g)
+        if z_ss is not None:
+            grads[f"head.layer{i}.scale"] = (z_ss * g).sum(axis=0)
+            grads[f"head.layer{i}.shift"] = g.sum(axis=0)
+            g = model.params[f"head.layer{i}.scale"] * g
         g, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"] = _linear_backward(g, c_lin)
 
     # un-pool: distribute the pooled gradient evenly over window positions

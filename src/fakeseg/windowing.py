@@ -63,10 +63,6 @@ class WindowBatch:
     def num_windows(self) -> int:
         return int(self.windows.shape[0])
 
-    @property
-    def window_size(self) -> int:
-        return int(self.windows.shape[1])
-
 
 def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
     """Start indices for sliding windows over `num_frames` frames.
@@ -189,7 +185,15 @@ def write_features(path: str | Path, seq: FeatureSequence) -> None:
         label_path_for(path).write_text(seq.labels.to_text(), encoding="ascii")
 
 
-def read_features(path: str | Path, video_id: str | None = None) -> FeatureSequence:
+def feature_paths(path: str | Path) -> list[Path]:
+    """`path` if it is a file, else the `.feat` files in it, sorted; FileNotFoundError if none."""
+    paths = [Path(path)] if Path(path).is_file() else sorted(Path(path).glob("*.feat"))
+    if not paths:
+        raise FileNotFoundError(f"no .feat files in {path}")
+    return paths
+
+
+def read_features(path: str | Path) -> FeatureSequence:
     """Read a binary feature file; picks up the sibling label file if present."""
     path = Path(path)
     with open(path, "rb") as fh:
@@ -216,4 +220,7 @@ def read_features(path: str | Path, video_id: str | None = None) -> FeatureSeque
             raise ValueError(f"{lp}: {exc}") from exc
         if len(labels) != t:
             raise ValueError(f"{lp}: label length {len(labels)} does not match {t} frames")
-    return FeatureSequence(video_id=video_id or path.stem, features=feats, labels=labels)
+    try:
+        return FeatureSequence(video_id=path.stem, features=feats, labels=labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -204,3 +204,63 @@ def test_sweep_commands(tmp_path):
     rows = json.loads((tmp_path / "grid.json").read_text())
     assert len(rows) == 2
     assert all(r["status"] == "ok" for r in rows)
+
+
+_EVAL = "eval --gt-dir gt --scores-dir scores --out report"
+_BAD_INPUTS = {  # files to write, command, the file it must name, what is wrong with it
+    "smooth-scores": ({"in.json": '{"scores": [0.1, NaN, 0.9]}'},
+                      "smooth --threshold 0.5 --input in.json --output out.map", "in.json",
+                      "scores must be finite"),
+    "smooth-map": ({"in.map": "RRXF\n"}, "smooth --input in.map --output out.map", "in.map",
+                   "invalid characters"),
+    "eval-scores": ({"gt/a.map": "RF\n", "scores/a.scores.json": '{"scores": [NaN, 0.5]}'},
+                    _EVAL, "scores/a.scores.json", "scores must be finite"),
+    "eval-map": ({"gt/a.map": "RX\n", "scores/a.scores.json": '{"scores": [0.1, 0.9]}'},
+                 _EVAL, "gt/a.map", "invalid characters"),
+    "plan-videos": ({"v.jsonl": '{"id": "v0", "length": 300}\n{"id": "v1"}\n'},
+                    "plan --mode one --seed 0 --videos v.jsonl --out p.jsonl", "v.jsonl",
+                    "missing key 'length'"),
+    "synth-plans": ({"p.jsonl": '{"id": "v0", "length": 300}\n'}, "synth --plans p.jsonl --out-dir f",
+                    "p.jsonl", "missing key 'segments'"),
+    "report": ({"r.json": '{"per_video": []}'}, "report --report r.json --out again", "r.json",
+               "missing key 'aggregate'"),
+    "report-json": ({"r.json": "{not json"}, "report --report r.json --out again", "r.json",
+                    "Expecting property name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_cli_inputs_name_their_file(tmp_path, monkeypatch, capsys, case):
+    files, command, bad, detail = _BAD_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 3
+    assert f"error: ValueError: {bad}: {detail}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [{"temporal_rho": 1.5}, {"noise_std": 0}], ids=["rho", "noise"])
+def test_run_rejects_invalid_synth_settings_before_writing(tmp_path, capsys, setting):
+    config = _write_config(tmp_path, dataset=setting)
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: invalid section 'dataset'" in err
+    assert next(iter(setting)) in err
+    assert not run_dir.exists()
+
+
+def test_predict_scores_a_single_feature_file(tmp_path):
+    model_path = tmp_path / "model.tfkm"
+    model_cfg = TransformerConfig(input_dim=4, window=5, num_heads=1, head_dim=4,
+                                  ff_hidden=8, mlp_hidden=(8,))
+    save_checkpoint(model_path, SequenceClassifier.initialize(model_cfg, seed=0))
+    feats = np.random.default_rng(0).standard_normal((20, 4)).astype(np.float32)
+    write_features(tmp_path / "one.feat", FeatureSequence("one", feats))
+    write_features(tmp_path / "other.feat", FeatureSequence("other", feats))
+    out = tmp_path / "scores"
+    assert main(["predict", "--model", str(model_path), "--features", str(tmp_path / "one.feat"),
+                 "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["one.scores.json"]
+    assert len(ScoreMap.from_json((out / "one.scores.json").read_text()).scores) == 20

@@ -73,3 +73,14 @@ def test_config_round_trip():
     cfg = parse_experiment_config(micro_config_dict())
     again = parse_experiment_config(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
+
+
+def test_synth_settings_are_checked_unless_features_are_given():
+    for setting in ({"temporal_rho": 1.5}, {"noise_std": 0.0}, {"separation": -1.0}):
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            parse_experiment_config(micro_config_dict(dataset=setting))
+        parse_experiment_config(micro_config_dict(dataset={**setting, "features_dir": "feats"}))
+    ds = parse_experiment_config(micro_config_dict()).dataset
+    synth = ds.synth
+    assert (synth.dim, synth.separation, synth.temporal_rho, synth.noise_std, synth.seed) == (
+        ds.feature_dim, ds.separation, ds.temporal_rho, ds.noise_std, ds.seed)

@@ -7,10 +7,16 @@ from fakeseg import (
     ScoreMap,
     SegmentationMap,
     SmoothConfig,
+    VideoSpec,
     frame_accuracy,
+    frame_auc,
     iou,
     load_checkpoint,
+    plan_fixed_segment,
+    predict_video,
+    read_features,
     smooth_scores,
+    synth_video,
 )
 from fakeseg.harness import StageError, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
 from fakeseg.harness.config import parse_experiment_config
@@ -213,3 +219,41 @@ def test_sweep_window_grid_fresh_run_dir_holds_features_only(micro_run, tmp_path
     rows = sweep_window_grid(cfg, fresh, window_sizes=[5], overlaps=[4])
     assert sorted(p.name for p in fresh.iterdir()) == ["features", "plans"]
     assert rows == sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4])
+
+
+def _metric_means(model, seqs, overlap, ev):
+    """Oracle for a sweep cell: mean unsmoothed IoU, and mean AUC over the
+    two-class videos (None if there are none)."""
+    ious, aucs = [], []
+    for seq in seqs:
+        scores = predict_video(model, seq, overlap, mode=ev.frame_mode)
+        ious.append(iou(seq.labels, scores.threshold(ev.threshold)))
+        if 0 < seq.labels.fake_ratio < 1:
+            aucs.append(frame_auc(seq.labels, scores))
+    return float(np.mean(ious)), (float(np.mean(aucs)) if aucs else None)
+
+
+def test_sweep_rows_match_the_metric_means(micro_run):
+    cfg, run_dir, _ = micro_run
+    model = load_checkpoint(run_dir / "model.tfkm")
+    rows = sweep_segment_lengths(model, [100, 300], cfg, num_videos=2, video_length=300)
+    for row in rows:
+        length = row["length_frames"]
+        videos = [VideoSpec(f"len{length:05d}_{i:04d}", 300) for i in range(2)]
+        seqs = [synth_video(plan_fixed_segment(v, length, cfg.dataset.seed), 300, cfg.dataset.synth)
+                for v in videos]
+        assert (row["mean_iou"], row["mean_auc"]) == _metric_means(model, seqs, cfg.eval.overlap, cfg.eval)
+    assert rows[1]["mean_auc"] is None  # every video is all Fake
+
+    # the default cell trains the run's model again; the test split holds all-real videos
+    (cell,) = sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4])
+    seqs = [read_features(p) for p in sorted((run_dir / "features" / "test").glob("*.feat"))]
+    assert any(seq.labels.fake_ratio == 0 for seq in seqs)
+    assert (cell["mean_iou"], cell["mean_auc"]) == _metric_means(model, seqs, 4, cfg.eval)
+
+
+def test_sweep_cell_without_videos_raises(micro_run):
+    cfg, run_dir, _ = micro_run
+    model = load_checkpoint(run_dir / "model.tfkm")
+    with pytest.raises(ValueError, match="no videos to evaluate"):
+        sweep_segment_lengths(model, [50], cfg, num_videos=0, video_length=300)

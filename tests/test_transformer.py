@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,27 @@ def test_checkpoint_rejects_tensor_set_mismatch(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message) as info:
         load_checkpoint(bad)
     assert "bad.tfkm" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (lambda cfg: b"{" * len(json.dumps(cfg)), "Expecting property name"),
+        (lambda cfg: json.dumps({**cfg, "input_dim": 0}).encode(), "input_dim must be >= 1"),
+    ],
+    ids=["garbled", "invalid"],
+)
+def test_checkpoint_names_a_bad_config(tmp_path, blob, message):
+    good = tmp_path / "good.tfkm"
+    save_checkpoint(good, SequenceClassifier.initialize(TINY, seed=5))
+    raw = good.read_bytes()
+    (config_len,) = struct.unpack("<I", raw[8:12])
+    config = blob(json.loads(raw[12 : 12 + config_len]))
+    bad = tmp_path / "bad.tfkm"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(config)) + config + raw[12 + config_len :])
+    with pytest.raises(ValueError, match=message) as info:
+        load_checkpoint(bad)
+    assert str(info.value).count("bad.tfkm") == 1
 
 
 def test_checkpoint_rejects_truncated_header(tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fakeseg import (
     window_starts,
     write_features,
 )
-from fakeseg.windowing import label_path_for
+from fakeseg.windowing import FEATURE_MAGIC, FEATURE_VERSION, label_path_for
 
 
 def _seq(t, d=3, labels=None, seed=0):
@@ -230,3 +232,12 @@ def test_feature_file_names_a_label_file_with_a_bad_character(tmp_path):
     label_path_for(path).write_text("RXFR\n", encoding="ascii")
     with pytest.raises(ValueError, match=r"v\.feat\.labels.*invalid characters"):
         read_features(path)
+
+
+@pytest.mark.parametrize("t, d", [(0, 4), (5, 0)], ids=["no-frames", "no-dims"])
+def test_feature_file_names_an_empty_matrix(tmp_path, t, d):
+    path = tmp_path / "empty.feat"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, d))
+    with pytest.raises(ValueError, match=r"empty\.feat: features must be a T x d matrix") as info:
+        read_features(path)
+    assert str(info.value).count("empty.feat") == 1
