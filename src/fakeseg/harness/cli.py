@@ -17,7 +17,6 @@ from ..checkpoint import load_checkpoint, save_checkpoint
 from ..injection import dataset_stats, read_plans, read_videos, write_plans, write_stats
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
-from ..synth import SynthConfig
 from ..windowing import feature_paths, read_features
 from .config import ConfigError, load_experiment_config
 from .experiment import (
@@ -64,10 +63,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_plan(args) -> int:
+    ds = load_experiment_config(args.config).dataset
     with _reading(args.videos):
         videos = read_videos(args.videos)
-    planner = PLANNERS[args.mode]
-    records = [(v, planner(v, args.seed)) for v in videos]
+    planner = PLANNERS[ds.mode]
+    records = [(v, planner(v, ds.seed)) for v in videos]
     write_plans(args.out, records)
     if args.stats:
         write_stats(args.stats, dataset_stats([p for _, p in records], videos))
@@ -76,16 +76,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        dim=args.dim,
-        separation=args.separation,
-        temporal_rho=args.temporal_rho,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    synth_cfg = load_experiment_config(args.config).dataset.synth
     with _reading(args.plans):
         records = read_plans(args.plans)
-    synth_features(records, args.out_dir, cfg)
+    synth_features(records, args.out_dir, synth_cfg)
     print(f"synthesized {len(records)} videos -> {Path(args.out_dir)}")
     return 0
 
@@ -107,9 +101,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    ev = load_experiment_config(args.config).eval
     model = load_checkpoint(args.model)
     seqs = (read_features(path) for path in feature_paths(args.features))
-    scores = score_videos(model, seqs, args.overlap, args.frame_mode, args.out_dir)
+    scores = score_videos(model, seqs, ev.overlap, ev.frame_mode, args.out_dir)
     print(f"scored {len(scores)} videos -> {Path(args.out_dir)}")
     return 0
 
@@ -127,6 +122,7 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    ev = load_experiment_config(args.config).eval
     gt_dir = Path(args.gt_dir)
     # a run's maps/ directory mixes gt/pred/smooth maps; prefer the gt ones
     paths = sorted(gt_dir.glob("*.gt.map")) or sorted(gt_dir.glob("*.map"))
@@ -140,7 +136,7 @@ def _cmd_eval(args) -> int:
         vid = path.name.removesuffix(".scores.json")
         with _reading(path):
             score_maps[vid] = ScoreMap.from_json(path.read_text(encoding="utf-8"))
-    report = evaluate_maps(gt_maps, score_maps, args.threshold, args.k)
+    report = evaluate_maps(gt_maps, score_maps, ev.threshold, ev.smooth_k)
     write_report_files(report, args.out)
     print(f"evaluated {len(report.per_video)} videos -> {args.out}.json/.txt/.csv")
     return 0
@@ -198,38 +194,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal fake-segment detection toolkit: plan, synthesize, train, score.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # the one source of experiment settings
+    config.add_argument("--config", required=True, help="experiment config JSON")
 
-    p = sub.add_parser("plan", help="plan fake-segment injections for a video list")
-    p.add_argument("--mode", choices=("one", "two"), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p = sub.add_parser("plan", parents=[config], help="plan fake-segment injections for a video list")
     p.add_argument("--videos", required=True, help="JSONL of {id, length}")
     p.add_argument("--out", required=True, help="output plan JSONL")
     p.add_argument("--stats", help="optional dataset stats JSON to write")
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("synth", help="synthesize per-frame features from a plan file")
+    p = sub.add_parser("synth", parents=[config], help="synthesize per-frame features from a plan file")
     p.add_argument("--plans", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--temporal-rho", type=float, default=0.0)
-    p.add_argument("--noise-std", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on feature directories")
-    p.add_argument("--config", required=True, help="experiment config JSON")
+    p = sub.add_parser("train", parents=[config], help="train a model on feature directories")
     p.add_argument("--train-dir", required=True)
     p.add_argument("--val-dir", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="optional history JSON path")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="score videos with a trained model")
+    p = sub.add_parser("predict", parents=[config], help="score videos with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True, help="a .feat file or a directory of them")
-    p.add_argument("--overlap", type=int, default=4)
-    p.add_argument("--frame-mode", choices=("mean", "max", "center"), default="mean")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_predict)
 
@@ -245,16 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser("eval", help="score predicted frame scores against ground-truth maps")
+    p = sub.add_parser("eval", parents=[config], help="score predicted frame scores against ground-truth maps")
     p.add_argument("--gt-dir", required=True, help="directory of *.map text files")
     p.add_argument("--scores-dir", required=True, help="directory of *.scores.json files")
-    p.add_argument("--k", type=int, default=7)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True, help="report path prefix")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep-lengths", help="IoU/AUC across injected segment lengths")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep-lengths", parents=[config], help="IoU/AUC across injected segment lengths")
     p.add_argument("--model", required=True)
     p.add_argument("--lengths", type=_int_list, required=True, help="comma-separated frame counts")
     p.add_argument("--num-videos", type=int, default=20)
@@ -262,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="table path prefix")
     p.set_defaults(func=_cmd_sweep_lengths)
 
-    p = sub.add_parser("sweep-window", help="train and score a window/overlap grid")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep-window", parents=[config], help="train and score a window/overlap grid")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--windows", type=_int_list, required=True)
     p.add_argument("--overlaps", type=_int_list, required=True)
@@ -275,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("run", help="run the full experiment pipeline from a config")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("run", parents=[config], help="run the full experiment pipeline from a config")
     p.add_argument("--run-dir", required=True)
     p.set_defaults(func=_cmd_run)
 

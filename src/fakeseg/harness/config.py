@@ -29,7 +29,8 @@ class DatasetConfig:
 
     When `features_dir` is set, it must contain train/, val/ and test/
     subdirectories of binary feature files with sibling label files, and
-    every other generation field is ignored; otherwise `synth` checks them.
+    the video counts and lengths are ignored. The generator fields, which
+    `fakeseg synth` reads, are checked either way.
     """
 
     mode: str = "one"
@@ -63,7 +64,7 @@ class DatasetConfig:
                     f"dataset.min_length must be >= {floor} for mode {self.mode!r} "
                     f"so planned segments fit"
                 )
-            self.synth  # noqa: B018 - SynthConfig raises ValueError for invalid settings
+        self.synth  # noqa: B018 - SynthConfig raises ValueError for invalid settings
 
     @property
     def synth(self) -> SynthConfig:

@@ -44,7 +44,7 @@ from ..prng import stream_for
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
-from ..training import TrainConfig, TrainHistory, predict_video, train
+from ..training import TrainConfig, TrainHistory, check_features, predict_video, train
 from ..transformer import SequenceClassifier, TransformerConfig
 from ..windowing import FeatureSequence, feature_paths, make_windows, read_features, write_features
 from .config import EvalConfig, ExperimentConfig
@@ -88,11 +88,7 @@ class VideoEval:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-video and aggregate frame metrics plus the video-level panel.
-
-    The optional sweep tables are attached when the corresponding sweep has
-    been run (see `sweep_segment_lengths` / `sweep_window_grid`).
-    """
+    """Per-video and aggregate frame metrics plus the video-level panel."""
 
     per_video: tuple[VideoEval, ...]
     aggregate: dict[str, float | None]
@@ -100,11 +96,9 @@ class EvalReport:
     baseline: dict[str, float]
     threshold: float
     smooth_k: int
-    length_sweep: tuple[dict[str, Any], ...] | None = None
-    window_grid: tuple[dict[str, Any], ...] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
+        return {
             "per_video": [dataclasses.asdict(v) for v in self.per_video],
             "aggregate": self.aggregate,
             "video_level": self.video_level,
@@ -113,29 +107,12 @@ class EvalReport:
             "smooth_k": self.smooth_k,
             "num_videos": len(self.per_video),
         }
-        if self.length_sweep is not None:
-            out["length_sweep"] = list(self.length_sweep)
-        if self.window_grid is not None:
-            out["window_grid"] = list(self.window_grid)
-        return out
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EvalReport":
         """Inverse of `to_dict`, e.g. for a report JSON read back from disk."""
         fields = {k: data[k] for k in ("aggregate", "video_level", "baseline", "threshold", "smooth_k")}
-        report = cls(per_video=tuple(VideoEval(**row) for row in data["per_video"]), **fields)
-        return report.with_sweeps(data.get("length_sweep"), data.get("window_grid"))
-
-    def with_sweeps(
-        self,
-        length_sweep: list[dict[str, Any]] | None = None,
-        window_grid: list[dict[str, Any]] | None = None,
-    ) -> "EvalReport":
-        return dataclasses.replace(
-            self,
-            length_sweep=tuple(length_sweep) if length_sweep is not None else self.length_sweep,
-            window_grid=tuple(window_grid) if window_grid is not None else self.window_grid,
-        )
+        return cls(per_video=tuple(VideoEval(**row) for row in data["per_video"]), **fields)
 
 
 def evaluate_maps(
@@ -151,13 +128,19 @@ def evaluate_maps(
     observed Real ratio at p = 0.5 is reported as the baseline.
     """
     if set(gt_maps) != set(score_maps):
-        raise ValueError("ground-truth and score maps must cover the same video ids")
+        raise ValueError(
+            "ground-truth and score maps must cover the same video ids: "
+            f"no scores for {sorted(set(gt_maps) - set(score_maps))}, "
+            f"no ground truth for {sorted(set(score_maps) - set(gt_maps))}"
+        )
     if not gt_maps:
         raise ValueError("no videos to evaluate")
     cfg = SmoothConfig(k=smooth_k)
     rows = []
     for vid in sorted(gt_maps):
         gt, scores = gt_maps[vid], score_maps[vid]
+        if len(gt) != len(scores):
+            raise ValueError(f"video {vid!r} has {len(gt)} ground-truth frames and {len(scores)} scores")
         pred_raw = scores.threshold(threshold)
         pred_smooth = smooth_scores(scores, threshold, cfg)
         try:
@@ -271,15 +254,11 @@ def load_split_features(split_dir: str | Path) -> list[FeatureSequence]:
     return [read_features(p) for p in feature_paths(split_dir)]
 
 
-def windows_for_split(seqs: Iterable[FeatureSequence], window: int, overlap: int):
-    xs, ys = [], []
-    for seq in seqs:
-        if seq.labels is None:
-            raise ValueError(f"video {seq.video_id!r} has no labels; cannot build a training set")
-        batch = make_windows(seq, window, overlap)
-        xs.append(batch.windows)
-        ys.append(batch.window_labels)
-    return np.concatenate(xs), np.concatenate(ys)
+def windows_for_split(seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int):
+    """One split's windows and center-frame labels, once `check_features` passes."""
+    seqs = check_features(seqs, model_cfg, labeled=True)
+    batches = [make_windows(seq, model_cfg.window, overlap) for seq in seqs]
+    return np.concatenate([b.windows for b in batches]), np.concatenate([b.window_labels for b in batches])
 
 
 def fit(
@@ -289,9 +268,9 @@ def fit(
     val_seqs: Iterable[FeatureSequence],
     overlap: int,
 ) -> tuple[SequenceClassifier, TrainHistory]:
-    """The train stage: window both splits, initialize a model and train it."""
-    train_set = windows_for_split(train_seqs, model_cfg.window, overlap)
-    val_set = windows_for_split(val_seqs, model_cfg.window, overlap)
+    """The train stage: check and window both splits, initialize a model and train it."""
+    train_set = windows_for_split(train_seqs, model_cfg, overlap)
+    val_set = windows_for_split(val_seqs, model_cfg, overlap)
     model = SequenceClassifier.initialize(model_cfg, seed=train_cfg.seed)
     return train(model, train_set, val_set, train_cfg)
 
@@ -326,17 +305,14 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
 
     with _stage("train"):
         split_seqs = {s: load_split_features(features_root / s) for s in SPLITS}
+        test_seqs = check_features(split_seqs["test"], cfg.model, labeled=True)
         model, history = fit(cfg.model, cfg.train, split_seqs["train"], split_seqs["val"], ev.overlap)
         save_checkpoint(run_dir / "model.tfkm", model)
         write_json(run_dir / "history.json", history.to_dict())
 
     with _stage("predict"):
-        gt_maps: dict[str, SegmentationMap] = {}
-        for seq in split_seqs["test"]:
-            if seq.labels is None:
-                raise ValueError(f"test video {seq.video_id!r} has no ground-truth labels")
-            gt_maps[seq.video_id] = seq.labels
-        score_maps = score_videos(model, split_seqs["test"], ev.overlap, ev.frame_mode, run_dir / "scores")
+        gt_maps = {seq.video_id: seq.labels for seq in test_seqs}
+        score_maps = score_videos(model, test_seqs, ev.overlap, ev.frame_mode, run_dir / "scores")
         maps_dir = run_dir / "maps"
         maps_dir.mkdir(exist_ok=True)
         smoother = SmoothConfig(k=ev.smooth_k)
@@ -437,7 +413,8 @@ def sweep_window_grid(
                 cell["status"] = "skipped"
             else:
                 model_cfg = dataclasses.replace(cfg.model, window=int(w))
+                test_seqs = check_features(split_seqs["test"], model_cfg, labeled=True)
                 model, _ = fit(model_cfg, cfg.train, split_seqs["train"], split_seqs["val"], o)
-                cell.update(status="ok", **_sweep_cell(model, split_seqs["test"], o, cfg.eval))
+                cell.update(status="ok", **_sweep_cell(model, test_seqs, o, cfg.eval))
             rows.append(cell)
     return rows

@@ -42,28 +42,6 @@ def render_text(report: EvalReport) -> str:
         f", AUC {_fmt(report.video_level['auc'], 6).strip()}"
     )
     lines.append(f"threshold {report.threshold}, smoothing offset k={report.smooth_k}")
-    if report.length_sweep is not None:
-        lines.append("")
-        lines.append("segment-length sweep (no smoothing):")
-        lines.append(f"{'frames':>8}  {'seconds':>8}  {'IoU':>8}  {'AUC':>8}")
-        for row in report.length_sweep:
-            lines.append(
-                f"{row['length_frames']:>8}  {row['length_seconds']:>8.2f}  "
-                f"{_fmt(row['mean_iou'])}  {_fmt(row['mean_auc'])}"
-            )
-    if report.window_grid is not None:
-        lines.append("")
-        lines.append("window/overlap grid:")
-        lines.append(f"{'window':>8}  {'overlap':>8}  {'IoU':>8}  {'AUC':>8}  note")
-        for row in report.window_grid:
-            if row.get("status") != "ok":
-                lines.append(f"{row['window']:>8}  {row['overlap']:>8}  {'-':>8}  {'-':>8}  skipped")
-                continue
-            note = "default" if row.get("default") else ""
-            lines.append(
-                f"{row['window']:>8}  {row['overlap']:>8}  {_fmt(row['mean_iou'])}  "
-                f"{_fmt(row['mean_auc'])}  {note}"
-            )
     return "\n".join(lines) + "\n"
 
 
@@ -98,13 +76,8 @@ def write_rows(rows: list[dict[str, Any]], prefix: str | Path) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_json(prefix.with_name(prefix.name + ".json"), rows, indent=2)
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))  # first-seen order
     with open(prefix.with_name(prefix.name + ".csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
+        writer = csv.DictWriter(fh, columns)
+        writer.writeheader()
+        writer.writerows(rows)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
 from .segmap import ScoreMap
-from .transformer import SequenceClassifier, cross_entropy, forward_with_cache, loss_and_grads
+from .transformer import SequenceClassifier, TransformerConfig, cross_entropy, forward_with_cache, loss_and_grads
 from .windowing import FeatureSequence, frames_from_windows, make_windows
 
 ADAM_BETA1 = 0.9
@@ -212,6 +212,30 @@ def train(
     return model, TrainHistory(tuple(history), best_epoch=best_epoch, stopped_early=stopped_early)
 
 
+def check_features(
+    seqs: Iterable[FeatureSequence], config: TransformerConfig, labeled: bool = False
+) -> list[FeatureSequence]:
+    """The videos as a list, once each fits a model of `config`.
+
+    Raises a ValueError naming the first video whose features are not
+    `config.input_dim` wide, that has fewer frames than the window, that
+    holds a non-finite value or, when `labeled`, that has no labels."""
+    seqs = list(seqs)
+    for seq in seqs:
+        if seq.dim != config.input_dim:
+            problem = f"has {seq.dim}-dim features, the model takes {config.input_dim}"
+        elif seq.num_frames < config.window:
+            problem = f"has {seq.num_frames} frames, fewer than the window of {config.window}"
+        elif not np.isfinite(seq.features).all():
+            problem = "has non-finite features"
+        elif labeled and seq.labels is None:
+            problem = "has no labels"
+        else:
+            continue
+        raise ValueError(f"video {seq.video_id!r} {problem}")
+    return seqs
+
+
 def predict_video(
     model: SequenceClassifier,
     seq: FeatureSequence,
@@ -220,13 +244,9 @@ def predict_video(
 ) -> ScoreMap:
     """Frame-level Fake scores for one video: window, classify, project back.
 
-    Features of the wrong width or with a non-finite value raise a
-    ValueError naming the video, checked once per video."""
+    A video the model cannot take raises `check_features`' ValueError."""
     cfg = model.config
-    if seq.dim != cfg.input_dim:
-        raise ValueError(f"video {seq.video_id!r} has {seq.dim}-dim features, the model takes {cfg.input_dim}")
-    if not np.isfinite(seq.features).all():
-        raise ValueError(f"video {seq.video_id!r} has non-finite features")
+    check_features([seq], cfg)
     w = cfg.window
     batch = make_windows(seq, w, overlap)
     scores = np.empty(batch.num_windows)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -7,12 +8,13 @@ import pytest
 from fakeseg import (
     FeatureSequence,
     ScoreMap,
+    SegmentationMap,
     SequenceClassifier,
     TransformerConfig,
     save_checkpoint,
     write_features,
 )
-from fakeseg.harness.cli import main
+from fakeseg.harness.cli import build_parser, main
 from helpers import micro_config_dict
 
 
@@ -35,24 +37,24 @@ def test_stagewise_pipeline(tmp_path, capsys):
     videos = _write_videos(tmp_path, [260, 270, 280, 290])
     plans = tmp_path / "plans.jsonl"
     stats = tmp_path / "stats.json"
-    assert main(["plan", "--mode", "one", "--seed", "3", "--videos", str(videos),
+    assert main(["plan", "--config", str(config), "--videos", str(videos),
                  "--out", str(plans), "--stats", str(stats)]) == 0
     assert len(plans.read_text().splitlines()) == 4
     assert "fake_ratio_one_seg" in json.loads(stats.read_text())
 
     feat_dir = tmp_path / "feats"
-    assert main(["synth", "--plans", str(plans), "--out-dir", str(feat_dir),
-                 "--dim", "8", "--separation", "6", "--seed", "3"]) == 0
+    assert main(["synth", "--config", str(config), "--plans", str(plans),
+                 "--out-dir", str(feat_dir)]) == 0
     assert len(list(feat_dir.glob("*.feat"))) == 4
 
     # train on a synthesized split layout
     for split, n in (("train", 4), ("val", 2)):
         split_videos = _write_videos(tmp_path, [260] * n, prefix=split)
         split_plans = tmp_path / f"{split}.jsonl"
-        main(["plan", "--mode", "one", "--seed", "5", "--videos", str(split_videos),
+        main(["plan", "--config", str(config), "--videos", str(split_videos),
               "--out", str(split_plans)])
-        main(["synth", "--plans", str(split_plans), "--out-dir", str(tmp_path / split),
-              "--dim", "8", "--separation", "6", "--seed", "5"])
+        main(["synth", "--config", str(config), "--plans", str(split_plans),
+              "--out-dir", str(tmp_path / split)])
     model_path = tmp_path / "model.tfkm"
     history_path = tmp_path / "history.json"
     assert main(["train", "--config", str(config), "--train-dir", str(tmp_path / "train"),
@@ -61,8 +63,8 @@ def test_stagewise_pipeline(tmp_path, capsys):
     assert model_path.exists() and history_path.exists()
 
     scores_dir = tmp_path / "scores"
-    assert main(["predict", "--model", str(model_path), "--features", str(feat_dir),
-                 "--overlap", "4", "--out-dir", str(scores_dir)]) == 0
+    assert main(["predict", "--config", str(config), "--model", str(model_path),
+                 "--features", str(feat_dir), "--out-dir", str(scores_dir)]) == 0
     score_files = sorted(scores_dir.glob("*.scores.json"))
     assert len(score_files) == 4
 
@@ -73,8 +75,8 @@ def test_stagewise_pipeline(tmp_path, capsys):
         labels = (feat.parent / (feat.name + ".labels")).read_text()
         (gt_dir / f"{feat.stem}.map").write_text(labels)
     report_prefix = tmp_path / "report"
-    assert main(["eval", "--gt-dir", str(gt_dir), "--scores-dir", str(scores_dir),
-                 "--k", "7", "--threshold", "0.5", "--out", str(report_prefix)]) == 0
+    assert main(["eval", "--config", str(config), "--gt-dir", str(gt_dir),
+                 "--scores-dir", str(scores_dir), "--out", str(report_prefix)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["num_videos"] == 4
     assert 0.0 <= report["aggregate"]["iou_smoothed"] <= 1.0
@@ -129,7 +131,8 @@ def test_stage_failure_exit_code(tmp_path, capsys):
 
 
 def test_other_errors_exit_code(tmp_path, capsys):
-    assert main(["predict", "--model", str(tmp_path / "none.tfkm"),
+    assert main(["predict", "--config", str(_write_config(tmp_path)),
+                 "--model", str(tmp_path / "none.tfkm"),
                  "--features", str(tmp_path), "--out-dir", str(tmp_path / "o")]) == 3
 
 
@@ -140,8 +143,8 @@ def test_predict_on_an_empty_directory_fails(tmp_path, capsys):
     save_checkpoint(model_path, SequenceClassifier.initialize(model_cfg, seed=0))
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["predict", "--model", str(model_path), "--features", str(empty),
-                 "--out-dir", str(tmp_path / "o")]) == 3
+    assert main(["predict", "--config", str(_write_config(tmp_path)), "--model", str(model_path),
+                 "--features", str(empty), "--out-dir", str(tmp_path / "o")]) == 3
     assert f"no .feat files in {empty}" in capsys.readouterr().err
 
 
@@ -154,8 +157,8 @@ def test_predict_names_a_video_shorter_than_the_window(tmp_path, capsys):
     feats.mkdir()
     write_features(feats / "short.feat",
                    FeatureSequence("short", np.zeros((3, 4), np.float32)))
-    assert main(["predict", "--model", str(model_path), "--features", str(feats),
-                 "--out-dir", str(tmp_path / "o")]) == 3
+    assert main(["predict", "--config", str(_write_config(tmp_path)), "--model", str(model_path),
+                 "--features", str(feats), "--out-dir", str(tmp_path / "o")]) == 3
     assert "video 'short' has 3 frames, fewer than the window of 5" in capsys.readouterr().err
 
 
@@ -175,8 +178,8 @@ def test_predict_names_a_video_with_bad_features(tmp_path, capsys, features, mes
     feats = tmp_path / "feats"
     feats.mkdir()
     write_features(feats / "bad.feat", FeatureSequence("bad", features))
-    assert main(["predict", "--model", str(model_path), "--features", str(feats),
-                 "--out-dir", str(tmp_path / "o")]) == 3
+    assert main(["predict", "--config", str(_write_config(tmp_path)), "--model", str(model_path),
+                 "--features", str(feats), "--out-dir", str(tmp_path / "o")]) == 3
     assert message in capsys.readouterr().err
 
 
@@ -206,21 +209,22 @@ def test_sweep_commands(tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
-_EVAL = "eval --gt-dir gt --scores-dir scores --out report"
+_EVAL = "eval --config c.json --gt-dir gt --scores-dir scores --out report"
 _BAD_INPUTS = {  # files to write, command, the file it must name, what is wrong with it
     "smooth-scores": ({"in.json": '{"scores": [0.1, NaN, 0.9]}'},
                       "smooth --threshold 0.5 --input in.json --output out.map", "in.json",
                       "scores must be finite"),
     "smooth-map": ({"in.map": "RRXF\n"}, "smooth --input in.map --output out.map", "in.map",
                    "invalid characters"),
-    "eval-scores": ({"gt/a.map": "RF\n", "scores/a.scores.json": '{"scores": [NaN, 0.5]}'},
+    "eval-scores": ({"c.json": "{}", "gt/a.map": "RF\n", "scores/a.scores.json": '{"scores": [NaN, 0.5]}'},
                     _EVAL, "scores/a.scores.json", "scores must be finite"),
-    "eval-map": ({"gt/a.map": "RX\n", "scores/a.scores.json": '{"scores": [0.1, 0.9]}'},
+    "eval-map": ({"c.json": "{}", "gt/a.map": "RX\n", "scores/a.scores.json": '{"scores": [0.1, 0.9]}'},
                  _EVAL, "gt/a.map", "invalid characters"),
-    "plan-videos": ({"v.jsonl": '{"id": "v0", "length": 300}\n{"id": "v1"}\n'},
-                    "plan --mode one --seed 0 --videos v.jsonl --out p.jsonl", "v.jsonl",
+    "plan-videos": ({"c.json": "{}", "v.jsonl": '{"id": "v0", "length": 300}\n{"id": "v1"}\n'},
+                    "plan --config c.json --videos v.jsonl --out p.jsonl", "v.jsonl",
                     "missing key 'length'"),
-    "synth-plans": ({"p.jsonl": '{"id": "v0", "length": 300}\n'}, "synth --plans p.jsonl --out-dir f",
+    "synth-plans": ({"c.json": "{}", "p.jsonl": '{"id": "v0", "length": 300}\n'},
+                    "synth --config c.json --plans p.jsonl --out-dir f",
                     "p.jsonl", "missing key 'segments'"),
     "report": ({"r.json": '{"per_video": []}'}, "report --report r.json --out again", "r.json",
                "missing key 'aggregate'"),
@@ -260,7 +264,67 @@ def test_predict_scores_a_single_feature_file(tmp_path):
     write_features(tmp_path / "one.feat", FeatureSequence("one", feats))
     write_features(tmp_path / "other.feat", FeatureSequence("other", feats))
     out = tmp_path / "scores"
-    assert main(["predict", "--model", str(model_path), "--features", str(tmp_path / "one.feat"),
-                 "--out-dir", str(out)]) == 0
+    assert main(["predict", "--config", str(_write_config(tmp_path)), "--model", str(model_path),
+                 "--features", str(tmp_path / "one.feat"), "--out-dir", str(out)]) == 0
     assert [p.name for p in out.iterdir()] == ["one.scores.json"]
     assert len(ScoreMap.from_json((out / "one.scores.json").read_text()).scores) == 20
+
+
+@pytest.mark.parametrize("features_dir", [False, True], ids=["synthesized", "features_dir"])
+def test_synth_rejects_an_invalid_generator_setting(tmp_path, capsys, features_dir):
+    dataset = {"noise_std": 0, **({"features_dir": str(tmp_path / "feats")} if features_dir else {})}
+    config = _write_config(tmp_path, dataset=dataset)
+    plans = tmp_path / "p.jsonl"
+    plans.write_text('{"id": "v0", "length": 300, "segments": [[10, 20]]}\n')
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config), "--plans", str(plans), "--out-dir", str(out)]) == 2
+    assert "config error: invalid section 'dataset': noise_std" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _clip(vid: str, frames: int = 40, dim: int = 8, labeled: bool = True, nan: bool = False):
+    feats = np.random.default_rng(len(vid)).standard_normal((frames, dim)).astype(np.float32)
+    if nan:
+        feats[frames // 2, 0] = np.nan
+    labels = SegmentationMap(np.arange(frames) >= frames // 2) if labeled else None
+    return FeatureSequence(vid, feats, labels)
+
+
+_BAD_VIDEOS = {  # split, the bad video, what the error says about it
+    "test-nan": ("test", _clip("bad", nan=True), "has non-finite features"),
+    "test-short": ("test", _clip("bad", frames=3), "has 3 frames, fewer than the window of 5"),
+    "test-dim": ("test", _clip("bad", dim=16), "has 16-dim features, the model takes 8"),
+    "test-unlabeled": ("test", _clip("bad", labeled=False), "has no labels"),
+    "train-nan": ("train", _clip("bad", nan=True), "has non-finite features"),
+    "train-dim": ("train", _clip("bad", dim=16), "has 16-dim features, the model takes 8"),
+    "val-unlabeled": ("val", _clip("bad", labeled=False), "has no labels"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VIDEOS))
+def test_run_names_a_bad_video_in_features_dir_before_training(tmp_path, capsys, case):
+    split, bad, detail = _BAD_VIDEOS[case]
+    feats = tmp_path / "feats"
+    for name in ("train", "val", "test"):
+        (feats / name).mkdir(parents=True)
+        for i in range(2):
+            write_features(feats / name / f"{name}{i}.feat", _clip(f"{name}{i}"))
+    write_features(feats / split / "bad.feat", bad)
+    config = _write_config(tmp_path, dataset={"features_dir": str(feats)})
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 3
+    assert f"stage 'train' failed: video 'bad' {detail}" in capsys.readouterr().err
+    assert [p.name for p in run_dir.iterdir()] == ["config.json"]
+
+
+_SETTING_FLAGS = {"--mode", "--seed", "--dim", "--separation", "--temporal-rho", "--noise-std",
+                  "--overlap", "--frame-mode", "--k", "--threshold"}
+
+
+def test_only_smooth_declares_setting_flags():
+    # experiment settings come from --config; `smooth` works on one file outside a run
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        if name != "smooth":
+            assert not flags & _SETTING_FLAGS, name

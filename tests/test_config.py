@@ -75,11 +75,12 @@ def test_config_round_trip():
     assert again == cfg
 
 
-def test_synth_settings_are_checked_unless_features_are_given():
+def test_synth_settings_are_checked_with_or_without_features():
+    # `fakeseg synth` reads the generator fields of any config, features_dir or not
     for setting in ({"temporal_rho": 1.5}, {"noise_std": 0.0}, {"separation": -1.0}):
-        with pytest.raises(ConfigError, match=next(iter(setting))):
-            parse_experiment_config(micro_config_dict(dataset=setting))
-        parse_experiment_config(micro_config_dict(dataset={**setting, "features_dir": "feats"}))
+        for dataset in (setting, {**setting, "features_dir": "feats"}):
+            with pytest.raises(ConfigError, match=next(iter(setting))):
+                parse_experiment_config(micro_config_dict(dataset=dataset))
     ds = parse_experiment_config(micro_config_dict()).dataset
     synth = ds.synth
     assert (synth.dim, synth.separation, synth.temporal_rho, synth.noise_std, synth.seed) == (

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fakeseg import (
 )
 from fakeseg.harness import StageError, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
 from fakeseg.harness.config import parse_experiment_config
+from fakeseg.injection import read_plans
 from helpers import micro_config_dict
 
 
@@ -122,6 +124,15 @@ def test_evaluate_maps_validates_ids():
     scores = {"b": ScoreMap([0.5, 0.5])}
     with pytest.raises(ValueError, match="same video ids"):
         evaluate_maps(gt, scores, 0.5, 2)
+    # the videos it cannot pair are named
+    gt = {"a": SegmentationMap([0, 1]), "b": SegmentationMap([0, 1])}
+    scores = {"b": ScoreMap([0.5, 0.5]), "c": ScoreMap([0.5, 0.5])}
+    with pytest.raises(ValueError, match=r"no scores for \['a'\], no ground truth for \['c'\]"):
+        evaluate_maps(gt, scores, 0.5, 2)
+    gt = {"a": SegmentationMap([0, 1, 1]), "b": SegmentationMap([0, 1])}
+    scores = {"a": ScoreMap([0.5, 0.5]), "b": ScoreMap([0.5, 0.5])}
+    with pytest.raises(ValueError, match="video 'a' has 3 ground-truth frames and 2 scores"):
+        evaluate_maps(gt, scores, 0.5, 2)
 
 
 def test_sweep_segment_lengths(micro_run):
@@ -154,24 +165,6 @@ def test_sweep_window_grid(micro_run):
             assert 0.0 <= row["mean_iou"] <= 1.0
 
 
-def test_report_carries_sweep_tables(micro_run, tmp_path):
-    cfg, run_dir, report = micro_run
-    model = load_checkpoint(run_dir / "model.tfkm")
-    rows = sweep_segment_lengths(model, [50, 150], cfg, num_videos=2, video_length=500)
-    grid = sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4, 5])
-    combined = report.with_sweeps(length_sweep=rows, window_grid=grid)
-    data = combined.to_dict()
-    assert [r["length_frames"] for r in data["length_sweep"]] == [50, 150]
-    assert len(data["window_grid"]) == 2
-    from fakeseg.harness.report import render_text, write_report_files
-
-    text = render_text(combined)
-    assert "segment-length sweep" in text
-    assert "window/overlap grid" in text
-    write_report_files(combined, tmp_path / "combined")
-    assert (tmp_path / "combined.json").exists()
-
-
 def test_dotted_report_prefix_appends_suffixes(micro_run, tmp_path):
     from fakeseg.harness.report import write_report_files, write_rows
 
@@ -192,25 +185,41 @@ def test_sweep_segment_lengths_whole_video_segment(micro_run):
     assert 0.0 <= rows[1]["mean_iou"] <= 1.0
 
 
-def test_stage_commands_reproduce_a_run(micro_run, tmp_path):
+def _same_bytes(ours, theirs):
+    if theirs.is_dir():
+        assert sorted(p.name for p in ours.iterdir()) == sorted(p.name for p in theirs.iterdir())
+        for child in theirs.iterdir():
+            _same_bytes(ours / child.name, child)
+    else:
+        assert ours.read_bytes() == theirs.read_bytes(), ours.name
+
+
+def test_stage_commands_reproduce_a_run(tmp_path):
+    # the stage commands read every setting from the run's own config.json
     from fakeseg.harness.cli import main
 
-    cfg, run_dir, _ = micro_run
-    feats = run_dir / "features"
-    assert main(["train", "--config", str(run_dir / "config.json"),
-                 "--train-dir", str(feats / "train"), "--val-dir", str(feats / "val"),
-                 "--out", str(tmp_path / "model.tfkm"),
-                 "--history", str(tmp_path / "history.json")]) == 0
-    for name in ("model.tfkm", "history.json"):
-        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes()
-    assert main(["predict", "--model", str(tmp_path / "model.tfkm"),
-                 "--features", str(feats / "test"), "--overlap", str(cfg.eval.overlap),
-                 "--frame-mode", cfg.eval.frame_mode, "--out-dir", str(tmp_path / "scores")]) == 0
-    ours = sorted((tmp_path / "scores").iterdir())
-    theirs = sorted((run_dir / "scores").iterdir())
-    assert [p.name for p in ours] == [p.name for p in theirs]
-    for a, b in zip(ours, theirs):
-        assert a.read_bytes() == b.read_bytes()
+    cfg = parse_experiment_config(micro_config_dict(eval={"threshold": 0.3, "smooth_k": 3, "overlap": 2}))
+    run_dir = tmp_path / "run"
+    run_experiment(cfg, run_dir)
+    config, feats, ours = str(run_dir / "config.json"), run_dir / "features", tmp_path / "stages"
+    ours.mkdir()
+    videos = ours / "videos.jsonl"
+    videos.write_text("".join(json.dumps({"id": v.id, "length": v.length_frames}) + "\n"
+                              for v, _ in read_plans(run_dir / "plans" / "train.jsonl")))
+    assert main(["plan", "--config", config, "--videos", str(videos), "--out", str(ours / "train.jsonl")]) == 0
+    assert main(["synth", "--config", config, "--plans", str(ours / "train.jsonl"),
+                 "--out-dir", str(ours / "train")]) == 0
+    assert main(["train", "--config", config, "--train-dir", str(ours / "train"),
+                 "--val-dir", str(feats / "val"), "--out", str(ours / "model.tfkm"),
+                 "--history", str(ours / "history.json")]) == 0
+    assert main(["predict", "--config", config, "--model", str(ours / "model.tfkm"),
+                 "--features", str(feats / "test"), "--out-dir", str(ours / "scores")]) == 0
+    assert main(["eval", "--config", config, "--gt-dir", str(run_dir / "maps"),
+                 "--scores-dir", str(ours / "scores"), "--out", str(ours / "report")]) == 0
+    _same_bytes(ours / "train.jsonl", run_dir / "plans" / "train.jsonl")
+    _same_bytes(ours / "train", feats / "train")
+    for name in ("model.tfkm", "history.json", "scores", "report.json"):
+        _same_bytes(ours / name, run_dir / name)
 
 
 def test_sweep_window_grid_fresh_run_dir_holds_features_only(micro_run, tmp_path):
@@ -257,3 +266,20 @@ def test_sweep_cell_without_videos_raises(micro_run):
     model = load_checkpoint(run_dir / "model.tfkm")
     with pytest.raises(ValueError, match="no videos to evaluate"):
         sweep_segment_lengths(model, [50], cfg, num_videos=0, video_length=300)
+
+
+def test_sweep_window_grid_checks_the_test_split_before_training(micro_run, tmp_path, monkeypatch):
+    from fakeseg.harness import experiment
+
+    _, run_dir, _ = micro_run
+    feats = tmp_path / "features"
+    shutil.copytree(run_dir / "features", feats)
+    (feats / "test" / "test0001.feat.labels").unlink()
+    cfg = parse_experiment_config(micro_config_dict(dataset={"features_dir": str(feats)}))
+
+    def no_training(*args):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(experiment, "fit", no_training)
+    with pytest.raises(ValueError, match="video 'test0001' has no labels"):
+        sweep_window_grid(cfg, tmp_path / "sweep", window_sizes=[5], overlaps=[4])

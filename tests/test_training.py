@@ -4,6 +4,7 @@ import pytest
 import fakeseg.training
 from fakeseg import (
     FeatureSequence,
+    SegmentationMap,
     SequenceClassifier,
     TrainConfig,
     TrainingDivergedError,
@@ -13,7 +14,7 @@ from fakeseg import (
     predict_video,
     train,
 )
-from fakeseg.training import FlatAdam
+from fakeseg.training import FlatAdam, check_features
 from helpers import adam_reference_step
 
 CFG = TransformerConfig(
@@ -131,6 +132,30 @@ def test_predict_video_too_short_is_an_error():
     seq = FeatureSequence(video_id="s", features=np.zeros((2, CFG.input_dim), dtype=np.float32))
     with pytest.raises(ValueError, match="window"):
         predict_video(model, seq, overlap=2)
+
+
+def _video(vid, frames=12, dim=CFG.input_dim, fill=0.0, labeled=True):
+    labels = SegmentationMap(np.zeros(frames, dtype=bool)) if labeled else None
+    return FeatureSequence(vid, np.full((frames, dim), fill, dtype=np.float32), labels)
+
+
+@pytest.mark.parametrize(
+    "bad, labeled, message",
+    [
+        (_video("bad", dim=4), False, "video 'bad' has 4-dim features, the model takes 8"),
+        (_video("bad", frames=2), False, "video 'bad' has 2 frames, fewer than the window of 3"),
+        (_video("bad", fill=np.inf), False, "video 'bad' has non-finite features"),
+        (_video("bad", labeled=False), True, "video 'bad' has no labels"),
+    ],
+    ids=["dim", "short", "non-finite", "unlabeled"],
+)
+def test_check_features_names_the_first_bad_video(bad, labeled, message):
+    good = _video("good")
+    later = _video("later", frames=1, dim=1, fill=np.nan, labeled=False)
+    with pytest.raises(ValueError, match=message):
+        check_features(iter([good, bad, later]), CFG, labeled=labeled)
+    (checked,) = check_features(iter([good]), CFG, labeled=True)
+    assert checked is good
 
 
 def test_history_serialization():
