@@ -1,0 +1,191 @@
+"""Memory and time of predict on long videos, written to the next BENCH_<n>.json.
+
+    python bench/memory.py
+
+It measures the fakeseg in this checkout's `src/`, with the quickstart
+architecture (`configs/quickstart.json`) at its seed-0 initialisation and
+the quickstart `eval.overlap` and `eval.frame_mode`; memory and time do not
+depend on trained weights. It records:
+
+  predict_rss_mb      peak resident size (`ru_maxrss`) of a fresh process that
+                      reads a T-frame `.feat` file with `read_features` and
+                      runs `predict_video` on it, with the SHA-256 of the
+                      scores; the file (random float32 features) is written
+                      by a separate process first.
+  forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
+                      and without the cache (null where `forward_with_cache`
+                      has no `keep_cache`).
+  predict_s           `predict_video` wall time in this process: median and
+                      interquartile range of repeated runs.
+  environment         Python and numpy versions, core count, git revision,
+                      and the OpenBLAS kernel and thread count; both timings
+                      and score bytes depend on the kernel.
+
+The result goes to BENCH_<n>.json at the repository root, n one past the
+highest there.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import inspect
+import json
+import os
+import platform
+import re
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from fakeseg.harness.config import load_experiment_config  # noqa: E402
+from fakeseg.training import predict_video  # noqa: E402
+from fakeseg.transformer import SequenceClassifier, forward_with_cache  # noqa: E402
+from fakeseg.windowing import FeatureSequence, read_features, write_features  # noqa: E402
+
+QUICKSTART = ROOT / "configs" / "quickstart.json"
+RSS_FRAMES = (90_000, 450_000)
+TIME_FRAMES = 90_000
+REPEATS = 7
+FORWARD_BATCH = 256
+
+
+def _quickstart_model():
+    cfg = load_experiment_config(QUICKSTART)
+    return SequenceClassifier.initialize(cfg.model, seed=0), cfg.eval
+
+
+def _features(frames: int, dim: int) -> FeatureSequence:
+    rng = np.random.default_rng(frames)
+    return FeatureSequence("long", rng.standard_normal((frames, dim), dtype=np.float32))
+
+
+def _write_child(path: str, frames: int) -> None:
+    model, _ = _quickstart_model()
+    write_features(path, _features(frames, model.config.input_dim))
+
+
+def _predict_child(path: str) -> None:
+    model, ev = _quickstart_model()
+    scores = predict_video(model, read_features(path), ev.overlap, mode=ev.frame_mode).scores
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+    print(json.dumps({"peak_mb": peak_mb, "scores_sha256": hashlib.sha256(scores.tobytes()).hexdigest()}))
+
+
+def _child(*args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), *args], capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
+def predict_rss(frames: int) -> dict:
+    """Peak RSS of a fresh read-and-predict process on a `frames`-frame file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "long.feat")
+        _child("write", path, str(frames))
+        return json.loads(_child("predict", path))
+
+
+def forward_peaks() -> dict:
+    """tracemalloc peaks, in MiB, of one warm batch-256 forward with and without the cache."""
+    model, _ = _quickstart_model()
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((FORWARD_BATCH, model.config.window, model.config.input_dim), dtype=np.float32)
+
+    def peak(**kwargs) -> float:
+        forward_with_cache(model, batch, **kwargs)
+        tracemalloc.start()
+        try:
+            forward_with_cache(model, batch, **kwargs)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    bare = "keep_cache" in inspect.signature(forward_with_cache).parameters
+    return {"cached": peak(), "no_cache": peak(keep_cache=False) if bare else None}
+
+
+def predict_time(frames: int, repeats: int) -> dict:
+    """Median and interquartile range of `predict_video` on `frames` frames, in seconds."""
+    model, ev = _quickstart_model()
+    seq = _features(frames, model.config.input_dim)
+    times = []
+    for _ in range(repeats):
+        t0 = perf_counter()
+        predict_video(model, seq, ev.overlap, mode=ev.frame_mode)
+        times.append(perf_counter() - t0)
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"frames": frames, "repeats": repeats, "median": statistics.median(times), "iqr": q3 - q1}
+
+
+def openblas() -> dict:
+    """The kernel and thread count of numpy's bundled OpenBLAS, or "unknown"."""
+    info = {"kernel": "unknown", "threads": "unknown"}
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return info
+    lib = ctypes.CDLL(str(libs[0]))
+    for key, symbol, restype in (
+        ("kernel", "scipy_openblas_get_corename64_", ctypes.c_char_p),
+        ("threads", "scipy_openblas_get_num_threads64_", ctypes.c_int),
+    ):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            value = fn()
+            info[key] = value.decode() if isinstance(value, bytes) else value
+    return info
+
+
+def git_revision() -> dict:
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True).stdout.strip()
+
+    return {"revision": git("rev-parse", "HEAD") or "unknown", "dirty": bool(git("status", "--porcelain"))}
+
+
+def measure(rss_frames=RSS_FRAMES, time_frames=TIME_FRAMES, repeats=REPEATS) -> dict:
+    return {
+        "predict_rss_mb": {str(t): predict_rss(t) for t in rss_frames},
+        "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
+        "predict_s": predict_time(time_frames, repeats),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "openblas": openblas(),
+            **git_revision(),
+        },
+    }
+
+
+def next_bench_path(root: Path) -> Path:
+    taken = [int(m.group(1)) for p in root.glob("BENCH_*.json") if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    return root / f"BENCH_{max(taken, default=0) + 1}.json"
+
+
+def main() -> None:
+    result = measure()
+    out = next_bench_path(ROOT)
+    out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["write"]:
+        _write_child(sys.argv[2], int(sys.argv[3]))
+    elif sys.argv[1:2] == ["predict"]:
+        _predict_child(sys.argv[2])
+    else:
+        main()

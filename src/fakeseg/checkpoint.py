@@ -47,10 +47,10 @@ def load_checkpoint(path: str | Path) -> SequenceClassifier:
     """Read a TFKM v1 file into a float32 model.
 
     Raises ValueError, naming the file and where applicable the tensor, for a
-    bad magic or version, a truncated header or tensor, a config that is not
-    valid JSON or not a valid `TransformerConfig`, a tensor that is missing
-    from, extra to or mis-shaped against `param_layout(config)`, and trailing
-    bytes.
+    bad magic or version, a truncated header or tensor, a tensor name that is
+    not UTF-8, a config that is not valid JSON or not a valid
+    `TransformerConfig`, a tensor that is missing from, extra to or
+    mis-shaped against `param_layout(config)`, and trailing bytes.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -79,7 +79,10 @@ def load_checkpoint(path: str | Path) -> SequenceClassifier:
     missing = set(model.params)
     for i in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"tensor #{i} header"))
-        name = take(name_len, f"tensor #{i} header").decode("utf-8")
+        try:
+            name = take(name_len, f"tensor #{i} header").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: tensor #{i} name is not UTF-8: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1, f"tensor {name!r} header"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r} header"))
         if name not in missing:

@@ -103,6 +103,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     ev = load_experiment_config(args.config).eval
     model = load_checkpoint(args.model)
+    if ev.overlap >= model.config.window:
+        raise ConfigError(
+            f"eval.overlap ({ev.overlap}) in {args.config} must be smaller than the window "
+            f"({model.config.window}) of {args.model}"
+        )
     seqs = (read_features(path) for path in feature_paths(args.features))
     scores = score_videos(model, seqs, ev.overlap, ev.frame_mode, args.out_dir)
     print(f"scored {len(scores)} videos -> {Path(args.out_dir)}")

@@ -10,7 +10,8 @@ import numpy as np
 
 from .segmap import ScoreMap
 from .transformer import SequenceClassifier, TransformerConfig, cross_entropy, forward_with_cache, loss_and_grads
-from .windowing import FeatureSequence, frames_from_windows, make_windows
+from .windowing import FeatureSequence, cut_windows, frames_from_windows, window_starts
+from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -81,7 +82,7 @@ def evaluate(model: SequenceClassifier, x: np.ndarray, y: np.ndarray, batch_size
     correct = 0
     for lo in range(0, len(x), batch_size):
         xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
-        logits, probs, _ = forward_with_cache(model, xb)
+        logits, probs, _ = forward_with_cache(model, xb, keep_cache=False)
         total_loss += cross_entropy(logits, yb) * len(xb)
         correct += int((probs.argmax(axis=1) == yb).sum())
     return total_loss / len(x), correct / len(x)
@@ -244,13 +245,15 @@ def predict_video(
 ) -> ScoreMap:
     """Frame-level Fake scores for one video: window, classify, project back.
 
-    A video the model cannot take raises `check_features`' ValueError."""
+    Windows are cut and classified PREDICT_BATCH at a time. A video the
+    model cannot take raises `check_features`' ValueError."""
     cfg = model.config
     check_features([seq], cfg)
     w = cfg.window
-    batch = make_windows(seq, w, overlap)
-    scores = np.empty(batch.num_windows)
-    for lo in range(0, batch.num_windows, PREDICT_BATCH):
-        _, probs, _ = forward_with_cache(model, batch.windows[lo : lo + PREDICT_BATCH])
+    starts = window_starts(seq.num_frames, w, overlap)
+    scores = np.empty(len(starts))
+    for lo in range(0, len(starts), PREDICT_BATCH):
+        windows = cut_windows(seq.features, starts[lo : lo + PREDICT_BATCH], w)
+        _, probs, _ = forward_with_cache(model, windows, keep_cache=False)
         scores[lo : lo + PREDICT_BATCH] = probs[:, 1]
-    return frames_from_windows(scores, batch.window_starts, w, seq.num_frames, mode=mode)
+    return frames_from_windows(scores, starts, w, seq.num_frames, mode=mode)

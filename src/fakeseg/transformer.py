@@ -291,9 +291,10 @@ def _dropout_mask(shape, rate, rng, dtype):
     return keep.astype(dtype) / dtype.type(1.0 - rate)
 
 
-def _attention_forward(h, params, prefix, config):
+def _attention_forward(h, params, prefix, config, keep_cache=True):
     """Self-attention over windows of config.window rows; h is (N, W, d) or
-    (N * W, d) and the output has h's shape."""
+    (N * W, d) and the output has h's shape. Without `keep_cache` each
+    activation is dropped once read and the cache is None."""
     w, nh, hd = config.window, config.num_heads, config.head_dim
     h2 = h.reshape(-1, h.shape[-1])
     n = h2.shape[0] // w
@@ -307,12 +308,16 @@ def _attention_forward(h, params, prefix, config):
     v = v.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     scale = 1.0 / math.sqrt(hd)
     scores = q @ kt
+    if not keep_cache:
+        del q, kt, cq, cv
     scores *= scale
     probs = _softmax(scores)
     ctx = np.empty((n, w, nh, hd), h2.dtype)
     np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    if not keep_cache:
+        del v, probs
     out, co = _linear_forward(ctx.reshape(n * w, nh * hd), params[prefix + "wo"], params[prefix + "bo"])
-    return out.reshape(h.shape), (cq, (h2, wk), cv, q, kt, v, probs, co, scale)
+    return out.reshape(h.shape), (cq, (h2, wk), cv, q, kt, v, probs, co, scale) if keep_cache else None
 
 
 def _attention_backward(g, cache, grads, prefix):
@@ -338,8 +343,12 @@ def forward_with_cache(
     batch: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    keep_cache: bool = True,
 ):
-    """Run the network; returns (logits, probs, cache for the backward pass)."""
+    """Run the network; returns (logits, probs, cache for the backward pass).
+
+    With `keep_cache=False` (no backward follows) activations are freed once
+    read and the cache is None; the arithmetic is the same."""
     cfg = model.config
     p = model.params
     if batch.ndim != 3 or batch.shape[1] != cfg.window or batch.shape[2] != cfg.input_dim:
@@ -363,7 +372,7 @@ def forward_with_cache(
     for b in range(cfg.num_blocks):
         pre = f"block{b}."
         h, c_ln1 = _layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        attn_out, c_attn = _attention_forward(h, p, pre + "attn.", cfg)
+        attn_out, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
         m_attn = _dropout_mask(attn_out.shape, cfg.dropout, rng, dtype) if drop else None
         if drop:
             attn_out *= m_attn
@@ -378,7 +387,9 @@ def forward_with_cache(
             ff_out *= m_ff
         ff_out += x
         x = ff_out
-        block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff))
+        if keep_cache:
+            block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff))
+        del h, c_ln1, c_attn, h2, c_ln2, z1, c_ff1, c_ff2  # only the cache holds them on
 
     normed, c_final = _layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"])
     z = np.add.reduce(normed.reshape(n, w, d), axis=1) / w  # 1-D global average pool over window positions
@@ -393,8 +404,9 @@ def forward_with_cache(
         z_pre = z
         if i < n_layers - 1:
             z = np.maximum(z, 0)
-        head_caches.append((c_lin, z_ss, z_pre))
-    return z, _softmax(z), (block_caches, c_final, head_caches, n)
+        if keep_cache:
+            head_caches.append((c_lin, z_ss, z_pre))
+    return z, _softmax(z), (block_caches, c_final, head_caches, n) if keep_cache else None
 
 
 def forward(
@@ -404,7 +416,7 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Class probabilities for a batch of windows; rows sum to 1."""
-    _, probs, _ = forward_with_cache(model, batch, train=train, rng=rng)
+    _, probs, _ = forward_with_cache(model, batch, train=train, rng=rng, keep_cache=False)
     return probs
 
 

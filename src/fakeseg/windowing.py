@@ -14,6 +14,7 @@ ground-truth map in the text segmap format.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,10 +60,6 @@ class WindowBatch:
     window_starts: np.ndarray
     window_labels: np.ndarray | None = None  # center-frame label per window
 
-    @property
-    def num_windows(self) -> int:
-        return int(self.windows.shape[0])
-
 
 def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
     """Start indices for sliding windows over `num_frames` frames.
@@ -84,6 +81,12 @@ def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
     return np.asarray(starts, dtype=np.int64)
 
 
+def cut_windows(features: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
+    """The C-contiguous (len(starts), window, d) windows of T x d `features`."""
+    views = np.lib.stride_tricks.sliding_window_view(features, window, axis=0)
+    return np.ascontiguousarray(views[starts].transpose(0, 2, 1))
+
+
 def make_windows(seq: FeatureSequence, window: int, overlap: int) -> WindowBatch:
     """Cut one video's features into overlapping windows.
 
@@ -95,8 +98,7 @@ def make_windows(seq: FeatureSequence, window: int, overlap: int) -> WindowBatch
             f"video {seq.video_id!r} has {seq.num_frames} frames, fewer than the window of {window}"
         )
     starts = window_starts(seq.num_frames, window, overlap)
-    views = np.lib.stride_tricks.sliding_window_view(seq.features, window, axis=0)
-    windows = np.ascontiguousarray(views[starts].transpose(0, 2, 1))
+    windows = cut_windows(seq.features, starts, window)
     labels = None
     if seq.labels is not None:
         labels = seq.labels.labels[starts + window // 2].copy()
@@ -125,13 +127,15 @@ def frames_from_windows(
         raise ValueError("window extends outside the video")
 
     if mode == "mean":
-        # frame starts + j gets its window's score at offset j; laying the
-        # offsets out from window-1 down to 0 makes every frame add its
-        # covering windows in ascending start order, as a window-by-window
-        # loop over sorted starts does, so the sums agree bit for bit
-        frames = (starts + np.arange(window - 1, -1, -1)[:, None]).ravel()
-        total = np.bincount(frames, np.tile(window_scores, window), minlength=num_frames)
-        count = np.bincount(frames, minlength=num_frames)
+        # frame starts + j gets its window's score at offset j; adding the
+        # offsets from window-1 down to 0 (add.at keeps repeated starts, in
+        # order) sums each frame's windows in ascending start order, as a
+        # window-by-window loop over sorted starts does, bit for bit
+        total = np.zeros(num_frames)
+        count = np.zeros(num_frames, np.int64)
+        for j in range(window - 1, -1, -1):
+            np.add.at(total, starts + j, window_scores)
+            np.add.at(count, starts + j, 1)
         if (count == 0).any():
             raise RuntimeError("internal error: frame not covered by any window")
         return ScoreMap(total / count)
@@ -205,11 +209,14 @@ def read_features(path: str | Path) -> FeatureSequence:
         version, t, d = struct.unpack("<III", header[4:])
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported feature file version {version}")
+        size, needs = os.fstat(fh.fileno()).st_size, 16 + 4 * t * d
+        if size < needs:
+            raise ValueError(
+                f"{path}: truncated feature file: a {t}x{d} header needs {needs} bytes, the file has {size}"
+            )
+        if size > needs:
+            raise ValueError(f"{path}: {size - needs} trailing bytes after the {t}x{d} features")
         data = fh.read(4 * t * d)
-        if len(data) != 4 * t * d:
-            raise ValueError(f"{path}: truncated feature file")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the {t}x{d} features")
     feats = np.frombuffer(data, dtype="<f4").reshape(t, d)
     labels = None
     lp = label_path_for(path)

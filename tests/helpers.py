@@ -1,6 +1,7 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
 per-tensor Adam, row-wise softmax, einsum attention, the (N, W, d) forward
-and backward, loop versions of the per-frame kernels, configs."""
+and backward, loop versions of the per-frame kernels, whole-video predict,
+configs."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 
 import numpy as np
 
-from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PREDICT_BATCH
 from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from fakeseg.transformer import (
     SequenceClassifier,
@@ -19,6 +20,7 @@ from fakeseg.transformer import (
     cross_entropy,
     forward_with_cache,
 )
+from fakeseg.windowing import make_windows
 
 MICRO_CONFIG = {
     "dataset": {
@@ -441,6 +443,19 @@ def frames_from_windows_reference(
             frame_scores[missing] = frame_scores[nearest]
         return frame_scores
     raise ValueError(f"unknown projection mode {mode!r}")
+
+
+def predict_video_reference(model, seq, overlap: int, mode: str) -> np.ndarray:
+    """Frame scores with every window of the video made at once, forwarded
+    PREDICT_BATCH at a time with the cache kept, and projected window by window."""
+    w = model.config.window
+    batch = make_windows(seq, w, overlap)
+    n = batch.windows.shape[0]
+    scores = np.empty(n)
+    for lo in range(0, n, PREDICT_BATCH):
+        _, probs, _ = forward_with_cache(model, batch.windows[lo : lo + PREDICT_BATCH])
+        scores[lo : lo + PREDICT_BATCH] = probs[:, 1]
+    return frames_from_windows_reference(scores, batch.window_starts, w, seq.num_frames, mode)
 
 
 def midranks_reference(values: np.ndarray) -> np.ndarray:

@@ -1,0 +1,36 @@
+"""bench/memory.py end to end at 1,000 frames: every field it records is filled."""
+
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench" / "memory.py"
+
+
+def _memory_bench():
+    spec = importlib.util.spec_from_file_location("bench_memory", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_memory_bench_runs_at_a_thousand_frames():
+    memory = _memory_bench()
+    result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3)
+    rss = result["predict_rss_mb"]["1000"]
+    assert rss["peak_mb"] > 0 and len(rss["scores_sha256"]) == 64
+    peaks = result["forward_peak_mib"]
+    assert 0 < peaks["no_cache"] < peaks["cached"]
+    timing = result["predict_s"]
+    assert timing["frames"] == 1000 and timing["repeats"] == 3
+    assert timing["median"] > 0 and timing["iqr"] >= 0
+    env = result["environment"]
+    assert env["python"] and env["numpy"] and env["revision"]
+    assert set(env["openblas"]) == {"kernel", "threads"}
+
+
+def test_memory_bench_numbers_its_file_one_past_the_highest(tmp_path):
+    memory = _memory_bench()
+    assert memory.next_bench_path(tmp_path).name == "BENCH_1.json"
+    for name in ("BENCH_1.json", "BENCH_12.json", "BENCH_x.json", "BENCH_3.json.bak"):
+        (tmp_path / name).touch()
+    assert memory.next_bench_path(tmp_path).name == "BENCH_13.json"

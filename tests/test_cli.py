@@ -183,6 +183,23 @@ def test_predict_names_a_video_with_bad_features(tmp_path, capsys, features, mes
     assert message in capsys.readouterr().err
 
 
+def test_predict_checks_the_config_overlap_against_the_checkpoint(tmp_path, capsys):
+    """A config overlap of 4 does not fit a window-3 model: exit 2, naming both
+    files, before any feature file is read (the features path does not exist)."""
+    model_path = tmp_path / "model.tfkm"
+    model_cfg = TransformerConfig(input_dim=4, window=3, num_heads=1, head_dim=4,
+                                  ff_hidden=8, mlp_hidden=(8,))
+    save_checkpoint(model_path, SequenceClassifier.initialize(model_cfg, seed=0))
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    assert main(["predict", "--config", str(config), "--model", str(model_path),
+                 "--features", str(tmp_path / "missing"), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "eval.overlap (4)" in err and "window (3)" in err
+    assert str(config) in err and str(model_path) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

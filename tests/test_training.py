@@ -15,7 +15,8 @@ from fakeseg import (
     train,
 )
 from fakeseg.training import FlatAdam, check_features
-from helpers import adam_reference_step
+from fakeseg.windowing import window_starts
+from helpers import adam_reference_step, predict_video_reference
 
 CFG = TransformerConfig(
     input_dim=8, window=3, num_blocks=1, num_heads=2, head_dim=4,
@@ -125,6 +126,22 @@ def test_predict_video_constant_features_give_constant_scores():
     scores = predict_video(model, seq, overlap=2)
     assert np.allclose(scores.scores, scores.scores[0])
     assert len(scores) == 12
+
+
+@pytest.mark.parametrize("mode", ["mean", "max", "center"])
+@pytest.mark.parametrize("num_windows", [1, 255, 256, 257, 513])
+def test_predict_video_matches_the_whole_video_oracle_byte_for_byte(num_windows, mode):
+    """Batches cut as predict goes and forwarded without a cache give the bytes
+    of every window cut at once and forwarded with it, on each side of the
+    batch size."""
+    model = SequenceClassifier.initialize(CFG, seed=3)
+    overlap = CFG.window - 1  # stride 1: T - W + 1 windows
+    frames = num_windows + CFG.window - 1
+    assert len(window_starts(frames, CFG.window, overlap)) == num_windows
+    rng = np.random.default_rng(num_windows)
+    seq = FeatureSequence("v", rng.standard_normal((frames, CFG.input_dim)).astype(np.float32))
+    got = predict_video(model, seq, overlap, mode=mode).scores
+    assert got.tobytes() == predict_video_reference(model, seq, overlap, mode).tobytes()
 
 
 def test_predict_video_too_short_is_an_error():

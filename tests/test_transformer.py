@@ -4,6 +4,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fakeseg import (
+    FeatureSequence,
     SequenceClassifier,
     TransformerConfig,
     load_checkpoint,
     loss_and_grads,
+    predict_video,
     save_checkpoint,
 )
+from fakeseg.harness.config import load_experiment_config
 from fakeseg.transformer import (
     LN_EPS,
     _attention_backward,
@@ -290,6 +294,18 @@ def test_checkpoint_rejects_truncated_tensor(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_names_a_tensor_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.tfkm"
+    save_checkpoint(path, SequenceClassifier.initialize(TINY, seed=5))
+    raw = bytearray(path.read_bytes())
+    (config_len,) = struct.unpack("<I", raw[8:12])
+    raw[12 + config_len + 4 + 2] = 0xFF  # first byte of tensor #0's name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"bad\.tfkm: tensor #0 name is not UTF-8") as info:
+        load_checkpoint(path)
+    assert str(info.value).count("bad.tfkm") == 1
+
+
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     good = tmp_path / "good.tfkm"
     save_checkpoint(good, SequenceClassifier.initialize(TINY, seed=5))
@@ -475,12 +491,53 @@ def test_2d_layout_matches_the_3d_reference_at_any_width(case):
     _assert_within_rounding(_layout_pairs(case), case[0].dtype)
 
 
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(layout_cases(st.sampled_from(SHIPPED_WIDTHS)), layout_cases(any_widths())))
+def test_forward_without_a_cache_gives_the_same_bytes_and_no_cache(case):
+    model, x, _, train, seed = case
+    logits, probs, cache = forward_with_cache(model, x, train, np.random.default_rng(seed))
+    bare = forward_with_cache(model, x, train, np.random.default_rng(seed), keep_cache=False)
+    assert cache is not None and bare[2] is None
+    assert bare[0].tobytes() == logits.tobytes() and bare[1].tobytes() == probs.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """Bytes allocated at the peak of one call of call(), warm."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_batch_256_forward_without_a_cache_peaks_at_a_fraction_of_one_with_it():
+    cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    batch = _batch(cfg, n=256, dtype=np.float32)
+    cached = _traced_peak(lambda: forward_with_cache(model, batch))
+    bare = _traced_peak(lambda: forward_with_cache(model, batch, keep_cache=False))
+    assert bare <= 0.4 * cached, (bare, cached)
+
+
+def test_predict_video_on_an_hour_holds_one_batch_and_the_score_arrays():
+    """At T = 90,000 making every window at once would take 28.8 MB alone."""
+    cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    seq = FeatureSequence("hour", rng.standard_normal((90_000, cfg.input_dim)).astype(np.float32))
+    peak = _traced_peak(lambda: predict_video(model, seq, 4, mode="mean"))
+    assert peak <= 8 << 20, peak
+
+
 # Runs in a fresh interpreter, so the heap it measures is its own: warm up,
-# size the activations one call keeps, then count minor page faults over 50
-# more calls. Two kinds of call: a batch-256 forward (predict) and a batch-64
-# training step (loss_and_grads, then the Adam update).
+# size the activations one call holds, then count minor page faults over 50
+# more calls. Three kinds of call: a batch-256 forward (the cached one and the
+# one without a cache, as predict runs it) and a batch-64 training step
+# (loss_and_grads, then the Adam update).
 _FAULT_PROBE = """
-import json, resource, sys
+import json, resource, sys, tracemalloc
 import numpy as np
 from fakeseg.harness.config import load_experiment_config
 from fakeseg.training import FlatAdam
@@ -499,10 +556,17 @@ def owned_bytes(obj, seen):
     seen.add(id(base))
     return base.nbytes
 
-def probe(call, keeps):  # faults per call of call(), and the pages of what keeps() returns
+def traced_peak(call):  # bytes allocated at the peak of one call, kept or not
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+def probe(call, size):  # faults per call of call(), and the pages of the bytes size() returns
     for _ in range(5):
         call()
-    pages = owned_bytes(keeps(), set()) / 4096
+    pages = size() / 4096
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(50):
         call()
@@ -526,7 +590,12 @@ def train_activations():
     return forward_with_cache(model, small, train=True, rng=rng), loss_and_grads(model, small, targets)
 
 forward = lambda: forward_with_cache(model, batch)
-calls = {"forward": (forward, forward), "train_step": (train_step, train_activations)}
+bare_forward = lambda: forward_with_cache(model, batch, keep_cache=False)
+calls = {
+    "forward": (forward, lambda: owned_bytes(forward(), set())),
+    "bare_forward": (bare_forward, lambda: traced_peak(bare_forward)),
+    "train_step": (train_step, lambda: owned_bytes(train_activations(), set())),
+}
 print(json.dumps(probe(*calls[sys.argv[2]])))
 """
 
@@ -554,5 +623,14 @@ def test_batch_64_training_steps_reuse_their_heap_pages():
     """A training step (forward with dropout, backward, pack and Adam update)
     reuses its pages too, the written-in-place context and K^T included."""
     result = _fault_probe("train_step")
+    assert result["activation_pages"] > 250
+    assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
+def test_batch_256_forwards_without_a_cache_reuse_their_heap_pages():
+    """A forward that keeps no cache frees each activation once read; the
+    pages of its peak are reused by the next call all the same."""
+    result = _fault_probe("bare_forward")
     assert result["activation_pages"] > 250
     assert result["faults_per_call"] < 0.1 * result["activation_pages"], result

@@ -241,3 +241,15 @@ def test_feature_file_names_an_empty_matrix(tmp_path, t, d):
     with pytest.raises(ValueError, match=r"empty\.feat: features must be a T x d matrix") as info:
         read_features(path)
     assert str(info.value).count("empty.feat") == 1
+
+
+@pytest.mark.parametrize(
+    "t, d", [(2**32 - 1, 2**32 - 1), (2**20, 2**12)], ids=["past-index-range", "16-gib"]
+)
+def test_feature_file_names_a_header_larger_than_the_file(tmp_path, t, d):
+    """The header's size is checked against the file before anything is read."""
+    path = tmp_path / "huge.feat"
+    path.write_bytes(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, t, d) + bytes(64))
+    needs = 16 + 4 * t * d
+    with pytest.raises(ValueError, match=rf"huge\.feat: truncated .*{t}x{d}.*{needs} bytes.* 80"):
+        read_features(path)
