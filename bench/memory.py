@@ -13,8 +13,7 @@ depend on trained weights. It records:
                       scores; the file (random float32 features) is written
                       by a separate process first.
   forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
-                      and without the cache (null where `forward_with_cache`
-                      has no `keep_cache`).
+                      and without the cache.
   predict_s           `predict_video` wall time in this process: median and
                       interquartile range of repeated runs.
   environment         Python and numpy versions, core count, git revision,
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -112,8 +110,7 @@ def forward_peaks() -> dict:
         finally:
             tracemalloc.stop()
 
-    bare = "keep_cache" in inspect.signature(forward_with_cache).parameters
-    return {"cached": peak(), "no_cache": peak(keep_cache=False) if bare else None}
+    return {"cached": peak(), "no_cache": peak(keep_cache=False)}
 
 
 def predict_time(frames: int, repeats: int) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path: str | Path, model: SequenceClassifier) -> None:
-    config_blob = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+    config_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(config_blob)))

@@ -11,10 +11,11 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from ..checkpoint import load_checkpoint, save_checkpoint
-from ..injection import dataset_stats, read_plans, read_videos, write_plans, write_stats
+from ..injection import dataset_stats, read_plans, read_videos, write_plans
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
 from ..windowing import feature_paths, read_features
@@ -62,6 +63,20 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not (0.0 <= value <= 1.0):  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _cmd_plan(args) -> int:
     ds = load_experiment_config(args.config).dataset
     with _reading(args.videos):
@@ -70,7 +85,7 @@ def _cmd_plan(args) -> int:
     records = [(v, planner(v, ds.seed)) for v in videos]
     write_plans(args.out, records)
     if args.stats:
-        write_stats(args.stats, dataset_stats([p for _, p in records], videos))
+        write_json(args.stats, asdict(dataset_stats([p for _, p in records], videos)))
     print(f"planned {len(records)} videos -> {args.out}")
     return 0
 
@@ -91,7 +106,7 @@ def _cmd_train(args) -> int:
     model, history = fit(cfg.model, cfg.train, train_seqs, val_seqs, cfg.eval.overlap)
     save_checkpoint(args.out, model)
     if args.history:
-        write_json(args.history, history.to_dict())
+        write_json(args.history, asdict(history))
     best = history.epochs[history.best_epoch - 1]
     print(
         f"trained {len(history.epochs)} epochs; best epoch {history.best_epoch} "
@@ -227,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("smooth", help="majority-vote smooth a map or scores file")
-    p.add_argument("--k", type=int, default=7)
+    p.add_argument("--k", type=_non_negative_int, default=7)
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_probability,
         default=None,
         help="when given, the input is a scores JSON to threshold first",
     )

@@ -12,7 +12,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from ..synth import SynthConfig
 from ..training import TrainConfig
@@ -96,14 +95,6 @@ class ExperimentConfig:
     model: TransformerConfig
     train: TrainConfig
     eval: EvalConfig
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dataset": dataclasses.asdict(self.dataset),
-            "model": self.model.to_dict(),
-            "train": dataclasses.asdict(self.train),
-            "eval": dataclasses.asdict(self.eval),
-        }
 
 
 _SECTIONS = ("dataset", "model", "train", "eval")

@@ -98,21 +98,14 @@ class EvalReport:
     smooth_k: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "per_video": [dataclasses.asdict(v) for v in self.per_video],
-            "aggregate": self.aggregate,
-            "video_level": self.video_level,
-            "baseline": self.baseline,
-            "threshold": self.threshold,
-            "smooth_k": self.smooth_k,
-            "num_videos": len(self.per_video),
-        }
+        return {**dataclasses.asdict(self), "num_videos": len(self.per_video)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EvalReport":
         """Inverse of `to_dict`, e.g. for a report JSON read back from disk."""
-        fields = {k: data[k] for k in ("aggregate", "video_level", "baseline", "threshold", "smooth_k")}
-        return cls(per_video=tuple(VideoEval(**row) for row in data["per_video"]), **fields)
+        fields = {f.name: data[f.name] for f in dataclasses.fields(cls)}
+        fields["per_video"] = tuple(VideoEval(**row) for row in fields["per_video"])
+        return cls(**fields)
 
 
 def evaluate_maps(
@@ -299,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
     """Execute the full pipeline under `run_dir` and return the report."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(run_dir / "config.json", cfg.to_dict(), indent=2)
+    write_json(run_dir / "config.json", dataclasses.asdict(cfg), indent=2)
     ev = cfg.eval
     features_root = materialize_features(cfg, run_dir)
 
@@ -308,7 +301,7 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
         test_seqs = check_features(split_seqs["test"], cfg.model, labeled=True)
         model, history = fit(cfg.model, cfg.train, split_seqs["train"], split_seqs["val"], ev.overlap)
         save_checkpoint(run_dir / "model.tfkm", model)
-        write_json(run_dir / "history.json", history.to_dict())
+        write_json(run_dir / "history.json", dataclasses.asdict(history))
 
     with _stage("predict"):
         gt_maps = {seq.video_id: seq.labels for seq in test_seqs}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .experiment import EvalReport, write_json
 
@@ -45,30 +45,26 @@ def render_text(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CSV_COLUMNS = (
-    "video_id",
-    "fake_ratio",
-    "iou_raw",
-    "iou_smoothed",
-    "accuracy_raw",
-    "accuracy_smoothed",
-    "auc",
-    "video_score",
-    "video_is_fake",
-)
+def _write_csv(path: Path, rows: Sequence[dict[str, Any]]) -> None:
+    """One row per dict; the columns are the keys in first-seen order."""
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_report_files(report: EvalReport, prefix: str | Path) -> None:
-    """Write <prefix>.json, <prefix>.txt and <prefix>.csv; a dotted prefix keeps its dots."""
+    """Write <prefix>.json, <prefix>.txt and <prefix>.csv; a dotted prefix keeps its dots.
+
+    The CSV has one row per video with `VideoEval`'s fields as its columns.
+    """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    write_json(prefix.with_name(prefix.name + ".json"), report.to_dict(), indent=2)
+    data = report.to_dict()
+    write_json(prefix.with_name(prefix.name + ".json"), data, indent=2)
     prefix.with_name(prefix.name + ".txt").write_text(render_text(report), encoding="utf-8")
-    with open(prefix.with_name(prefix.name + ".csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in report.per_video:
-            writer.writerow([getattr(r, c) for c in _CSV_COLUMNS])
+    _write_csv(prefix.with_name(prefix.name + ".csv"), data["per_video"])
 
 
 def write_rows(rows: list[dict[str, Any]], prefix: str | Path) -> None:
@@ -76,8 +72,4 @@ def write_rows(rows: list[dict[str, Any]], prefix: str | Path) -> None:
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_json(prefix.with_name(prefix.name + ".json"), rows, indent=2)
-    columns = list(dict.fromkeys(key for row in rows for key in row))  # first-seen order
-    with open(prefix.with_name(prefix.name + ".csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, columns)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(prefix.with_name(prefix.name + ".csv"), rows)

@@ -18,7 +18,8 @@ File formats:
   * plan file: JSON lines, one object per video:
     ``{"id": ..., "length": ..., "segments": [[start, len], ...]}``
   * video list: JSON lines ``{"id": ..., "length": ...}``
-  * stats file: JSON object with the three DatasetStats fields.
+  * stats file, written by ``fakeseg plan --stats``: JSON object with the
+    three DatasetStats fields.
 """
 
 from __future__ import annotations
@@ -176,21 +177,15 @@ def dataset_stats(plans: Iterable[SegmentPlan], videos: Sequence[VideoSpec]) -> 
 # -- file formats --
 
 
-def write_videos(path: str | Path, videos: Iterable[VideoSpec]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in videos:
-            fh.write(json.dumps({"id": v.id, "length": v.length_frames}) + "\n")
+def _read_video_lines(path: str | Path) -> list[tuple[VideoSpec, dict]]:
+    """Each non-blank line's JSON object, with the VideoSpec of its id and length."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    objs = [json.loads(line) for line in lines if line.strip()]
+    return [(VideoSpec(id=obj["id"], length_frames=int(obj["length"])), obj) for obj in objs]
 
 
 def read_videos(path: str | Path) -> list[VideoSpec]:
-    videos = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            videos.append(VideoSpec(id=obj["id"], length_frames=int(obj["length"])))
-    return videos
+    return [video for video, _ in _read_video_lines(path)]
 
 
 def write_plans(path: str | Path, records: Iterable[tuple[VideoSpec, SegmentPlan]]) -> None:
@@ -207,34 +202,7 @@ def write_plans(path: str | Path, records: Iterable[tuple[VideoSpec, SegmentPlan
 
 
 def read_plans(path: str | Path) -> list[tuple[VideoSpec, SegmentPlan]]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            video = VideoSpec(id=obj["id"], length_frames=int(obj["length"]))
-            plan = SegmentPlan(video.id, tuple((int(s), int(l)) for s, l in obj["segments"]))
-            records.append((video, plan))
-    return records
-
-
-def write_stats(path: str | Path, stats: DatasetStats) -> None:
-    obj = {
-        "fake_ratio_one_seg": stats.fake_ratio_one_seg,
-        "fake_ratio_two_seg": stats.fake_ratio_two_seg,
-        "avg_length": stats.avg_length,
-    }
-    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def read_stats(path: str | Path) -> DatasetStats:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    unknown = set(obj) - {"fake_ratio_one_seg", "fake_ratio_two_seg", "avg_length"}
-    if unknown:
-        raise ValueError(f"unknown stats fields: {sorted(unknown)}")
-    return DatasetStats(
-        fake_ratio_one_seg=obj["fake_ratio_one_seg"],
-        fake_ratio_two_seg=obj["fake_ratio_two_seg"],
-        avg_length=float(obj["avg_length"]),
-    )
+    return [
+        (video, SegmentPlan(video.id, tuple((int(s), int(l)) for s, l in obj["segments"])))
+        for video, obj in _read_video_lines(path)
+    ]

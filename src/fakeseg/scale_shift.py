@@ -2,8 +2,10 @@
 
 A parameter-efficient adapter that linearly remaps each feature channel of a
 frozen representation. Initialized to the identity (gamma = 1, beta = 0) so
-training departs smoothly from the unmodulated features. Used standalone on
-ingested frame features; the classifier head computes the same map inline.
+training departs smoothly from the unmodulated features. The classifier head
+computes the same map inline; this module is the reference that inline map
+is tested against (the float64 reference model in `tests/helpers.py`, and
+acceptance criterion 3's gradient check).
 """
 
 from __future__ import annotations

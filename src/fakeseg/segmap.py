@@ -6,8 +6,9 @@ carriers are the currency of the whole toolkit: planners render them,
 models emit them, metrics consume them.
 
 Serialization formats:
-  * text: one ASCII character per frame, ``R``/``F``, newline-terminated.
-  * JSON: ``{"labels": [0, 1, ...]}`` where 1 means Fake.
+  * segmentation map, text: one ASCII character per frame, ``R``/``F``,
+    newline-terminated.
+  * score map, JSON: ``{"scores": [0.12, ...]}``.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ class SegmentationMap:
         """Fraction of frames labeled Fake."""
         return float(self.labels.mean())
 
-    # -- text format: one 'R'/'F' char per frame, newline-terminated --
-
     def to_text(self) -> str:
         chars = np.where(self.labels, ord("F"), ord("R")).astype(np.uint8)
         return chars.tobytes().decode("ascii") + "\n"
@@ -96,18 +95,6 @@ class SegmentationMap:
         if bad:
             raise ValueError(f"invalid characters in map text: {sorted(bad)}")
         return cls(np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("F"))
-
-    # -- JSON format: {"labels": [0, 1, ...]}, 1 = Fake --
-
-    def to_json(self) -> str:
-        return json.dumps({"labels": self.labels.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SegmentationMap":
-        data = json.loads(text)
-        if not isinstance(data, dict) or "labels" not in data:
-            raise ValueError('map JSON must be an object with a "labels" array')
-        return cls(data["labels"])
 
 
 class ScoreMap:

@@ -15,6 +15,7 @@ has error Phi(-separation / 2) at rho = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,12 @@ class SynthConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        if not (0.0 <= self.separation < math.inf):
+            raise ValueError("separation must be finite and >= 0")
         if not (0.0 <= self.temporal_rho < 1.0):
             raise ValueError("temporal_rho must lie in [0, 1)")
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
+        if not (0.0 < self.noise_std < math.inf):
+            raise ValueError("noise_std must be positive and finite")
 
 
 def class_means(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:

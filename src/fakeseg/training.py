@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -47,8 +47,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be positive and finite")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -67,13 +67,6 @@ class TrainHistory:
     epochs: tuple[EpochStats, ...]
     best_epoch: int
     stopped_early: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "epochs": [asdict(e) for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-        }
 
 
 def evaluate(model: SequenceClassifier, x: np.ndarray, y: np.ndarray, batch_size: int = 256):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -107,9 +107,6 @@ class TransformerConfig:
     @property
     def ff_dim(self) -> int:
         return self.ff_hidden if self.ff_hidden is not None else 4 * self.input_dim
-
-    def to_dict(self) -> dict[str, Any]:
-        return {**asdict(self), "mlp_hidden": list(self.mlp_hidden)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TransformerConfig":

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from fakeseg import (
     write_features,
 )
 from fakeseg.harness.cli import build_parser, main
+from fakeseg.injection import dataset_stats, read_plans, read_videos
 from helpers import micro_config_dict
 
 
@@ -40,7 +43,8 @@ def test_stagewise_pipeline(tmp_path, capsys):
     assert main(["plan", "--config", str(config), "--videos", str(videos),
                  "--out", str(plans), "--stats", str(stats)]) == 0
     assert len(plans.read_text().splitlines()) == 4
-    assert "fake_ratio_one_seg" in json.loads(stats.read_text())
+    expected = dataset_stats([plan for _, plan in read_plans(plans)], read_videos(videos))
+    assert stats.read_text() == json.dumps(dataclasses.asdict(expected), sort_keys=True) + "\n"
 
     feat_dir = tmp_path / "feats"
     assert main(["synth", "--config", str(config), "--plans", str(plans),
@@ -270,6 +274,35 @@ def test_run_rejects_invalid_synth_settings_before_writing(tmp_path, capsys, set
     assert "config error: invalid section 'dataset'" in err
     assert next(iter(setting)) in err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "section, setting",
+    [("dataset", {"noise_std": math.nan}), ("dataset", {"separation": math.inf}),
+     ("dataset", {"separation": math.nan}), ("train", {"learning_rate": math.nan}),
+     ("train", {"learning_rate": math.inf})],
+    ids=["noise-nan", "separation-inf", "separation-nan", "lr-nan", "lr-inf"],
+)
+def test_run_rejects_non_finite_settings_before_writing(tmp_path, capsys, section, setting):
+    config = _write_config(tmp_path, **{section: setting})
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    assert f"config error: invalid section {section!r}: {next(iter(setting))}" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [["--threshold", "1.5"], ["--threshold", "nan"],
+                                   ["--threshold", "-3"], ["--k", "-1"]],
+                         ids=["threshold-above-1", "threshold-nan", "threshold-negative", "k-negative"])
+def test_smooth_rejects_an_out_of_range_setting_as_a_usage_error(tmp_path, capsys, flags):
+    scores_in = tmp_path / "in.scores.json"
+    scores_in.write_text(ScoreMap([0.1, 0.9, 0.9]).to_json())
+    out = tmp_path / "out.map"
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", *flags, "--input", str(scores_in), "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flags[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_predict_scores_a_single_feature_file(tmp_path):

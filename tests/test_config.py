@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -71,7 +72,7 @@ def test_config_file_errors(tmp_path):
 
 def test_config_round_trip():
     cfg = parse_experiment_config(micro_config_dict())
-    again = parse_experiment_config(json.loads(json.dumps(cfg.to_dict())))
+    again = parse_experiment_config(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 

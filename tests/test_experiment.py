@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import shutil
 
@@ -19,7 +21,7 @@ from fakeseg import (
     smooth_scores,
     synth_video,
 )
-from fakeseg.harness import StageError, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
+from fakeseg.harness import StageError, VideoEval, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
 from fakeseg.harness.config import parse_experiment_config
 from fakeseg.injection import read_plans
 from helpers import micro_config_dict
@@ -48,6 +50,14 @@ def test_run_writes_all_artifacts(micro_run):
     assert len(list((run_dir / "maps").glob("*.smooth.map"))) == 5
     for suffix in (".json", ".txt", ".csv"):
         assert (run_dir / f"report{suffix}").exists()
+
+
+def test_report_csv_holds_each_video_eval_under_its_field_names(micro_run):
+    _, run_dir, report = micro_run
+    with open(run_dir / "report.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [field.name for field in dataclasses.fields(VideoEval)]
+    assert rows == [["" if v is None else str(v) for v in dataclasses.astuple(r)] for r in report.per_video]
 
 
 def test_report_aggregates_match_recomputation_from_disk(micro_run):

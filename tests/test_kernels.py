@@ -134,7 +134,6 @@ def test_midranks_equal_loop(data):
 def test_map_text_and_json_equal_loop(labels):
     smap = SegmentationMap(labels)
     assert smap.to_text() == map_text_reference(smap.labels)
-    assert smap.to_json() == json.dumps({"labels": [int(v) for v in smap.labels]})
     scores = ScoreMap(np.random.default_rng(len(labels)).random(len(labels)))
     assert scores.to_json() == json.dumps({"scores": [float(v) for v in scores.scores]})
 

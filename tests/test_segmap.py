@@ -66,14 +66,6 @@ def test_text_round_trip():
         SegmentationMap.from_text("RRXF\n")
 
 
-def test_json_round_trip():
-    m = SegmentationMap([0, 1, 0, 1, 1])
-    assert SegmentationMap.from_json(m.to_json()) == m
-    assert SegmentationMap.from_json('{"labels": [1, 0]}').to_text() == "FR\n"
-    with pytest.raises(ValueError):
-        SegmentationMap.from_json("[1, 0]")
-
-
 def test_score_map_validation():
     with pytest.raises(ValueError):
         ScoreMap([])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ def test_config_validation():
         SynthConfig(dim=4, temporal_rho=1.0)
     with pytest.raises(ValueError):
         SynthConfig(dim=4, noise_std=0.0)
+    for setting in ({"separation": math.inf}, {"separation": math.nan}, {"noise_std": math.inf},
+                    {"noise_std": math.nan}):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            SynthConfig(dim=4, **setting)
 
 
 def test_class_mean_distance():

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,9 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for lr in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(early_stop_patience=0)
 
@@ -180,7 +186,7 @@ def test_history_serialization():
     val_set = _separable_windows(10, CFG, seed=10)
     cfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=2, early_stop_patience=2, seed=0)
     _, history = train(SequenceClassifier.initialize(CFG, seed=0), train_set, val_set, cfg)
-    d = history.to_dict()
+    d = dataclasses.asdict(history)
     assert len(d["epochs"]) == 2
     assert {"epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"} <= set(d["epochs"][0])
 
