@@ -1,17 +1,27 @@
-"""Memory and time of predict on long videos, written to the next BENCH_<n>.json.
+"""Memory and time of predict on long videos, and memory of training on an
+hour of frames, written to the next BENCH_<n>.json.
 
     python bench/memory.py
 
 It measures the fakeseg in this checkout's `src/`, with the quickstart
 architecture (`configs/quickstart.json`) at its seed-0 initialisation and
-the quickstart `eval.overlap` and `eval.frame_mode`; memory and time do not
-depend on trained weights. It records:
+the quickstart `eval.overlap` and `eval.frame_mode`; memory and time of
+predict do not depend on trained weights. It records:
 
   predict_rss_mb      peak resident size (`ru_maxrss`) of a fresh process that
                       reads a T-frame `.feat` file with `read_features` and
                       runs `predict_video` on it, with the SHA-256 of the
                       scores; the file (random float32 features) is written
                       by a separate process first.
+  train_rss_mb        peak resident size of a fresh process that reads a
+                      train split of 100 videos of 900 labeled frames (an
+                      hour at 25 fps) and a val split of 25 such videos, and
+                      runs one epoch of `fit` with the quickstart model and
+                      train settings; `fit_rise_mb` is how far `fit` lifts
+                      the peak above the read features. With the SHA-256 of
+                      the trained parameters. The synthesized files (the
+                      quickstart generator, one fake segment per video) are
+                      written by a separate process first.
   forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
                       and without the cache.
   predict_s           `predict_video` wall time in this process: median and
@@ -27,6 +37,7 @@ highest there.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,6 +58,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from fakeseg.harness.config import load_experiment_config  # noqa: E402
+from fakeseg.harness.experiment import fit, load_split_features, synth_features  # noqa: E402
+from fakeseg.injection import VideoSpec, plan_one_segment  # noqa: E402
 from fakeseg.training import predict_video  # noqa: E402
 from fakeseg.transformer import SequenceClassifier, forward_with_cache  # noqa: E402
 from fakeseg.windowing import FeatureSequence, read_features, write_features  # noqa: E402
@@ -56,6 +69,7 @@ RSS_FRAMES = (90_000, 450_000)
 TIME_FRAMES = 90_000
 REPEATS = 7
 FORWARD_BATCH = 256
+TRAIN_VIDEOS = (100, 900)  # train videos and frames per video; the val split has a quarter as many videos
 
 
 def _quickstart_model():
@@ -80,6 +94,26 @@ def _predict_child(path: str) -> None:
     print(json.dumps({"peak_mb": peak_mb, "scores_sha256": hashlib.sha256(scores.tobytes()).hexdigest()}))
 
 
+def _write_train_child(root: str, videos: int, frames: int) -> None:
+    cfg = load_experiment_config(QUICKSTART)
+    for split, count in (("train", videos), ("val", max(1, videos // 4))):
+        specs = [VideoSpec(f"{split}{i:04d}", frames) for i in range(count)]
+        records = [(v, plan_one_segment(v, cfg.dataset.seed)) for v in specs]
+        synth_features(records, Path(root) / split, cfg.dataset.synth)
+
+
+def _fit_child(root: str) -> None:
+    cfg = load_experiment_config(QUICKSTART)
+    train_seqs = load_split_features(Path(root) / "train")
+    val_seqs = load_split_features(Path(root) / "val")
+    before_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    one_epoch = dataclasses.replace(cfg.train, max_epochs=1)
+    model, _ = fit(cfg.model, one_epoch, train_seqs, val_seqs, cfg.eval.overlap)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
+    print(json.dumps({"peak_mb": peak_mb, "fit_rise_mb": peak_mb - before_mb, "model_sha256": digest}))
+
+
 def _child(*args: str) -> str:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), *args], capture_output=True, text=True, check=True
@@ -93,6 +127,15 @@ def predict_rss(frames: int) -> dict:
         path = str(Path(tmp) / "long.feat")
         _child("write", path, str(frames))
         return json.loads(_child("predict", path))
+
+
+def train_rss(videos: int, frames: int) -> dict:
+    """Peak RSS of a fresh process that reads `videos` x `frames` training
+    frames (and a quarter as many val videos) and trains one epoch on them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _child("write-train", tmp, str(videos), str(frames))
+        result = json.loads(_child("train", tmp))
+    return {"train_videos": videos, "val_videos": max(1, videos // 4), "frames": frames, **result}
 
 
 def forward_peaks() -> dict:
@@ -152,9 +195,10 @@ def git_revision() -> dict:
     return {"revision": git("rev-parse", "HEAD") or "unknown", "dirty": bool(git("status", "--porcelain"))}
 
 
-def measure(rss_frames=RSS_FRAMES, time_frames=TIME_FRAMES, repeats=REPEATS) -> dict:
+def measure(rss_frames=RSS_FRAMES, time_frames=TIME_FRAMES, repeats=REPEATS, train_videos=TRAIN_VIDEOS) -> dict:
     return {
         "predict_rss_mb": {str(t): predict_rss(t) for t in rss_frames},
+        "train_rss_mb": train_rss(*train_videos),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "predict_s": predict_time(time_frames, repeats),
         "environment": {
@@ -184,5 +228,9 @@ if __name__ == "__main__":
         _write_child(sys.argv[2], int(sys.argv[3]))
     elif sys.argv[1:2] == ["predict"]:
         _predict_child(sys.argv[2])
+    elif sys.argv[1:2] == ["write-train"]:
+        _write_train_child(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+    elif sys.argv[1:2] == ["train"]:
+        _fit_child(sys.argv[2])
     else:
         main()

@@ -46,6 +46,7 @@ from .transformer import (
 )
 from .windowing import (
     FeatureSequence,
+    SplitWindows,
     WindowBatch,
     frames_from_windows,
     make_windows,

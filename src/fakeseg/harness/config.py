@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,6 +101,25 @@ class ExperimentConfig:
 _SECTIONS = ("dataset", "model", "train", "eval")
 
 
+def _check_ints(cls, data: dict, section: str) -> None:
+    """ConfigError naming `section.key` for a value of an integer field of
+    `cls` that is not an int, or a list entry of a tuple[int, ...] field
+    that is not; a bool is not an int here."""
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        hint = hints.get(key)
+        if hint == int | None and value is None:
+            continue
+        if hint == tuple[int, ...] and isinstance(value, list):
+            values, what = value, "an integer list"
+        elif hint in (int, int | None):
+            values, what = [value], "an integer"
+        else:
+            continue
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+
+
 def _build_section(cls, data: dict, section: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
@@ -107,6 +127,7 @@ def _build_section(cls, data: dict, section: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+    _check_ints(cls, data, section)
     try:
         return cls(**data)
     except ConfigError:
@@ -127,6 +148,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     model_data = dict(data.get("model", {}))
     if "input_dim" not in model_data:
         model_data["input_dim"] = dataset.feature_dim
+    _check_ints(TransformerConfig, model_data, "model")
     try:
         model = TransformerConfig.from_dict(model_data)
     except (TypeError, ValueError) as exc:

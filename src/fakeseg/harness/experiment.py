@@ -46,7 +46,8 @@ from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
 from ..training import TrainConfig, TrainHistory, check_features, predict_video, train
 from ..transformer import SequenceClassifier, TransformerConfig
-from ..windowing import FeatureSequence, feature_paths, make_windows, read_features, write_features
+from ..windowing import FeatureSequence, SplitWindows, feature_paths, read_features, window_starts, write_features
+from ..windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 from .config import EvalConfig, ExperimentConfig
 
 SPLITS = ("train", "val", "test")
@@ -96,6 +97,10 @@ class EvalReport:
     baseline: dict[str, float]
     threshold: float
     smooth_k: int
+
+    def __post_init__(self):
+        if not self.per_video:
+            raise ValueError("report has no videos")
 
     def to_dict(self) -> dict[str, Any]:
         return {**dataclasses.asdict(self), "num_videos": len(self.per_video)}
@@ -247,11 +252,21 @@ def load_split_features(split_dir: str | Path) -> list[FeatureSequence]:
     return [read_features(p) for p in feature_paths(split_dir)]
 
 
-def windows_for_split(seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int):
-    """One split's windows and center-frame labels, once `check_features` passes."""
+def windows_for_split(
+    seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int
+) -> tuple[SplitWindows, np.ndarray]:
+    """One split's windows, cut on demand from its features, and their
+    center-frame labels, once `check_features` passes."""
     seqs = check_features(seqs, model_cfg, labeled=True)
-    batches = [make_windows(seq, model_cfg.window, overlap) for seq in seqs]
-    return np.concatenate([b.windows for b in batches]), np.concatenate([b.window_labels for b in batches])
+    w = model_cfg.window
+    starts, labels, offset = [], [], 0
+    for seq in seqs:
+        video_starts = window_starts(seq.num_frames, w, overlap)
+        labels.append(seq.labels.labels[video_starts + w // 2])
+        starts.append(video_starts + offset)
+        offset += seq.num_frames
+    features = np.concatenate([seq.features for seq in seqs])
+    return SplitWindows(features, np.concatenate(starts), w), np.concatenate(labels)
 
 
 def fit(

@@ -10,13 +10,14 @@ import numpy as np
 
 from .segmap import ScoreMap
 from .transformer import SequenceClassifier, TransformerConfig, cross_entropy, forward_with_cache, loss_and_grads
-from .windowing import FeatureSequence, cut_windows, frames_from_windows, window_starts
+from .windowing import FeatureSequence, SplitWindows, cut_windows, frames_from_windows, window_starts
 from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PREDICT_BATCH = 256  # windows per forward in predict_video
+FINITE_ROWS = 8192  # feature rows per finiteness check in check_features
 
 
 class TrainingDivergedError(RuntimeError):
@@ -69,8 +70,9 @@ class TrainHistory:
     stopped_early: bool
 
 
-def evaluate(model: SequenceClassifier, x: np.ndarray, y: np.ndarray, batch_size: int = 256):
-    """Mean cross-entropy and accuracy in inference mode."""
+def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndarray, batch_size: int = 256):
+    """Mean cross-entropy and accuracy in inference mode, over indexable
+    windows `x` (an (N, W, d) array or a `SplitWindows`)."""
     total_loss = 0.0
     correct = 0
     for lo in range(0, len(x), batch_size):
@@ -132,12 +134,15 @@ class FlatAdam:
 
 def train(
     model: SequenceClassifier,
-    train_set: tuple[np.ndarray, np.ndarray],
-    val_set: tuple[np.ndarray, np.ndarray],
+    train_set: tuple[np.ndarray | SplitWindows, np.ndarray],
+    val_set: tuple[np.ndarray | SplitWindows, np.ndarray],
     cfg: TrainConfig,
 ) -> tuple[SequenceClassifier, TrainHistory]:
     """Train in place with Adam; returns the model (restored to its best
     validation epoch) and the per-epoch history.
+
+    Each set is indexable windows and their labels: the windows are an
+    (N, W, d) array or a `SplitWindows`, which cuts each batch on demand.
 
     Fully deterministic given the seed: shuffling and dropout draw from one
     seeded generator in a fixed order. Raises TrainingDivergedError at the
@@ -213,14 +218,17 @@ def check_features(
 
     Raises a ValueError naming the first video whose features are not
     `config.input_dim` wide, that has fewer frames than the window, that
-    holds a non-finite value or, when `labeled`, that has no labels."""
+    holds a non-finite value (checked FINITE_ROWS rows at a time) or, when
+    `labeled`, that has no labels."""
     seqs = list(seqs)
     for seq in seqs:
         if seq.dim != config.input_dim:
             problem = f"has {seq.dim}-dim features, the model takes {config.input_dim}"
         elif seq.num_frames < config.window:
             problem = f"has {seq.num_frames} frames, fewer than the window of {config.window}"
-        elif not np.isfinite(seq.features).all():
+        elif not all(
+            np.isfinite(seq.features[lo : lo + FINITE_ROWS]).all() for lo in range(0, seq.num_frames, FINITE_ROWS)
+        ):
             problem = "has non-finite features"
         elif labeled and seq.labels is None:
             problem = "has no labels"

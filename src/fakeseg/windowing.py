@@ -14,6 +14,7 @@ ground-truth map in the text segmap format.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -81,10 +82,42 @@ def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
     return np.asarray(starts, dtype=np.int64)
 
 
+def window_view(features: np.ndarray, window: int) -> np.ndarray:
+    """The read-only (T - window + 1, window, d) view of every window of T x d `features`."""
+    return np.lib.stride_tricks.sliding_window_view(features, (window, features.shape[1]))[:, 0]
+
+
 def cut_windows(features: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
     """The C-contiguous (len(starts), window, d) windows of T x d `features`."""
-    views = np.lib.stride_tricks.sliding_window_view(features, window, axis=0)
-    return np.ascontiguousarray(views[starts].transpose(0, 2, 1))
+    return np.ascontiguousarray(window_view(features, window)[starts])
+
+
+@dataclass(frozen=True)
+class SplitWindows:
+    """The windows of a split's videos, cut when they are indexed.
+
+    `features` holds the videos' frames one after another, `starts` the
+    row of `features` at which each window begins (no window crosses a
+    video), and `window` the frames per window. Indexing with an index
+    array or a slice gathers those windows from `window_view`, as
+    `cut_windows` does, so only the batch in use is ever materialized.
+    """
+
+    features: np.ndarray
+    starts: np.ndarray
+    window: int
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return np.ascontiguousarray(self.views[self.starts[idx]])
+
+    @functools.cached_property
+    def views(self) -> np.ndarray:
+        """`window_view` of the features, built once: building it costs
+        several times what gathering a training batch from it does."""
+        return window_view(self.features, self.window)
 
 
 def make_windows(seq: FeatureSequence, window: int, overlap: int) -> WindowBatch:

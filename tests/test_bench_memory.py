@@ -1,4 +1,5 @@
-"""bench/memory.py end to end at 1,000 frames: every field it records is filled."""
+"""bench/memory.py end to end at 1,000 frames and a 4-video train split:
+every field it records is filled."""
 
 import importlib.util
 from pathlib import Path
@@ -15,9 +16,12 @@ def _memory_bench():
 
 def test_memory_bench_runs_at_a_thousand_frames():
     memory = _memory_bench()
-    result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3)
+    result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260))
     rss = result["predict_rss_mb"]["1000"]
     assert rss["peak_mb"] > 0 and len(rss["scores_sha256"]) == 64
+    trained = result["train_rss_mb"]
+    assert (trained["train_videos"], trained["val_videos"], trained["frames"]) == (4, 1, 260)
+    assert 0 <= trained["fit_rise_mb"] < trained["peak_mb"] and len(trained["model_sha256"]) == 64
     peaks = result["forward_peak_mib"]
     assert 0 < peaks["no_cache"] < peaks["cached"]
     timing = result["predict_s"]

@@ -291,6 +291,30 @@ def test_run_rejects_non_finite_settings_before_writing(tmp_path, capsys, sectio
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("eval", "smooth_k", math.nan), ("eval", "overlap", 1.5), ("train", "max_epochs", math.inf),
+     ("train", "batch_size", True), ("dataset", "seed", 1.5), ("model", "mlp_hidden", [16.0])],
+    ids=["smooth_k-nan", "overlap-float", "max_epochs-inf", "batch_size-bool", "seed-float", "mlp_hidden-float"],
+)
+def test_run_rejects_a_non_integer_setting_before_writing(tmp_path, capsys, section, key, value):
+    config = _write_config(tmp_path, **{section: {key: value}})
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    assert f"config error: {section}.{key} must be an integer" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_report_without_videos_is_rejected_before_writing(tmp_path, capsys):
+    report = {"per_video": [], "aggregate": {}, "video_level": {}, "baseline": {},
+              "threshold": 0.5, "smooth_k": 7, "num_videos": 0}
+    (tmp_path / "r.json").write_text(json.dumps(report))
+    out = tmp_path / "again"
+    assert main(["report", "--report", str(tmp_path / "r.json"), "--out", str(out)]) == 3
+    assert f"error: ValueError: {tmp_path / 'r.json'}: report has no videos" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "r.json"]
+
+
 @pytest.mark.parametrize("flags", [["--threshold", "1.5"], ["--threshold", "nan"],
                                    ["--threshold", "-3"], ["--k", "-1"]],
                          ids=["threshold-above-1", "threshold-nan", "threshold-negative", "k-negative"])

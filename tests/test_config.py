@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,33 @@ def test_synth_settings_are_checked_with_or_without_features():
     synth = ds.synth
     assert (synth.dim, synth.separation, synth.temporal_rho, synth.noise_std, synth.seed) == (
         ds.feature_dim, ds.separation, ds.temporal_rho, ds.noise_std, ds.seed)
+
+
+_INT_FIELDS = {
+    "dataset": ("seed", "num_train_videos", "num_val_videos", "num_test_videos", "num_real_test_videos",
+                "min_length", "max_length", "feature_dim"),
+    "model": ("input_dim", "window", "num_blocks", "num_heads", "head_dim", "ff_hidden"),
+    "train": ("batch_size", "max_epochs", "early_stop_patience", "seed"),
+    "eval": ("smooth_k", "overlap"),
+}
+_NON_INTS = (
+    [(section, key, 2.5) for section, keys in _INT_FIELDS.items() for key in keys]
+    + [(section, key, True) for section, keys in _INT_FIELDS.items() for key in keys]
+    + [("eval", "smooth_k", math.nan), ("eval", "overlap", 1.5), ("train", "max_epochs", math.inf),
+       ("train", "batch_size", False), ("dataset", "seed", 1.5),
+       ("model", "window", 5.0), ("model", "num_heads", 2.0), ("model", "ff_hidden", "8"),
+       ("model", "mlp_hidden", [64.0]), ("model", "mlp_hidden", [8, True]), ("model", "mlp_hidden", ["8"])]
+)
+
+
+@pytest.mark.parametrize("section, key, value", _NON_INTS, ids=lambda v: repr(v))
+def test_a_non_integer_setting_is_a_config_error_naming_it(section, key, value):
+    data = micro_config_dict(**{section: {key: value}})
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be an integer"):
+        parse_experiment_config(data)
+
+
+def test_integer_settings_still_load():
+    cfg = parse_experiment_config(micro_config_dict(model={"ff_hidden": None, "mlp_hidden": [8, 4]}))
+    assert cfg.model.ff_hidden is None and cfg.model.mlp_hidden == (8, 4)
+    assert parse_experiment_config(micro_config_dict(dataset={"seed": 2**40})).dataset.seed == 2**40

@@ -2,27 +2,35 @@ import csv
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fakeseg import (
+    FeatureSequence,
     ScoreMap,
     SegmentationMap,
+    SequenceClassifier,
     SmoothConfig,
+    TrainConfig,
+    TransformerConfig,
     VideoSpec,
     frame_accuracy,
     frame_auc,
     iou,
     load_checkpoint,
+    make_windows,
     plan_fixed_segment,
     predict_video,
     read_features,
     smooth_scores,
     synth_video,
+    train,
 )
 from fakeseg.harness import StageError, VideoEval, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
 from fakeseg.harness.config import parse_experiment_config
+from fakeseg.harness.experiment import fit, windows_for_split
 from fakeseg.injection import read_plans
 from helpers import micro_config_dict
 
@@ -293,3 +301,71 @@ def test_sweep_window_grid_checks_the_test_split_before_training(micro_run, tmp_
     monkeypatch.setattr(experiment, "fit", no_training)
     with pytest.raises(ValueError, match="video 'test0001' has no labels"):
         sweep_window_grid(cfg, tmp_path / "sweep", window_sizes=[5], overlaps=[4])
+
+
+# -- a split's windows, cut on demand --
+
+_SPLIT_CFG = TransformerConfig(input_dim=3, window=5, num_blocks=1, num_heads=1, head_dim=4,
+                               ff_hidden=8, mlp_hidden=(8,))
+
+
+def _labeled_videos(lengths, dim=3, dtype=np.float32, order="C"):
+    videos = []
+    for i, frames in enumerate(lengths):
+        rng = np.random.default_rng(i)
+        feats = rng.standard_normal((frames, dim)).astype(dtype, order=order)
+        videos.append(FeatureSequence(f"v{i}", feats, SegmentationMap(rng.integers(0, 2, frames))))
+    return videos
+
+
+def _materialized(seqs, window, overlap):
+    """The oracle: every video's `make_windows`, concatenated."""
+    batches = [make_windows(seq, window, overlap) for seq in seqs]
+    return np.concatenate([b.windows for b in batches]), np.concatenate([b.window_labels for b in batches])
+
+
+@pytest.mark.parametrize("overlap", [4, 2, 0])
+@pytest.mark.parametrize("dtype, order", [(np.float32, "C"), (np.float64, "C"), (np.float32, "F")])
+def test_split_windows_cut_what_make_windows_materializes(overlap, dtype, order):
+    seqs = _labeled_videos([7, 5, 9, 6, 12], dtype=dtype, order=order)
+    windows, labels = windows_for_split(seqs, _SPLIT_CFG, overlap)
+    want, want_labels = _materialized(seqs, 5, overlap)
+    assert len(windows) == len(want)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert labels.dtype == want_labels.dtype
+    # the first and last window of every video, the whole split, a shuffle, slices and empty picks
+    ends = np.cumsum([len(make_windows(seq, 5, overlap).window_starts) for seq in seqs])
+    boundary = np.unique(np.concatenate([ends - 1, ends[:-1], [0]]))
+    picks = [boundary, np.arange(len(want)), np.random.default_rng(0).permutation(len(want)),
+             slice(0, 3), slice(len(want) - 2, len(want) + 64), slice(1, None, 3), slice(4, 4),
+             np.empty(0, dtype=np.int64), []]
+    for idx in picks:
+        got = windows[idx]
+        np.testing.assert_array_equal(got, want[idx])
+        assert got.dtype == want.dtype and got.shape == want[idx].shape and got.flags.c_contiguous
+
+
+def test_windows_for_split_holds_the_features_not_their_windows():
+    seqs = _labeled_videos([2000] * 20, dim=16)
+    feature_bytes = sum(seq.features.nbytes for seq in seqs)
+    cfg = dataclasses.replace(_SPLIT_CFG, input_dim=16)
+    tracemalloc.start()
+    try:
+        windows, labels = windows_for_split(seqs, cfg, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == len(labels) == 20 * 1996
+    # the materialized windows alone would be 5x the features
+    assert peak < 2 * feature_bytes
+
+
+def test_fit_trains_the_model_train_gives_on_materialized_windows():
+    model_cfg = dataclasses.replace(_SPLIT_CFG, dropout=0.1)
+    train_cfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=3, early_stop_patience=1, seed=4)
+    train_seqs, val_seqs = _labeled_videos([40, 23, 31]), _labeled_videos([19, 26])
+    model, history = fit(model_cfg, train_cfg, train_seqs, val_seqs, 3)
+    oracle, oracle_history = train(SequenceClassifier.initialize(model_cfg, seed=train_cfg.seed),
+                                   _materialized(train_seqs, 5, 3), _materialized(val_seqs, 5, 3), train_cfg)
+    assert model.flat.tobytes() == oracle.flat.tobytes()
+    assert history == oracle_history

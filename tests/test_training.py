@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,27 @@ def test_check_features_names_the_first_bad_video(bad, labeled, message):
         check_features(iter([good, bad, later]), CFG, labeled=labeled)
     (checked,) = check_features(iter([good]), CFG, labeled=True)
     assert checked is good
+
+
+@pytest.mark.parametrize("bad_row", [None, 0, -1], ids=["finite", "first-row", "last-row"])
+def test_check_features_tests_finiteness_without_a_frame_sized_mask(bad_row):
+    frames = 200_000
+    feats = np.zeros((frames, CFG.input_dim), dtype=np.float32)
+    if bad_row is not None:
+        feats[bad_row, -1] = np.nan
+    seq = FeatureSequence("long", feats)
+    tracemalloc.start()
+    try:
+        if bad_row is None:
+            assert check_features([seq], CFG) == [seq]
+        else:
+            with pytest.raises(ValueError, match="video 'long' has non-finite features"):
+                check_features([seq], CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (T, d) boolean mask alone would be feats.size bytes
+    assert peak < feats.size // 8
 
 
 def test_history_serialization():

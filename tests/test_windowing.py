@@ -74,10 +74,14 @@ def test_stride_one_interior_coverage_count():
 
 
 def test_window_content_matches_slices():
-    seq = _seq(12, d=4)
-    batch = make_windows(seq, 5, 2)
-    for row, s in zip(batch.windows, batch.window_starts):
-        assert np.array_equal(row, seq.features[s : s + 5])
+    wide = _seq(12, d=8).features
+    # C-ordered, Fortran-ordered and column-strided features all give C-contiguous windows
+    for feats in (np.ascontiguousarray(wide[:, :4]), np.asfortranarray(wide[:, :4]), wide[:, ::2]):
+        seq = FeatureSequence("v", feats)
+        batch = make_windows(seq, 5, 2)
+        assert batch.windows.flags.c_contiguous and batch.windows.shape == (len(batch.window_starts), 5, 4)
+        for row, s in zip(batch.windows, batch.window_starts):
+            assert np.array_equal(row, seq.features[s : s + 5])
 
 
 def test_center_frame_labels():
