@@ -1,5 +1,5 @@
-"""Memory and time of predict on long videos, and memory of training on an
-hour of frames, written to the next BENCH_<n>.json.
+"""Memory and time of synth and predict on long videos, and memory of
+training on an hour of frames, written to the next BENCH_<n>.json.
 
     python bench/memory.py
 
@@ -8,6 +8,10 @@ architecture (`configs/quickstart.json`) at its seed-0 initialisation and
 the quickstart `eval.overlap` and `eval.frame_mode`; memory and time of
 predict do not depend on trained weights. It records:
 
+  synth_rss_mb        peak resident size (`ru_maxrss`) of a fresh process that
+                      runs `synth_video` on one T-frame video (the quickstart
+                      generator, one fake segment), with the SHA-256 of the
+                      features.
   predict_rss_mb      peak resident size (`ru_maxrss`) of a fresh process that
                       reads a T-frame `.feat` file with `read_features` and
                       runs `predict_video` on it, with the SHA-256 of the
@@ -26,6 +30,7 @@ predict do not depend on trained weights. It records:
                       and without the cache.
   predict_s           `predict_video` wall time in this process: median and
                       interquartile range of repeated runs.
+  synth_s             the same for `synth_video` (as in synth_rss_mb).
   environment         Python and numpy versions, core count, git revision,
                       and the OpenBLAS kernel and thread count; both timings
                       and score bytes depend on the kernel.
@@ -60,6 +65,7 @@ import numpy as np  # noqa: E402
 from fakeseg.harness.config import load_experiment_config  # noqa: E402
 from fakeseg.harness.experiment import fit, load_split_features, synth_features  # noqa: E402
 from fakeseg.injection import VideoSpec, plan_one_segment  # noqa: E402
+from fakeseg.synth import synth_video  # noqa: E402
 from fakeseg.training import predict_video  # noqa: E402
 from fakeseg.transformer import SequenceClassifier, forward_with_cache  # noqa: E402
 from fakeseg.windowing import FeatureSequence, read_features, write_features  # noqa: E402
@@ -80,6 +86,18 @@ def _quickstart_model():
 def _features(frames: int, dim: int) -> FeatureSequence:
     rng = np.random.default_rng(frames)
     return FeatureSequence("long", rng.standard_normal((frames, dim), dtype=np.float32))
+
+
+def _synth_args(frames: int) -> tuple:
+    """`synth_video`'s arguments for one quickstart-generator video of `frames` frames with one fake segment."""
+    cfg = load_experiment_config(QUICKSTART).dataset
+    return plan_one_segment(VideoSpec("long", frames), cfg.seed), frames, cfg.synth
+
+
+def _synth_child(frames: int) -> None:
+    features = synth_video(*_synth_args(frames)).features
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+    print(json.dumps({"peak_mb": peak_mb, "features_sha256": hashlib.sha256(features.tobytes()).hexdigest()}))
 
 
 def _write_child(path: str, frames: int) -> None:
@@ -121,6 +139,11 @@ def _child(*args: str) -> str:
     return proc.stdout
 
 
+def synth_rss(frames: int) -> dict:
+    """Peak RSS of a fresh process that synthesizes one `frames`-frame video."""
+    return json.loads(_child("synth", str(frames)))
+
+
 def predict_rss(frames: int) -> dict:
     """Peak RSS of a fresh read-and-predict process on a `frames`-frame file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,17 +179,28 @@ def forward_peaks() -> dict:
     return {"cached": peak(), "no_cache": peak(keep_cache=False)}
 
 
-def predict_time(frames: int, repeats: int) -> dict:
-    """Median and interquartile range of `predict_video` on `frames` frames, in seconds."""
-    model, ev = _quickstart_model()
-    seq = _features(frames, model.config.input_dim)
+def _timed(call, frames: int, repeats: int) -> dict:
+    """Median and interquartile range of `repeats` calls of `call()`, in seconds."""
     times = []
     for _ in range(repeats):
         t0 = perf_counter()
-        predict_video(model, seq, ev.overlap, mode=ev.frame_mode)
+        call()
         times.append(perf_counter() - t0)
     q1, _, q3 = statistics.quantiles(times, n=4)
     return {"frames": frames, "repeats": repeats, "median": statistics.median(times), "iqr": q3 - q1}
+
+
+def predict_time(frames: int, repeats: int) -> dict:
+    """`predict_video` on `frames` frames, timed by `_timed`."""
+    model, ev = _quickstart_model()
+    seq = _features(frames, model.config.input_dim)
+    return _timed(lambda: predict_video(model, seq, ev.overlap, mode=ev.frame_mode), frames, repeats)
+
+
+def synth_time(frames: int, repeats: int) -> dict:
+    """`synth_video` of `frames` frames, timed by `_timed`."""
+    args = _synth_args(frames)
+    return _timed(lambda: synth_video(*args), frames, repeats)
 
 
 def openblas() -> dict:
@@ -197,10 +231,12 @@ def git_revision() -> dict:
 
 def measure(rss_frames=RSS_FRAMES, time_frames=TIME_FRAMES, repeats=REPEATS, train_videos=TRAIN_VIDEOS) -> dict:
     return {
+        "synth_rss_mb": {str(t): synth_rss(t) for t in rss_frames},
         "predict_rss_mb": {str(t): predict_rss(t) for t in rss_frames},
         "train_rss_mb": train_rss(*train_videos),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "predict_s": predict_time(time_frames, repeats),
+        "synth_s": synth_time(time_frames, repeats),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -224,7 +260,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["write"]:
+    if sys.argv[1:2] == ["synth"]:
+        _synth_child(int(sys.argv[2]))
+    elif sys.argv[1:2] == ["write"]:
         _write_child(sys.argv[2], int(sys.argv[3]))
     elif sys.argv[1:2] == ["predict"]:
         _predict_child(sys.argv[2])

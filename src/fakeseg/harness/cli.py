@@ -18,7 +18,7 @@ from ..checkpoint import load_checkpoint, save_checkpoint
 from ..injection import dataset_stats, read_plans, read_videos, write_plans
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
-from ..windowing import feature_paths, read_features
+from ..windowing import feature_paths, load_split_features, read_features
 from .config import ConfigError, load_experiment_config
 from .experiment import (
     PLANNERS,
@@ -26,7 +26,6 @@ from .experiment import (
     StageError,
     evaluate_maps,
     fit,
-    load_split_features,
     run_experiment,
     score_videos,
     sweep_segment_lengths,

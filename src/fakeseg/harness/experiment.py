@@ -46,8 +46,15 @@ from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
 from ..training import TrainConfig, TrainHistory, check_features, predict_video, train
 from ..transformer import SequenceClassifier, TransformerConfig
-from ..windowing import FeatureSequence, SplitWindows, feature_paths, read_features, window_starts, write_features
-from ..windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
+from ..windowing import (
+    FeatureSequence,
+    SplitWindows,
+    joined_features,
+    load_split_features,
+    window_starts,
+    write_features,
+)
+from ..windowing import make_windows, read_features  # noqa: F401 - names the frozen perfbench/ hooks and calls
 from .config import EvalConfig, ExperimentConfig
 
 SPLITS = ("train", "val", "test")
@@ -248,10 +255,6 @@ def materialize_features(cfg: ExperimentConfig, run_dir: Path) -> Path:
     return run_dir / "features"
 
 
-def load_split_features(split_dir: str | Path) -> list[FeatureSequence]:
-    return [read_features(p) for p in feature_paths(split_dir)]
-
-
 def windows_for_split(
     seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int
 ) -> tuple[SplitWindows, np.ndarray]:
@@ -265,8 +268,7 @@ def windows_for_split(
         labels.append(seq.labels.labels[video_starts + w // 2])
         starts.append(video_starts + offset)
         offset += seq.num_frames
-    features = np.concatenate([seq.features for seq in seqs])
-    return SplitWindows(features, np.concatenate(starts), w), np.concatenate(labels)
+    return SplitWindows(joined_features(seqs), np.concatenate(starts), w), np.concatenate(labels)
 
 
 def fit(

@@ -15,6 +15,7 @@ has error Phi(-separation / 2) at rho = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ import numpy as np
 from .injection import SegmentPlan, render_map
 from .prng import derive_seed
 from .windowing import FeatureSequence
+
+SYNTH_ROWS = 8192  # frames drawn, mixed and cast at a time in synth_video
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,30 @@ def class_means(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synth_video(plan: SegmentPlan, length: int, cfg: SynthConfig) -> FeatureSequence:
-    """Generate one video's features; labels come from rendering the plan."""
+    """Generate one video's features; labels come from rendering the plan.
+
+    Frames are drawn, mixed and cast SYNTH_ROWS at a time into the float32
+    result, so at most one block is held in float64. The draws continue one
+    generator stream and the AR(1) state carries over each block edge, so
+    the bytes equal drawing and mixing the whole video at once."""
     labels = render_map(plan, length)
+    fake = labels.labels[:, None].astype(bool)
     mu_real, mu_fake = class_means(cfg)
     rng = np.random.default_rng(derive_seed(cfg.seed, plan.video_id))
-    means = np.where(labels.labels[:, None], mu_fake, mu_real)
-    draws = means + cfg.noise_std * rng.standard_normal((length, cfg.dim))
-    feats = np.empty_like(draws)
-    feats[0] = draws[0]
     rho = cfg.temporal_rho
-    for t in range(1, length):
-        feats[t] = (1.0 - rho) * draws[t] + rho * feats[t - 1]
-    return FeatureSequence(video_id=plan.video_id, features=feats.astype(np.float32), labels=labels)
+    feats = np.empty((length, cfg.dim), np.float32)
+    for lo in range(0, length, SYNTH_ROWS):
+        hi = min(lo + SYNTH_ROWS, length)
+        block = cfg.noise_std * rng.standard_normal((hi - lo, cfg.dim))
+        np.add(block, mu_real, out=block, where=~fake[lo:hi])
+        np.add(block, mu_fake, out=block, where=fake[lo:hi])
+        if lo == 0:
+            block[1:] *= 1.0 - rho  # x[0] is its draw, unmixed
+        else:
+            block *= 1.0 - rho
+            block[0] += rho * prev
+        for before, row in itertools.pairwise(block):  # cheaper than indexing block[t]
+            row += rho * before
+        prev = block[-1].copy()
+        feats[lo:hi] = block
+    return FeatureSequence(video_id=plan.video_id, features=feats, labels=labels)

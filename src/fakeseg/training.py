@@ -16,7 +16,12 @@ from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen p
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-PREDICT_BATCH = 256  # windows per forward in predict_video
+# Windows per forward in predict_video. The scores' bytes hold for this
+# partition only: OpenBLAS may round a window's products differently in a
+# batch of another size (on the quickstart model and test windows, SkylakeX,
+# a window's last bit moved for 187 of the batch sizes 1-399 against the
+# same windows in a batch of 600), so changing it changes the scores.
+PREDICT_BATCH = 256
 FINITE_ROWS = 8192  # feature rows per finiteness check in check_features
 
 
@@ -154,7 +159,7 @@ def train(
     y_val = np.asarray(y_val)
     if len(x_tr) == 0 or len(x_val) == 0:
         raise ValueError("training and validation sets must be non-empty")
-    if np.unique(y_tr).size < 2:
+    if y_tr.min() == y_tr.max():  # not np.unique, which imports numpy.ma
         raise ValueError("training set contains a single class; need both Real and Fake windows")
 
     rng = np.random.default_rng(cfg.seed)

@@ -299,16 +299,17 @@ def _attention_forward(h, params, prefix, config, keep_cache=True):
     wk = params[prefix + "wk"]
     kt = wk.T @ h2.reshape(n, w, -1).transpose(0, 2, 1)  # (N, H * hd, W)
     kt += params[prefix + "bk"][:, None]
-    v, cv = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
     q = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
     kt = kt.reshape(n, nh, hd, w)
-    v = v.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     scale = 1.0 / math.sqrt(hd)
     scores = q @ kt
     if not keep_cache:
-        del q, kt, cq, cv
+        del q, kt, cq
     scores *= scale
     probs = _softmax(scores)
+    del scores  # V is projected only now: without a cache Q, K^T, the scores and V are never all live
+    v, cv = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
+    v = v.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     ctx = np.empty((n, w, nh, hd), h2.dtype)
     np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
     if not keep_cache:

@@ -15,6 +15,7 @@ ground-truth map in the text segmap format.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -75,11 +76,11 @@ def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
         raise ValueError(f"window size {window} exceeds video length {num_frames}")
     if not (0 <= overlap < window):
         raise ValueError(f"overlap must satisfy 0 <= overlap < window, got {overlap}")
-    stride = window - overlap
-    starts = list(range(0, num_frames - window + 1, stride))
-    if starts[-1] != num_frames - window:
-        starts.append(num_frames - window)
-    return np.asarray(starts, dtype=np.int64)
+    last, stride = num_frames - window, window - overlap
+    # the grid's one start past `last`, if any, becomes the right-aligned window
+    starts = np.arange(0, last + stride, stride, dtype=np.int64)
+    starts[-1] = last
+    return starts
 
 
 def window_view(features: np.ndarray, window: int) -> np.ndarray:
@@ -230,27 +231,28 @@ def feature_paths(path: str | Path) -> list[Path]:
     return paths
 
 
-def read_features(path: str | Path) -> FeatureSequence:
-    """Read a binary feature file; picks up the sibling label file if present."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if header[:4] != FEATURE_MAGIC:
-            raise ValueError(f"{path}: not a feature file (bad magic {header[:4]!r})")
-        if len(header) < 16:
-            raise ValueError(f"{path}: truncated feature file header ({len(header)} of 16 bytes)")
-        version, t, d = struct.unpack("<III", header[4:])
-        if version != FEATURE_VERSION:
-            raise ValueError(f"{path}: unsupported feature file version {version}")
-        size, needs = os.fstat(fh.fileno()).st_size, 16 + 4 * t * d
-        if size < needs:
-            raise ValueError(
-                f"{path}: truncated feature file: a {t}x{d} header needs {needs} bytes, the file has {size}"
-            )
-        if size > needs:
-            raise ValueError(f"{path}: {size - needs} trailing bytes after the {t}x{d} features")
-        data = fh.read(4 * t * d)
-    feats = np.frombuffer(data, dtype="<f4").reshape(t, d)
+def _read_header(fh, path: Path) -> tuple[int, int]:
+    """(T, d) from an open feature file's header, once the file's size matches it."""
+    header = fh.read(16)
+    if header[:4] != FEATURE_MAGIC:
+        raise ValueError(f"{path}: not a feature file (bad magic {header[:4]!r})")
+    if len(header) < 16:
+        raise ValueError(f"{path}: truncated feature file header ({len(header)} of 16 bytes)")
+    version, t, d = struct.unpack("<III", header[4:])
+    if version != FEATURE_VERSION:
+        raise ValueError(f"{path}: unsupported feature file version {version}")
+    size, needs = os.fstat(fh.fileno()).st_size, 16 + 4 * t * d
+    if size < needs:
+        raise ValueError(
+            f"{path}: truncated feature file: a {t}x{d} header needs {needs} bytes, the file has {size}"
+        )
+    if size > needs:
+        raise ValueError(f"{path}: {size - needs} trailing bytes after the {t}x{d} features")
+    return t, d
+
+
+def _sequence(path: Path, feats: np.ndarray) -> FeatureSequence:
+    """The video of the feature file at `path`, with its sibling label file if present."""
     labels = None
     lp = label_path_for(path)
     if lp.exists():
@@ -258,9 +260,62 @@ def read_features(path: str | Path) -> FeatureSequence:
             labels = SegmentationMap.from_text(lp.read_text(encoding="ascii"))
         except ValueError as exc:
             raise ValueError(f"{lp}: {exc}") from exc
-        if len(labels) != t:
-            raise ValueError(f"{lp}: label length {len(labels)} does not match {t} frames")
+        if len(labels) != len(feats):
+            raise ValueError(f"{lp}: label length {len(labels)} does not match {len(feats)} frames")
     try:
         return FeatureSequence(video_id=path.stem, features=feats, labels=labels)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def read_features(path: str | Path) -> FeatureSequence:
+    """Read a binary feature file; picks up the sibling label file if present."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        t, d = _read_header(fh, path)
+        data = fh.read(4 * t * d)
+    return _sequence(path, np.frombuffer(data, dtype="<f4").reshape(t, d))
+
+
+def load_split_features(split_dir: str | Path) -> list[FeatureSequence]:
+    """The videos of `feature_paths(split_dir)`, read into one float32
+    buffer: each video's T x d features are a view of it, so the split's
+    frames are held once, and videos of one width join without a copy
+    (`joined_features`). Each file is checked as `read_features` checks it;
+    whether a width suits a model is `check_features`' test."""
+    paths = feature_paths(split_dir)
+    shapes = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            shapes.append(_read_header(fh, path))
+    buffer = np.empty(sum(t * d for t, d in shapes), dtype="<f4")
+    seqs, lo = [], 0
+    for path, (t, d) in zip(paths, shapes):
+        feats = buffer[lo : lo + t * d].reshape(t, d)
+        with open(path, "rb") as fh:
+            fh.seek(16)
+            got = fh.readinto(feats)
+        if got != feats.nbytes:
+            raise ValueError(
+                f"{path}: truncated feature file: read {got} of its {t}x{d} features' {feats.nbytes} bytes"
+            )
+        seqs.append(_sequence(path, feats))
+        lo += t * d
+    return seqs
+
+
+def joined_features(seqs: list[FeatureSequence]) -> np.ndarray:
+    """The videos' features one after another as one (F, d) array. Videos
+    that fill one buffer in order, as `load_split_features` reads a split
+    of one width, give a view of it; others are concatenated."""
+    ends = list(itertools.accumulate(seq.num_frames for seq in seqs))
+    first = seqs[0].features
+    whole = first if first.base is None else first.base
+    if isinstance(whole, np.ndarray) and whole.flags.c_contiguous and whole.size == ends[-1] * first.shape[1]:
+        whole = whole.reshape(-1, first.shape[1])
+        if all(
+            whole[end - seq.num_frames : end].__array_interface__ == seq.features.__array_interface__
+            for seq, end in zip(seqs, ends)
+        ):
+            return whole
+    return np.concatenate([seq.features for seq in seqs])

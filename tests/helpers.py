@@ -1,7 +1,7 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
 per-tensor Adam, row-wise softmax, einsum attention, the (N, W, d) forward
 and backward, loop versions of the per-frame kernels, whole-video predict,
-configs."""
+the row-by-row synth, configs."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from fakeseg.injection import render_map
+from fakeseg.prng import derive_seed
+from fakeseg.synth import class_means
 from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PREDICT_BATCH
 from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from fakeseg.transformer import (
@@ -20,7 +23,7 @@ from fakeseg.transformer import (
     cross_entropy,
     forward_with_cache,
 )
-from fakeseg.windowing import make_windows
+from fakeseg.windowing import FeatureSequence, make_windows
 
 MICRO_CONFIG = {
     "dataset": {
@@ -415,6 +418,14 @@ def smooth_reference(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def window_starts_reference(num_frames: int, window: int, overlap: int) -> np.ndarray:
+    """Window starts built as a Python list: the regular grid, then the right-aligned tail."""
+    starts = list(range(0, num_frames - window + 1, window - overlap))
+    if starts[-1] != num_frames - window:
+        starts.append(num_frames - window)
+    return np.asarray(starts, dtype=np.int64)
+
+
 def frames_from_windows_reference(
     window_scores: np.ndarray, starts: np.ndarray, window: int, num_frames: int, mode: str
 ) -> np.ndarray:
@@ -477,3 +488,19 @@ def midranks_reference(values: np.ndarray) -> np.ndarray:
 def map_text_reference(labels: np.ndarray) -> str:
     """One 'R'/'F' character per frame, newline-terminated."""
     return "".join("F" if v else "R" for v in labels) + "\n"
+
+
+def synth_video_reference(plan, length: int, cfg) -> FeatureSequence:
+    """Every frame drawn and mixed at once in float64, the AR(1) recurrence a
+    row at a time, cast to float32 at the end."""
+    labels = render_map(plan, length)
+    mu_real, mu_fake = class_means(cfg)
+    rng = np.random.default_rng(derive_seed(cfg.seed, plan.video_id))
+    means = np.where(labels.labels[:, None], mu_fake, mu_real)
+    draws = means + cfg.noise_std * rng.standard_normal((length, cfg.dim))
+    feats = np.empty_like(draws)
+    feats[0] = draws[0]
+    rho = cfg.temporal_rho
+    for t in range(1, length):
+        feats[t] = (1.0 - rho) * draws[t] + rho * feats[t - 1]
+    return FeatureSequence(video_id=plan.video_id, features=feats.astype(np.float32), labels=labels)

@@ -1,6 +1,7 @@
 """bench/memory.py end to end at 1,000 frames and a 4-video train split:
 every field it records is filled."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -17,6 +18,10 @@ def _memory_bench():
 def test_memory_bench_runs_at_a_thousand_frames():
     memory = _memory_bench()
     result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260))
+    synth = result["synth_rss_mb"]["1000"]
+    assert synth["peak_mb"] > 0
+    want = memory.synth_video(*memory._synth_args(1000)).features
+    assert want.shape == (1000, 16) and synth["features_sha256"] == hashlib.sha256(want.tobytes()).hexdigest()
     rss = result["predict_rss_mb"]["1000"]
     assert rss["peak_mb"] > 0 and len(rss["scores_sha256"]) == 64
     trained = result["train_rss_mb"]
@@ -24,9 +29,9 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert 0 <= trained["fit_rise_mb"] < trained["peak_mb"] and len(trained["model_sha256"]) == 64
     peaks = result["forward_peak_mib"]
     assert 0 < peaks["no_cache"] < peaks["cached"]
-    timing = result["predict_s"]
-    assert timing["frames"] == 1000 and timing["repeats"] == 3
-    assert timing["median"] > 0 and timing["iqr"] >= 0
+    for timing in (result["predict_s"], result["synth_s"]):
+        assert timing["frames"] == 1000 and timing["repeats"] == 3
+        assert timing["median"] > 0 and timing["iqr"] >= 0
     env = result["environment"]
     assert env["python"] and env["numpy"] and env["revision"]
     assert set(env["openblas"]) == {"kernel", "threads"}

@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,11 +31,13 @@ from fakeseg import (
     smooth_scores,
     synth_video,
     train,
+    write_features,
 )
 from fakeseg.harness import StageError, VideoEval, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
 from fakeseg.harness.config import parse_experiment_config
 from fakeseg.harness.experiment import fit, windows_for_split
 from fakeseg.injection import read_plans
+from fakeseg.windowing import load_split_features
 from helpers import micro_config_dict
 
 
@@ -369,3 +375,58 @@ def test_fit_trains_the_model_train_gives_on_materialized_windows():
                                    _materialized(train_seqs, 5, 3), _materialized(val_seqs, 5, 3), train_cfg)
     assert model.flat.tobytes() == oracle.flat.tobytes()
     assert history == oracle_history
+
+
+def test_windows_for_split_cuts_a_read_split_in_place(tmp_path):
+    """The split read into one array is the array the windows are cut from."""
+    for seq in _labeled_videos([2000] * 20, dim=16):
+        write_features(tmp_path / f"{seq.video_id}.feat", seq)
+    seqs = load_split_features(tmp_path)
+    whole = seqs[0].features.base
+    cfg = dataclasses.replace(_SPLIT_CFG, input_dim=16)
+    tracemalloc.start()
+    try:
+        windows, labels = windows_for_split(seqs, cfg, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert windows.features.base is whole
+    assert all(np.shares_memory(windows.features, seq.features) for seq in (seqs[0], seqs[-1]))
+    # the starts (8 bytes a window) and the labels, not a copy of the features
+    assert peak < 0.5 * whole.nbytes, (peak, whole.nbytes)
+    want, want_labels = _materialized(seqs, 5, 4)
+    np.testing.assert_array_equal(windows[np.arange(len(want))], want)
+    np.testing.assert_array_equal(labels, want_labels)
+
+
+_FIT_PROBE = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from fakeseg import FeatureSequence, SegmentationMap, TrainConfig, TransformerConfig, write_features
+from fakeseg.harness.experiment import fit, load_split_features
+
+root = Path(sys.argv[1])
+rng = np.random.default_rng(0)
+for split, count in (("train", 3), ("val", 1)):
+    (root / split).mkdir()
+    for i in range(count):
+        feats = rng.standard_normal((40, 3), dtype=np.float32)
+        write_features(root / split / f"v{i}.feat", FeatureSequence(f"v{i}", feats, SegmentationMap(np.arange(40) % 2)))
+model_cfg = TransformerConfig(input_dim=3, window=5, num_blocks=1, num_heads=1, head_dim=4, ff_hidden=8,
+                              mlp_hidden=(8,))
+splits = [load_split_features(root / split) for split in ("train", "val")]
+fit(model_cfg, TrainConfig(batch_size=16, max_epochs=1), *splits, 3)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_train_stage_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma adds about 1.2 MB resident; `train` needs one boolean of its labels."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIT_PROBE, str(tmp_path)], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert proc.stdout.strip() == "False"

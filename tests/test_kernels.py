@@ -26,6 +26,7 @@ from helpers import (
     map_text_reference,
     midranks_reference,
     smooth_reference,
+    window_starts_reference,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -63,6 +64,18 @@ def window_grids(draw):
     overlap = draw(st.integers(0, w - 1))
     starts = window_starts(t, w, overlap)
     return t, w, starts, draw(tie_heavy_scores(starts.size))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_window_starts_equal_the_list_version(data):
+    """The regular grid and, where it leaves frames uncovered, the right-aligned window."""
+    t = data.draw(st.integers(1, 3000))
+    w = data.draw(st.integers(1, min(t, 64)))
+    overlap = data.draw(st.integers(0, w - 1))
+    got, want = window_starts(t, w, overlap), window_starts_reference(t, w, overlap)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY

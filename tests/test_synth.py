@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from fakeseg import (
     render_map,
     synth_video,
 )
+from fakeseg.synth import SYNTH_ROWS
+from helpers import synth_video_reference
 
 
 def test_config_validation():
@@ -107,3 +110,29 @@ def test_invalid_plan_is_rejected():
     cfg = SynthConfig(dim=4)
     with pytest.raises(ValueError):
         synth_video(SegmentPlan("bad", ((100, 50),)), 120, cfg)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.2, 0.9])
+@pytest.mark.parametrize("length", [1, 2, 300, SYNTH_ROWS - 1, SYNTH_ROWS, SYNTH_ROWS + 1, 2 * SYNTH_ROWS + 3])
+def test_synth_equals_the_row_by_row_oracle_at_block_edges(length, rho):
+    """Drawn, mixed and cast SYNTH_ROWS rows at a time, the features keep
+    the bytes of the whole-video float64 oracle, on both sides of each block edge."""
+    plan = SegmentPlan("edges", ((length // 3, length - length // 3 - 1),) if length > 3 else ())
+    cfg = SynthConfig(dim=5, separation=3.0, temporal_rho=rho, noise_std=0.7, seed=11)
+    got, want = synth_video(plan, length, cfg), synth_video_reference(plan, length, cfg)
+    assert got.features.dtype == np.float32 and got.features.shape == (length, 5)
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels == want.labels
+
+
+def test_synth_holds_the_float32_features_and_a_block():
+    """Three float64 (T, d) arrays would be 6x the float32 features."""
+    length, cfg = 8 * SYNTH_ROWS, SynthConfig(dim=16, temporal_rho=0.5, seed=2)
+    plan = SegmentPlan("long", ((1000, 5000),))
+    tracemalloc.start()
+    try:
+        seq = synth_video(plan, length, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * seq.features.nbytes, (peak, seq.features.nbytes)

@@ -12,7 +12,8 @@ from fakeseg import (
     window_starts,
     write_features,
 )
-from fakeseg.windowing import FEATURE_MAGIC, FEATURE_VERSION, label_path_for
+from fakeseg import windowing
+from fakeseg.windowing import FEATURE_MAGIC, FEATURE_VERSION, joined_features, label_path_for, load_split_features
 
 
 def _seq(t, d=3, labels=None, seed=0):
@@ -257,3 +258,117 @@ def test_feature_file_names_a_header_larger_than_the_file(tmp_path, t, d):
     needs = 16 + 4 * t * d
     with pytest.raises(ValueError, match=rf"huge\.feat: truncated .*{t}x{d}.*{needs} bytes.* 80"):
         read_features(path)
+
+
+# -- a split read into one array --
+
+
+def _write_split(root, lengths, d=3):
+    """Labeled videos v0, v1, ... written under root; every other one without labels."""
+    root.mkdir(parents=True, exist_ok=True)
+    seqs = []
+    for i, t in enumerate(lengths):
+        feats = np.random.default_rng(i).standard_normal((t, d)).astype(np.float32)
+        labels = SegmentationMap(np.arange(t) % 3 == 0) if i % 2 == 0 else None
+        seqs.append(FeatureSequence(f"v{i}", feats, labels))
+        write_features(root / f"v{i}.feat", seqs[-1])
+    return seqs
+
+
+def test_a_split_is_read_into_one_array(tmp_path):
+    written = _write_split(tmp_path, [7, 1, 12, 5])
+    seqs = load_split_features(tmp_path)
+    assert [seq.video_id for seq in seqs] == ["v0", "v1", "v2", "v3"]
+    for got, want in zip(seqs, written):
+        assert got.features.dtype == np.float32 and got.features.tobytes() == want.features.tobytes()
+        assert got.labels == want.labels
+    buffer = seqs[0].features.base
+    assert buffer.size == 25 * 3 and all(seq.features.base is buffer for seq in seqs)
+    assert buffer.tobytes() == b"".join(seq.features.tobytes() for seq in written)
+    whole = joined_features(seqs)
+    assert whole.shape == (25, 3) and whole.base is buffer
+
+
+def test_videos_not_read_as_a_split_are_joined_by_a_copy(tmp_path):
+    written = _write_split(tmp_path, [7, 1, 12])
+    seqs = load_split_features(tmp_path)
+    for picked in ([written[0], written[2]], [seqs[0], seqs[2]], [seqs[1], seqs[0], seqs[2]], seqs[1:]):
+        whole = joined_features(picked)
+        assert whole.tobytes() == b"".join(seq.features.tobytes() for seq in picked)
+        assert not any(np.shares_memory(whole, seq.features) for seq in picked)
+    one = written[0].features  # a video that owns its features is joined as a view of them
+    assert joined_features(written[:1]).base is one and joined_features(written[:1]).tobytes() == one.tobytes()
+
+
+def test_a_split_of_one_file_or_path_reads_like_read_features(tmp_path):
+    _write_split(tmp_path, [9])
+    (seq,) = load_split_features(tmp_path / "v0.feat")
+    want = read_features(tmp_path / "v0.feat")
+    assert seq.video_id == want.video_id and seq.labels == want.labels
+    assert seq.features.tobytes() == want.features.tobytes()
+
+
+def test_a_split_may_hold_videos_of_different_widths(tmp_path):
+    """Each keeps its own width, so `check_features` can name the one a model does not take."""
+    written = _write_split(tmp_path, [6, 4])
+    write_features(tmp_path / "v2.feat", FeatureSequence("v2", np.ones((5, 4), np.float32)))
+    seqs = load_split_features(tmp_path)
+    assert [seq.features.shape for seq in seqs] == [(6, 3), (4, 3), (5, 4)]
+    assert seqs[0].features.tobytes() == written[0].features.tobytes() and (seqs[2].features == 1).all()
+    with pytest.raises(ValueError):
+        np.concatenate([seq.features for seq in seqs])
+    # the first two alone do not fill the buffer, so they are copied
+    assert joined_features(seqs[:2]).tobytes() == seqs[0].features.tobytes() + seqs[1].features.tobytes()
+
+
+def _corruptions(path):
+    """(name, bytes of the .feat file, text of its label file or None) for bad files."""
+    data = path.read_bytes()
+    return [
+        ("magic", b"NOPE" + data[4:], None),
+        ("short-header", data[:10], None),
+        ("version", data[:4] + b"\x09\x00\x00\x00" + data[8:], None),
+        ("truncated", data[:-5], None),
+        ("trailing", data + b"\x00\x01\x02\x03", None),
+        ("huge", FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, 2**32 - 1, 2**32 - 1) + bytes(64), None),
+        ("no-frames", FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, 0, 3), None),
+        ("label-length", data, "RRFFR\n"),
+        ("label-character", data, "RX" + "R" * 8 + "\n"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_a_split_reader_raises_what_read_features_raises(tmp_path, case):
+    """Each file is checked as `read_features` checks it, with the same message."""
+    _write_split(tmp_path, [10, 10])
+    name, data, label_text = _corruptions(tmp_path / "v1.feat")[case]
+    bad = tmp_path / "v1.feat"
+    bad.write_bytes(data)
+    if label_text is not None:
+        label_path_for(bad).write_text(label_text, encoding="ascii")
+    with pytest.raises(ValueError) as single:
+        read_features(bad)
+    with pytest.raises(ValueError) as split:
+        load_split_features(tmp_path)
+    assert str(split.value) == str(single.value), name
+    assert "v1.feat" in str(split.value)
+
+
+def test_a_file_cut_after_its_header_was_checked_is_named(tmp_path, monkeypatch):
+    _write_split(tmp_path, [10, 10])
+    check_header = windowing._read_header
+
+    def check_then_cut(fh, path):
+        shape = check_header(fh, path)
+        if path.name == "v1.feat":
+            path.write_bytes(path.read_bytes()[:-8])
+        return shape
+
+    monkeypatch.setattr(windowing, "_read_header", check_then_cut)
+    with pytest.raises(ValueError, match=r"v1\.feat: truncated feature file: read 112 of its 10x3 features' 120 bytes"):
+        load_split_features(tmp_path)
+
+
+def test_an_empty_split_is_an_error(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no .feat files"):
+        load_split_features(tmp_path)
