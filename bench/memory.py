@@ -31,9 +31,29 @@ predict do not depend on trained weights. It records:
   predict_s           `predict_video` wall time in this process: median and
                       interquartile range of repeated runs.
   synth_s             the same for `synth_video` (as in synth_rss_mb).
+  score_videos_s      `score_videos` on 300 clips of 300 frames (the
+                      quickstart generator, one fake segment each), serially
+                      and fanned out over worker processes (pool start
+                      included), in alternating pairs in this process: median
+                      and IQR of each, their ratio, and the scores' SHA-256,
+                      which both sides must give. Where fakeseg has no
+                      fan-out both sides run the same serial code.
+  predict_busy_s      `predict_video` at T = 90,000 (as in predict_s) idle and
+                      next to one CPU-bound process that the bench starts and
+                      kills, in alternating pairs: medians, IQRs and the ratio
+                      busy / idle.
+  blas_threads        a batch-64 forward of a 1-block model of width d (4 heads
+                      of d, feed-forward 4d) for d = 16 ... 768, on 1 and 2
+                      OpenBLAS threads in alternating pairs, whatever fakeseg's
+                      own thread policy; each width is keyed by its largest
+                      GEMM's multiply-adds. `serial_macs` is the largest of
+                      those at which the second thread saved less than 20% of
+                      the time; it moves with the host's load, and fakeseg's
+                      `BLAS_SERIAL_MACS` (`in_use`) is the lowest recorded.
   environment         Python and numpy versions, core count, git revision,
-                      and the OpenBLAS kernel and thread count; both timings
-                      and score bytes depend on the kernel.
+                      the OpenBLAS kernel and the thread count a quickstart
+                      forward runs with; both timings and score bytes depend
+                      on the kernel.
 
 The result goes to BENCH_<n>.json at the repository root, n one past the
 highest there.
@@ -45,6 +65,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -53,7 +74,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -62,12 +85,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from fakeseg import transformer  # noqa: E402
+from fakeseg.harness import experiment  # noqa: E402
 from fakeseg.harness.config import load_experiment_config  # noqa: E402
-from fakeseg.harness.experiment import fit, load_split_features, synth_features  # noqa: E402
+from fakeseg.harness.experiment import fit, load_split_features, score_videos, synth_features  # noqa: E402
 from fakeseg.injection import VideoSpec, plan_one_segment  # noqa: E402
 from fakeseg.synth import synth_video  # noqa: E402
 from fakeseg.training import predict_video  # noqa: E402
-from fakeseg.transformer import SequenceClassifier, forward_with_cache  # noqa: E402
+from fakeseg.transformer import SequenceClassifier, TransformerConfig, forward_with_cache  # noqa: E402
 from fakeseg.windowing import FeatureSequence, read_features, write_features  # noqa: E402
 
 QUICKSTART = ROOT / "configs" / "quickstart.json"
@@ -76,6 +101,11 @@ TIME_FRAMES = 90_000
 REPEATS = 7
 FORWARD_BATCH = 256
 TRAIN_VIDEOS = (100, 900)  # train videos and frames per video; the val split has a quarter as many videos
+CLIPS = (300, 300)  # clips and frames per clip, as perfbench's score_clips
+PAIRS = 6
+SWEEP_WIDTHS = (16, 32, 64, 128, 192, 256, 384, 512, 768)
+SWEEP_BATCH = 64
+SERIAL_GAIN = 0.2  # a second thread that saves less than this share of the time is not worth its risk
 
 
 def _quickstart_model():
@@ -186,8 +216,7 @@ def _timed(call, frames: int, repeats: int) -> dict:
         t0 = perf_counter()
         call()
         times.append(perf_counter() - t0)
-    q1, _, q3 = statistics.quantiles(times, n=4)
-    return {"frames": frames, "repeats": repeats, "median": statistics.median(times), "iqr": q3 - q1}
+    return {"frames": frames, "repeats": repeats, **_quartiles(times)}
 
 
 def predict_time(frames: int, repeats: int) -> dict:
@@ -203,23 +232,173 @@ def synth_time(frames: int, repeats: int) -> dict:
     return _timed(lambda: synth_video(*args), frames, repeats)
 
 
-def openblas() -> dict:
-    """The kernel and thread count of numpy's bundled OpenBLAS, or "unknown"."""
-    info = {"kernel": "unknown", "threads": "unknown"}
+def _openblas_lib():
     libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    if not libs:
-        return info
-    lib = ctypes.CDLL(str(libs[0]))
-    for key, symbol, restype in (
-        ("kernel", "scipy_openblas_get_corename64_", ctypes.c_char_p),
-        ("threads", "scipy_openblas_get_num_threads64_", ctypes.c_int),
-    ):
-        fn = getattr(lib, symbol, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [], restype
-            value = fn()
-            info[key] = value.decode() if isinstance(value, bytes) else value
-    return info
+    return ctypes.CDLL(str(libs[0])) if libs else None
+
+
+def _openblas_call(lib, symbol: str, restype, *args):
+    """`symbol(*args)` in numpy's OpenBLAS, or "unknown" where it is missing."""
+    fn = getattr(lib, symbol, None)
+    if fn is None:
+        return "unknown"
+    fn.argtypes, fn.restype = [ctypes.c_int] * len(args), restype
+    value = fn(*args)
+    return value.decode() if isinstance(value, bytes) else value
+
+
+def openblas() -> dict:
+    """The kernel of numpy's bundled OpenBLAS and the thread count that a
+    quickstart forward runs with, or "unknown"."""
+    model, _ = _quickstart_model()
+    forward_with_cache(model, np.zeros((FORWARD_BATCH, model.config.window, model.config.input_dim), np.float32))
+    lib = _openblas_lib()
+    return {
+        "kernel": _openblas_call(lib, "scipy_openblas_get_corename64_", ctypes.c_char_p),
+        "threads": _openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int),
+    }
+
+
+def _quartiles(times: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return {"median": statistics.median(times), "iqr": q3 - q1}
+
+
+def _pairs(sides: dict, pairs: int) -> dict[str, list[float]]:
+    """Seconds of each side's call over `pairs` pairs, alternating which runs first."""
+    names = list(sides)
+    times: dict[str, list[float]] = {name: [] for name in names}
+    for r in range(pairs):
+        for name in names if r % 2 == 0 else names[::-1]:
+            times[name].append(sides[name]())
+    return times
+
+
+@contextmanager
+def _serially():
+    """fakeseg's fan-out kept serial, where it has one."""
+    saved = getattr(experiment, "FAN_OUT_WORK", None)
+    if saved is not None:
+        experiment.FAN_OUT_WORK = math.inf
+    try:
+        yield
+    finally:
+        if saved is not None:
+            experiment.FAN_OUT_WORK = saved
+
+
+def score_videos_time(clips: int, frames: int, pairs: int) -> dict:
+    """`score_videos` on `clips` clips of `frames` frames, serially and fanned out."""
+    model, ev = _quickstart_model()
+    ds = load_experiment_config(QUICKSTART).dataset
+    specs = [VideoSpec(f"clip{i:04d}", frames) for i in range(clips)]
+    seqs = [synth_video(plan_one_segment(v, ds.seed), frames, ds.synth) for v in specs]
+    digests = set()
+
+    def run(out: Path) -> float:
+        t0 = perf_counter()
+        maps = score_videos(model, seqs, ev.overlap, ev.frame_mode, out)
+        elapsed = perf_counter() - t0
+        digests.add(hashlib.sha256(b"".join(maps[s.video_id].scores.tobytes() for s in seqs)).hexdigest())
+        return elapsed
+
+    def serial(out: Path) -> float:
+        with _serially():
+            return run(out)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        times = _pairs({"serial": lambda: serial(Path(tmp) / "serial"), "fanned": lambda: run(Path(tmp) / "fanned")}, pairs)
+    if len(digests) != 1:
+        raise RuntimeError(f"serial and fanned-out scores differ: {sorted(digests)}")
+    serial, fanned = _quartiles(times["serial"]), _quartiles(times["fanned"])
+    return {
+        "clips": clips,
+        "frames": frames,
+        "pairs": pairs,
+        "serial": serial,
+        "fanned": fanned,
+        "speedup": serial["median"] / fanned["median"],
+        "scores_sha256": digests.pop(),
+    }
+
+
+def predict_busy_time(frames: int, pairs: int) -> dict:
+    """`predict_video` on `frames` frames, idle and next to one busy process."""
+    model, ev = _quickstart_model()
+    seq = _features(frames, model.config.input_dim)
+
+    def predict() -> float:
+        t0 = perf_counter()
+        predict_video(model, seq, ev.overlap, mode=ev.frame_mode)
+        return perf_counter() - t0
+
+    def busy() -> float:
+        hog = subprocess.Popen([sys.executable, "-c", "while True: pass"])
+        try:
+            time.sleep(0.2)  # let it start spinning
+            return predict()
+        finally:
+            hog.kill()
+            hog.wait()
+
+    predict()
+    times = _pairs({"idle": predict, "busy": busy}, pairs)
+    idle, contended = _quartiles(times["idle"]), _quartiles(times["busy"])
+    return {"frames": frames, "pairs": pairs, "idle": idle, "busy": contended,
+            "ratio": contended["median"] / idle["median"]}
+
+
+@contextmanager
+def _fixed_blas_threads(lib, n: int):
+    """Run forwards on n OpenBLAS threads, with fakeseg's own policy set aside."""
+    policy = getattr(transformer, "_use_blas_threads", None)
+    before = _openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int)
+    if policy is not None:
+        transformer._use_blas_threads = lambda _: None
+    _openblas_call(lib, "scipy_openblas_set_num_threads64_", None, n)
+    try:
+        yield
+    finally:
+        if policy is not None:
+            transformer._use_blas_threads = policy
+        if before != "unknown":
+            _openblas_call(lib, "scipy_openblas_set_num_threads64_", None, before)
+
+
+def blas_thread_sweep(widths=SWEEP_WIDTHS, pairs: int = PAIRS) -> dict:
+    """A batch-`SWEEP_BATCH` forward per width on 1 and 2 OpenBLAS threads."""
+    lib = _openblas_lib()
+    if lib is None:
+        return {"unknown": "numpy has no bundled OpenBLAS"}
+    rng = np.random.default_rng(0)
+    rows = []
+    for d in widths:
+        cfg = TransformerConfig(input_dim=d, num_blocks=1, num_heads=4, head_dim=d, ff_hidden=4 * d, mlp_hidden=(32,))
+        model = SequenceClassifier.initialize(cfg, seed=0)
+        batch = rng.standard_normal((SWEEP_BATCH, cfg.window, d), dtype=np.float32)
+        macs = SWEEP_BATCH * cfg.window * d * 4 * d
+        reps = max(3, min(100, int(3e8 // macs)))
+
+        def timed(threads: int) -> float:
+            with _fixed_blas_threads(lib, threads):
+                forward_with_cache(model, batch, keep_cache=False)
+                t0 = perf_counter()
+                for _ in range(reps):
+                    forward_with_cache(model, batch, keep_cache=False)
+                return (perf_counter() - t0) / reps
+
+        times = _pairs({"1": lambda: timed(1), "2": lambda: timed(2)}, pairs)
+        one, two = statistics.median(times["1"]), statistics.median(times["2"])
+        rows.append({"input_dim": d, "macs": macs, "one_thread_ms": 1e3 * one, "two_threads_ms": 1e3 * two,
+                     "saved": 1 - two / one})
+    cheap = [row["macs"] for row in rows if row["saved"] < SERIAL_GAIN]
+    return {
+        "batch": SWEEP_BATCH,
+        "pairs": pairs,
+        "widths": rows,
+        "serial_macs": max(cheap, default=0),
+        "in_use": getattr(transformer, "BLAS_SERIAL_MACS", None),
+    }
 
 
 def git_revision() -> dict:
@@ -229,7 +408,15 @@ def git_revision() -> dict:
     return {"revision": git("rev-parse", "HEAD") or "unknown", "dirty": bool(git("status", "--porcelain"))}
 
 
-def measure(rss_frames=RSS_FRAMES, time_frames=TIME_FRAMES, repeats=REPEATS, train_videos=TRAIN_VIDEOS) -> dict:
+def measure(
+    rss_frames=RSS_FRAMES,
+    time_frames=TIME_FRAMES,
+    repeats=REPEATS,
+    train_videos=TRAIN_VIDEOS,
+    clips=CLIPS,
+    pairs=PAIRS,
+    sweep_widths=SWEEP_WIDTHS,
+) -> dict:
     return {
         "synth_rss_mb": {str(t): synth_rss(t) for t in rss_frames},
         "predict_rss_mb": {str(t): predict_rss(t) for t in rss_frames},
@@ -237,6 +424,9 @@ def measure(rss_frames=RSS_FRAMES, time_frames=TIME_FRAMES, repeats=REPEATS, tra
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "predict_s": predict_time(time_frames, repeats),
         "synth_s": synth_time(time_frames, repeats),
+        "score_videos_s": score_videos_time(*clips, pairs),
+        "predict_busy_s": predict_busy_time(time_frames, pairs),
+        "blas_threads": blas_thread_sweep(sweep_widths, pairs),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

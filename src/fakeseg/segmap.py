@@ -62,6 +62,10 @@ class SegmentationMap:
     def __setattr__(self, name, value):
         raise AttributeError("SegmentationMap is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses slot restore
+        return type(self), (self.labels,)
+
     def __len__(self) -> int:
         return int(self.labels.size)
 
@@ -115,6 +119,9 @@ class ScoreMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("ScoreMap is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.scores,)
 
     def __len__(self) -> int:
         return int(self.scores.size)

@@ -31,8 +31,12 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, what: str, epoch: int, step: int):
         super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+        self.what = what
         self.epoch = epoch
         self.step = step
+
+    def __reduce__(self):  # a worker process sends it back pickled
+        return type(self), (self.what, self.epoch, self.step)
 
 
 @dataclass(frozen=True)

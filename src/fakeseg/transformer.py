@@ -59,6 +59,47 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
+
+def _openblas_threads(library: str):
+    """The thread-count getter and setter of the OpenBLAS that `library`
+    links (numpy's bundled one), or None where it has no such symbols."""
+    try:
+        lib = ctypes.CDLL(library)  # dlsym also searches the libraries it links
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_OPENBLAS = _openblas_threads(np._core._multiarray_umath.__file__) if hasattr(np, "_core") else None
+_blas_limit = _OPENBLAS[0]() if _OPENBLAS else 1  # the most threads a forward may use
+
+# A forward whose largest GEMM has at most this many multiply-adds runs on
+# one OpenBLAS thread, and larger ones on `_blas_limit`. The forward sweep of
+# bench/memory.py (`blas_threads`: 1-block models at batch 64, SkylakeX,
+# idle) records as `serial_macs` the largest size at which a second thread
+# saved under 20%. That moves with the host's load (20,971,520 in
+# BENCH_7.json, 188,743,680 in BENCH_8.json), so the lower is kept. Next to
+# one busy process, 2 threads made a desk-scale predict 3x slower.
+BLAS_SERIAL_MACS = 20_971_520
+
+
+def _use_blas_threads(n: int) -> None:
+    """Run later BLAS calls on n OpenBLAS threads; a no-op without the symbols."""
+    if _OPENBLAS is not None:
+        _OPENBLAS[1](n)
+
+
+def limit_blas_threads(n: int) -> None:
+    """Let no later forward in this process use more than n BLAS threads
+    (a worker process sharing the cores with others uses 1)."""
+    global _blas_limit
+    _blas_limit = min(_blas_limit, n)
+    _use_blas_threads(_blas_limit)
+
+
 # Full-size reference settings are 8 blocks, 8 heads, head dimension 512
 # over 768-dim frame features; the defaults below are desk-scale so the
 # whole pipeline trains in seconds on one CPU core.
@@ -360,6 +401,8 @@ def forward_with_cache(
 
     dtype = model.dtype
     n, w, d = batch.shape
+    widest = max(cfg.num_heads * cfg.head_dim, cfg.ff_dim)
+    _use_blas_threads(1 if n * w * d * widest <= BLAS_SERIAL_MACS else _blas_limit)
     x = batch.astype(dtype, copy=False)  # never written in place
     if cfg.use_positional:
         x = x + p["pos_embed"]

@@ -1,5 +1,5 @@
-"""bench/memory.py end to end at 1,000 frames and a 4-video train split:
-every field it records is filled."""
+"""bench/memory.py end to end at 1,000 frames, a 4-video train split, 4
+clips and two narrow widths: every field it records is filled."""
 
 import hashlib
 import importlib.util
@@ -17,7 +17,8 @@ def _memory_bench():
 
 def test_memory_bench_runs_at_a_thousand_frames():
     memory = _memory_bench()
-    result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260))
+    result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260),
+                            clips=(4, 300), pairs=2, sweep_widths=(8, 16))
     synth = result["synth_rss_mb"]["1000"]
     assert synth["peak_mb"] > 0
     want = memory.synth_video(*memory._synth_args(1000)).features
@@ -32,9 +33,24 @@ def test_memory_bench_runs_at_a_thousand_frames():
     for timing in (result["predict_s"], result["synth_s"]):
         assert timing["frames"] == 1000 and timing["repeats"] == 3
         assert timing["median"] > 0 and timing["iqr"] >= 0
+    clips = result["score_videos_s"]
+    assert (clips["clips"], clips["frames"], clips["pairs"]) == (4, 300, 2) and len(clips["scores_sha256"]) == 64
+    busy = result["predict_busy_s"]
+    assert (busy["frames"], busy["pairs"]) == (1000, 2)
+    for timing in (clips["serial"], clips["fanned"], busy["idle"], busy["busy"]):
+        assert timing["median"] > 0 and timing["iqr"] >= 0
+    assert clips["speedup"] > 0 and busy["ratio"] > 0
+    sweep = result["blas_threads"]
+    assert [row["input_dim"] for row in sweep["widths"]] == [8, 16]
+    macs = [row["macs"] for row in sweep["widths"]]
+    assert macs == [64 * 5 * 8 * 32, 64 * 5 * 16 * 64] and sweep["serial_macs"] in (0, *macs)
+    assert all(row["one_thread_ms"] > 0 and row["two_threads_ms"] > 0 for row in sweep["widths"])
+    assert sweep["in_use"] == memory.transformer.BLAS_SERIAL_MACS
     env = result["environment"]
     assert env["python"] and env["numpy"] and env["revision"]
     assert set(env["openblas"]) == {"kernel", "threads"}
+    # a desk-scale forward runs on one thread wherever the thread count can be set
+    assert env["openblas"]["threads"] in (1, "unknown")
 
 
 def test_memory_bench_numbers_its_file_one_past_the_highest(tmp_path):

@@ -430,3 +430,142 @@ def test_the_train_stage_does_not_import_numpy_ma(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
     )
     assert proc.stdout.strip() == "False"
+
+
+# -- independent videos and sweep cells fanned out over worker processes --
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def forced_fan_out(monkeypatch, tmp_path):
+    """Fan out whatever the work, over two workers even on one core; returns
+    a call giving the ids of the processes that synthesized or scored a video."""
+    from fakeseg.harness import experiment
+
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            (pid_dir / str(os.getpid())).touch()
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(experiment, "FAN_OUT_WORK", 0)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in ("synth_video", "predict_video"):
+        monkeypatch.setattr(experiment, name, recorded(getattr(experiment, name)))
+
+    return lambda: {int(p.name) for p in pid_dir.iterdir()}
+
+
+def test_a_fanned_out_run_writes_the_serial_bytes(micro_run, forced_fan_out, tmp_path):
+    cfg, run_dir, report = micro_run
+    fanned = tmp_path / "fanned"
+    assert run_experiment(cfg, fanned) == report
+    workers = forced_fan_out()
+    assert workers and os.getpid() not in workers
+    serial, parallel = _tree(run_dir), _tree(fanned)
+    assert any(name.endswith(".scores.json") for name in parallel)
+    assert any(name.endswith(".feat.labels") for name in parallel)
+    assert parallel == serial
+
+
+def test_fanned_out_sweeps_give_the_serial_rows(micro_run, forced_fan_out, monkeypatch):
+    from fakeseg.harness import experiment
+
+    cfg, run_dir, _ = micro_run
+    model = load_checkpoint(run_dir / "model.tfkm")
+    fanned = (sweep_segment_lengths(model, [50, 100, 300], cfg, num_videos=2, video_length=300),
+              sweep_window_grid(cfg, run_dir, window_sizes=[3, 5], overlaps=[2, 4]))
+    assert os.getpid() not in forced_fan_out()
+    monkeypatch.setattr(experiment, "FAN_OUT_WORK", float("inf"))
+    serial = (sweep_segment_lengths(model, [50, 100, 300], cfg, num_videos=2, video_length=300),
+              sweep_window_grid(cfg, run_dir, window_sizes=[3, 5], overlaps=[2, 4]))
+    assert json.dumps(fanned) == json.dumps(serial)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc), getattr(exc, "stage", None)
+    raise AssertionError("nothing raised")
+
+
+def test_a_failing_video_or_cell_raises_what_it_raises_serially(micro_run, forced_fan_out, monkeypatch, tmp_path):
+    from fakeseg.harness import experiment
+    from fakeseg.training import TrainingDivergedError
+
+    cfg, run_dir, _ = micro_run
+    model = load_checkpoint(run_dir / "model.tfkm")
+    seqs = [read_features(p) for p in sorted((run_dir / "features" / "test").glob("*.feat"))]
+    bad = np.array(seqs[3].features)
+    bad[7, 1] = np.nan
+    seqs[3] = FeatureSequence(seqs[3].video_id, bad, seqs[3].labels)
+    seqs[4] = FeatureSequence(seqs[4].video_id, seqs[4].features[:, :4], seqs[4].labels)
+    fit = experiment.fit
+
+    def diverging(model_cfg, *args):
+        if model_cfg.window == 3:
+            raise TrainingDivergedError("gradient", 2, 9)
+        return fit(model_cfg, *args)
+
+    monkeypatch.setattr(experiment, "fit", diverging)
+    calls = {
+        "video": lambda: experiment.score_videos(model, seqs, 4, "mean", tmp_path / "scores"),
+        "cell": lambda: sweep_window_grid(cfg, run_dir, window_sizes=[5, 3, 4], overlaps=[2]),
+    }
+    fanned = {kind: _raised(call) for kind, call in calls.items()}
+    monkeypatch.setattr(experiment, "FAN_OUT_WORK", float("inf"))
+    serial = {kind: _raised(call) for kind, call in calls.items()}
+    assert fanned == serial
+    assert serial["video"] == (ValueError, f"video {seqs[3].video_id!r} has non-finite features", None)
+    stage = "sweep cell window=3 overlap=2"
+    assert serial["cell"] == (StageError, f"stage {stage!r} failed: non-finite gradient at epoch 2, step 9", stage)
+
+
+def test_fan_out_keeps_input_order_on_one_blas_thread_and_stays_serial_on_one_core(monkeypatch):
+    from fakeseg import transformer
+    from fakeseg.harness import experiment
+
+    def blas_threads():
+        return transformer._OPENBLAS[0]() if transformer._OPENBLAS else 1
+
+    def where(i):
+        return i, os.getpid(), blas_threads()
+
+    monkeypatch.setattr(experiment, "FAN_OUT_WORK", 0)
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0, 1})
+    items = list(range(23))
+    fanned = experiment.fan_out(where, items, 1)
+    assert [i for i, _, _ in fanned] == items
+    assert os.getpid() not in {pid for _, pid, _ in fanned} and {t for _, _, t in fanned} == {1}
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0})
+    assert [pid for _, pid, _ in experiment.fan_out(where, items, 1)] == [os.getpid()] * len(items)
+
+
+_QUICKSTART_PROBE = """
+import resource, sys
+from fakeseg.harness.config import load_experiment_config
+from fakeseg.harness.experiment import run_experiment
+
+run_experiment(load_experiment_config(sys.argv[1]), sys.argv[2])
+children = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules),
+      children.ru_utime + children.ru_stime, children.ru_maxrss)
+"""
+
+
+def test_a_quickstart_run_stays_in_one_process(tmp_path):
+    """Fanning out its small stages would cost more than it saves."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _QUICKSTART_PROBE, str(root / "configs" / "quickstart.json"), str(tmp_path / "run")],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.stdout.split() == ["[]", "0.0", "0"]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,23 @@ def test_map_is_immutable():
         m.labels = np.array([1, 1])
     with pytest.raises(ValueError):
         m.labels[0] = 1
+
+
+@pytest.mark.parametrize("round_trip", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy])
+def test_maps_survive_pickle_and_copy(round_trip):
+    """Maps cross process boundaries (results of the fanned-out stages) by pickle."""
+    m = SegmentationMap([0, 1, 1, 0])
+    back = round_trip(m)
+    assert back == m and back.labels.dtype == np.uint8
+    assert not back.labels.flags.writeable
+    with pytest.raises(AttributeError):
+        back.labels = np.array([1, 1, 1, 1])
+    s = ScoreMap([0.25, 0.5, 0.125])
+    back = round_trip(s)
+    assert back.scores.tobytes() == s.scores.tobytes() and back.scores.dtype == np.float64
+    assert not back.scores.flags.writeable
+    with pytest.raises(AttributeError):
+        back.scores = np.zeros(3)
 
 
 def test_text_round_trip():

@@ -634,3 +634,47 @@ def test_batch_256_forwards_without_a_cache_reuse_their_heap_pages():
     result = _fault_probe("bare_forward")
     assert result["activation_pages"] > 250
     assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
+
+
+# -- the BLAS thread count --
+
+
+def _blas_threads():
+    from fakeseg import transformer
+
+    return transformer._OPENBLAS[0]()
+
+
+def test_a_forward_picks_its_blas_threads_by_its_largest_gemm():
+    from fakeseg import transformer
+
+    if transformer._OPENBLAS is None:
+        pytest.skip("numpy's BLAS has no scipy_openblas thread symbols")
+    rng = np.random.default_rng(0)
+    small = SequenceClassifier.initialize(TransformerConfig(input_dim=16, num_heads=4, head_dim=16, ff_hidden=64))
+    wide_cfg = TransformerConfig(input_dim=128, num_blocks=1, num_heads=4, head_dim=128, ff_hidden=512)
+    wide = SequenceClassifier.initialize(wide_cfg)
+    rows = transformer.BLAS_SERIAL_MACS // (wide_cfg.window * 128 * 512)
+    for model, n, want in ((small, 256, 1), (wide, rows, 1), (wide, rows + 1, transformer._blas_limit), (small, 1, 1)):
+        forward(model, rng.standard_normal((n, 5, model.config.input_dim), dtype=np.float32))
+        assert _blas_threads() == want, (model.config.input_dim, n)
+
+
+def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
+    import ctypes.util
+
+    from fakeseg import transformer
+
+    assert transformer._openblas_threads(ctypes.util.find_library("c")) is None
+    assert transformer._openblas_threads(str(ROOT / "no-such-library.so")) is None
+    real = transformer._OPENBLAS
+    if real is not None:
+        real[1](2)
+    monkeypatch.setattr(transformer, "_OPENBLAS", None)
+    model = SequenceClassifier.initialize(TransformerConfig(input_dim=4, num_heads=1, head_dim=4))
+    x = np.random.default_rng(1).standard_normal((3, 5, 4), dtype=np.float32)
+    want = forward(model, x)
+    transformer.limit_blas_threads(transformer._blas_limit)
+    assert forward(model, x).tobytes() == want.tobytes()
+    if real is not None:
+        assert real[0]() == 2

@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -20,6 +21,14 @@ def _seq(t, d=3, labels=None, seed=0):
     feats = np.random.default_rng(seed).standard_normal((t, d)).astype(np.float32)
     smap = SegmentationMap(labels) if labels is not None else None
     return FeatureSequence(video_id="v", features=feats, labels=smap)
+
+
+def test_a_labeled_sequence_survives_pickle():
+    seq = _seq(6, labels=[0, 1, 1, 0, 0, 1])
+    back = pickle.loads(pickle.dumps(seq))
+    assert back.video_id == seq.video_id and back.labels == seq.labels
+    assert back.features.tobytes() == seq.features.tobytes() and back.features.dtype == np.float32
+    assert not back.labels.labels.flags.writeable
 
 
 # -- window geometry --
