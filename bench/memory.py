@@ -48,8 +48,10 @@ predict do not depend on trained weights. It records:
                       own thread policy; each width is keyed by its largest
                       GEMM's multiply-adds. `serial_macs` is the largest of
                       those at which the second thread saved less than 20% of
-                      the time; it moves with the host's load, and fakeseg's
-                      `BLAS_SERIAL_MACS` (`in_use`) is the lowest recorded.
+                      the time. It moves with the host's load (21M to 189M
+                      in the recorded runs), so it is a record of where the
+                      boundary lies; fakeseg's `BLAS_SERIAL_MACS` (`in_use`)
+                      need only lie between desk and paper scale.
   environment         Python and numpy versions, core count, git revision,
                       the OpenBLAS kernel and the thread count a quickstart
                       forward runs with; both timings and score bytes depend

@@ -70,9 +70,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
 
-    def __reduce__(self):  # a worker process sends it back pickled
-        return type(self), (self.stage, self.__cause__)
-
 
 @contextmanager
 def _stage(name: str):
@@ -83,9 +80,8 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-# -- fan-out of independent videos and sweep cells --
+# -- fan-out of independent videos --
 
-MAX_WORKERS = 4  # worker processes at most, whatever the core count
 # Work below which `fan_out` stays serial, in frames scored: starting a pool
 # costs about 35-45 ms (imports and forks). On 2 SkylakeX cores, 2 workers
 # scored 300-frame clips as fast as serially at about 12,000 frames in all
@@ -112,14 +108,13 @@ def fan_out(fn: Callable, items: Sequence, work: float) -> list:
     """`[fn(item) for item in items]`, over forked worker processes on one
     BLAS thread each once `work` (see FAN_OUT_WORK) is large enough.
 
-    There are at most as many workers as items, this process's cores and
-    MAX_WORKERS; with one core (`taskset -c 0`) it stays serial. Workers are
-    forked, so they import nothing and read `fn` and the items (the model,
-    the features) copy-on-write; the results come back pickled, in input
-    order. The first item that fails in input order raises its exception,
+    There are at most as many workers as items and this process's cores;
+    with one core (`taskset -c 0`) it stays serial. Workers are forked, so
+    they import nothing and read `fn` and the items (the model, the
+    features) copy-on-write; the results come back pickled, in input order. The first item that fails in input order raises its exception,
     as it would serially (items after it may have run)."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, len(items), MAX_WORKERS)
+    workers = min(cores, len(items))
     if workers < 2 or work < FAN_OUT_WORK:
         return [fn(item) for item in items]
     import multiprocessing
@@ -428,26 +423,25 @@ def sweep_segment_lengths(
     as long as the video leaves no Real frame, so its AUC is None.
     """
     synth_cfg, seed = cfg.dataset.synth, cfg.dataset.seed
-    lengths = list(lengths)
+    rows = []
     for length in lengths:
         if length < 1:
             raise ValueError("segment lengths must be positive")
         if length > video_length:
             raise ValueError(f"segment length {length} exceeds video length {video_length}")
-
-    def cell(length: int) -> dict[str, Any]:
         plans = (
             plan_fixed_segment(VideoSpec(f"len{length:05d}_{i:04d}", video_length), length, seed)
             for i in range(num_videos)
         )
         seqs = (synth_video(plan, video_length, synth_cfg) for plan in plans)
-        return {
-            "length_frames": int(length),
-            "length_seconds": length / ASSUMED_FPS,
-            **_sweep_cell(model, seqs, cfg.eval.overlap, cfg.eval),
-        }
-
-    return fan_out(cell, lengths, len(lengths) * num_videos * video_length)
+        rows.append(
+            {
+                "length_frames": int(length),
+                "length_seconds": length / ASSUMED_FPS,
+                **_sweep_cell(model, seqs, cfg.eval.overlap, cfg.eval),
+            }
+        )
+    return rows
 
 
 def sweep_window_grid(
@@ -468,30 +462,22 @@ def sweep_window_grid(
     if cfg.dataset.features_dir is not None or not (features_root / "train").exists():
         features_root = materialize_features(cfg, run_dir)
     split_seqs = {s: load_split_features(features_root / s) for s in SPLITS}
-    frames = [seq.num_frames for seqs in split_seqs.values() for seq in seqs]
-    min_frames = min(frames)
+    min_frames = min(seq.num_frames for seqs in split_seqs.values() for seq in seqs)
 
-    rows, cells = [], []
+    rows = []
     for w in window_sizes:
         for o in overlaps:
-            row: dict[str, Any] = {"window": int(w), "overlap": int(o), "default": (w, o) == (5, 4)}
+            cell: dict[str, Any] = {
+                "window": int(w),
+                "overlap": int(o),
+                "default": (w, o) == (5, 4),
+            }
             if o >= w or w > min_frames:
-                row["status"] = "skipped"
+                cell["status"] = "skipped"
             else:
                 model_cfg = dataclasses.replace(cfg.model, window=int(w))
-                check_features(split_seqs["test"], model_cfg, labeled=True)
-                cells.append((row, model_cfg))
-            rows.append(row)
-
-    def train_and_score(cell: tuple[dict[str, Any], TransformerConfig]) -> dict[str, Any]:
-        row, model_cfg = cell
-        o = row["overlap"]
-        with _stage(f"sweep cell window={row['window']} overlap={o}"):
-            model, _ = fit(model_cfg, cfg.train, split_seqs["train"], split_seqs["val"], o)
-            return _sweep_cell(model, split_seqs["test"], o, cfg.eval)
-
-    # a cell that trains passes every frame at least once per epoch
-    scored = fan_out(train_and_score, cells, len(cells) * cfg.train.max_epochs * sum(frames))
-    for (row, _), metrics in zip(cells, scored):
-        row.update(status="ok", **metrics)
+                test_seqs = check_features(split_seqs["test"], model_cfg, labeled=True)
+                model, _ = fit(model_cfg, cfg.train, split_seqs["train"], split_seqs["val"], o)
+                cell.update(status="ok", **_sweep_cell(model, test_seqs, o, cfg.eval))
+            rows.append(cell)
     return rows

@@ -9,7 +9,14 @@ from typing import Iterable
 import numpy as np
 
 from .segmap import ScoreMap
-from .transformer import SequenceClassifier, TransformerConfig, cross_entropy, forward_with_cache, loss_and_grads
+from .transformer import (
+    SequenceClassifier,
+    TransformerConfig,
+    blas_threads_kept,
+    cross_entropy,
+    forward_with_cache,
+    loss_and_grads,
+)
 from .windowing import FeatureSequence, SplitWindows, cut_windows, frames_from_windows, window_starts
 from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
@@ -31,12 +38,8 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, what: str, epoch: int, step: int):
         super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
-        self.what = what
         self.epoch = epoch
         self.step = step
-
-    def __reduce__(self):  # a worker process sends it back pickled
-        return type(self), (self.what, self.epoch, self.step)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,7 @@ class TrainHistory:
     stopped_early: bool
 
 
+@blas_threads_kept()
 def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndarray, batch_size: int = 256):
     """Mean cross-entropy and accuracy in inference mode, over indexable
     windows `x` (an (N, W, d) array or a `SplitWindows`)."""
@@ -141,6 +145,7 @@ class FlatAdam:
         np.subtract(self.model.flat, s2, out=self.model.flat)
 
 
+@blas_threads_kept()
 def train(
     model: SequenceClassifier,
     train_set: tuple[np.ndarray | SplitWindows, np.ndarray],
@@ -247,6 +252,7 @@ def check_features(
     return seqs
 
 
+@blas_threads_kept()
 def predict_video(
     model: SequenceClassifier,
     seq: FeatureSequence,

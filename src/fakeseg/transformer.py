@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -77,11 +78,12 @@ _OPENBLAS = _openblas_threads(np._core._multiarray_umath.__file__) if hasattr(np
 _blas_limit = _OPENBLAS[0]() if _OPENBLAS else 1  # the most threads a forward may use
 
 # A forward whose largest GEMM has at most this many multiply-adds runs on
-# one OpenBLAS thread, and larger ones on `_blas_limit`. The forward sweep of
-# bench/memory.py (`blas_threads`: 1-block models at batch 64, SkylakeX,
-# idle) records as `serial_macs` the largest size at which a second thread
-# saved under 20%. That moves with the host's load (20,971,520 in
-# BENCH_7.json, 188,743,680 in BENCH_8.json), so the lower is kept. Next to
+# one OpenBLAS thread, and larger ones on `_blas_limit`. Where the boundary
+# lies is known only roughly: every desk-scale forward (the quickstart's
+# batch-256 predict forward is 1.3M) gained nothing from a second thread,
+# and paper-scale ones (billions) do. bench/memory.py's forward sweep
+# (`blas_threads`) put the boundary anywhere from 21M to 189M from run to
+# run, so any value between desk and paper scale behaves the same. Next to
 # one busy process, 2 threads made a desk-scale predict 3x slower.
 BLAS_SERIAL_MACS = 20_971_520
 
@@ -92,9 +94,23 @@ def _use_blas_threads(n: int) -> None:
         _OPENBLAS[1](n)
 
 
+@contextmanager
+def blas_threads_kept():
+    """Put the process's OpenBLAS thread count back as it was on exit, for
+    the forwards inside set it (see `forward_with_cache`)."""
+    before = _OPENBLAS[0]() if _OPENBLAS else None
+    try:
+        yield
+    finally:
+        if before is not None:
+            _use_blas_threads(before)
+
+
 def limit_blas_threads(n: int) -> None:
-    """Let no later forward in this process use more than n BLAS threads
-    (a worker process sharing the cores with others uses 1)."""
+    """Let no later forward in this process use more than n BLAS threads.
+
+    This sets the whole process's OpenBLAS thread count, for good: it is
+    meant for a worker process that shares the cores with others."""
     global _blas_limit
     _blas_limit = min(_blas_limit, n)
     _use_blas_threads(_blas_limit)
@@ -387,7 +403,11 @@ def forward_with_cache(
     """Run the network; returns (logits, probs, cache for the backward pass).
 
     With `keep_cache=False` (no backward follows) activations are freed once
-    read and the cache is None; the arithmetic is the same."""
+    read and the cache is None; the arithmetic is the same.
+
+    It sets the process's OpenBLAS thread count for itself and the backward
+    that follows: 1 up to BLAS_SERIAL_MACS, else `_blas_limit`. `train`,
+    `evaluate` and `predict_video` put the count back when they return."""
     cfg = model.config
     p = model.params
     if batch.ndim != 3 or batch.shape[1] != cfg.window or batch.shape[2] != cfg.input_dim:

@@ -432,7 +432,7 @@ def test_the_train_stage_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
-# -- independent videos and sweep cells fanned out over worker processes --
+# -- independent videos fanned out over worker processes --
 
 
 def _tree(root):
@@ -475,58 +475,31 @@ def test_a_fanned_out_run_writes_the_serial_bytes(micro_run, forced_fan_out, tmp
     assert parallel == serial
 
 
-def test_fanned_out_sweeps_give_the_serial_rows(micro_run, forced_fan_out, monkeypatch):
-    from fakeseg.harness import experiment
-
-    cfg, run_dir, _ = micro_run
-    model = load_checkpoint(run_dir / "model.tfkm")
-    fanned = (sweep_segment_lengths(model, [50, 100, 300], cfg, num_videos=2, video_length=300),
-              sweep_window_grid(cfg, run_dir, window_sizes=[3, 5], overlaps=[2, 4]))
-    assert os.getpid() not in forced_fan_out()
-    monkeypatch.setattr(experiment, "FAN_OUT_WORK", float("inf"))
-    serial = (sweep_segment_lengths(model, [50, 100, 300], cfg, num_videos=2, video_length=300),
-              sweep_window_grid(cfg, run_dir, window_sizes=[3, 5], overlaps=[2, 4]))
-    assert json.dumps(fanned) == json.dumps(serial)
-
-
 def _raised(call):
     try:
         call()
     except Exception as exc:  # noqa: BLE001 - the exception is the result
-        return type(exc), str(exc), getattr(exc, "stage", None)
+        return type(exc), str(exc)
     raise AssertionError("nothing raised")
 
 
-def test_a_failing_video_or_cell_raises_what_it_raises_serially(micro_run, forced_fan_out, monkeypatch, tmp_path):
+def test_a_failing_video_raises_what_it_raises_serially(micro_run, forced_fan_out, monkeypatch, tmp_path):
     from fakeseg.harness import experiment
-    from fakeseg.training import TrainingDivergedError
 
-    cfg, run_dir, _ = micro_run
+    _, run_dir, _ = micro_run
     model = load_checkpoint(run_dir / "model.tfkm")
     seqs = [read_features(p) for p in sorted((run_dir / "features" / "test").glob("*.feat"))]
     bad = np.array(seqs[3].features)
     bad[7, 1] = np.nan
     seqs[3] = FeatureSequence(seqs[3].video_id, bad, seqs[3].labels)
     seqs[4] = FeatureSequence(seqs[4].video_id, seqs[4].features[:, :4], seqs[4].labels)
-    fit = experiment.fit
 
-    def diverging(model_cfg, *args):
-        if model_cfg.window == 3:
-            raise TrainingDivergedError("gradient", 2, 9)
-        return fit(model_cfg, *args)
+    def call():
+        return experiment.score_videos(model, seqs, 4, "mean", tmp_path / "scores")
 
-    monkeypatch.setattr(experiment, "fit", diverging)
-    calls = {
-        "video": lambda: experiment.score_videos(model, seqs, 4, "mean", tmp_path / "scores"),
-        "cell": lambda: sweep_window_grid(cfg, run_dir, window_sizes=[5, 3, 4], overlaps=[2]),
-    }
-    fanned = {kind: _raised(call) for kind, call in calls.items()}
+    fanned = _raised(call)
     monkeypatch.setattr(experiment, "FAN_OUT_WORK", float("inf"))
-    serial = {kind: _raised(call) for kind, call in calls.items()}
-    assert fanned == serial
-    assert serial["video"] == (ValueError, f"video {seqs[3].video_id!r} has non-finite features", None)
-    stage = "sweep cell window=3 overlap=2"
-    assert serial["cell"] == (StageError, f"stage {stage!r} failed: non-finite gradient at epoch 2, step 9", stage)
+    assert fanned == _raised(call) == (ValueError, f"video {seqs[3].video_id!r} has non-finite features")
 
 
 def test_fan_out_keeps_input_order_on_one_blas_thread_and_stays_serial_on_one_core(monkeypatch):

@@ -678,3 +678,35 @@ def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
     assert forward(model, x).tobytes() == want.tobytes()
     if real is not None:
         assert real[0]() == 2
+
+
+def test_train_evaluate_and_predict_put_the_blas_threads_back(monkeypatch):
+    """Their forwards run on one thread; the caller's count is theirs again after."""
+    from fakeseg import transformer
+    from fakeseg.training import TrainConfig, evaluate, predict_video, train
+    from fakeseg.windowing import FeatureSequence
+
+    real = transformer._OPENBLAS
+    if real is None:
+        pytest.skip("numpy's BLAS has no scipy_openblas thread symbols")
+    counts = []
+
+    def put(n):
+        counts.append(n)
+        real[1](n)
+
+    monkeypatch.setattr(transformer, "_OPENBLAS", (real[0], put))
+    model = SequenceClassifier.initialize(TransformerConfig(input_dim=4, num_heads=1, head_dim=4))
+    rng = np.random.default_rng(2)
+    x, y = rng.standard_normal((12, 5, 4), dtype=np.float32), np.arange(12) % 2
+    seq = FeatureSequence("v", rng.standard_normal((40, 4), dtype=np.float32))
+    calls = {
+        "train": lambda: train(model, (x, y), (x, y), TrainConfig(batch_size=4, max_epochs=1)),
+        "evaluate": lambda: evaluate(model, x, y),
+        "predict_video": lambda: predict_video(model, seq, 4),
+    }
+    for name, call in calls.items():
+        real[1](2)
+        counts.clear()
+        call()
+        assert counts[0] == 1 and counts[-1] == 2 and real[0]() == 2, (name, counts)
