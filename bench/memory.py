@@ -26,6 +26,13 @@ predict do not depend on trained weights. It records:
                       the trained parameters. The synthesized files (the
                       quickstart generator, one fake segment per video) are
                       written by a separate process first.
+  paper_scale         peak resident size of a fresh process that takes one
+                      training step as `train` does (`loss_and_grads` with
+                      dropout, then `FlatAdam.step`) on a 1-block model of the
+                      paper's width: d = 768, 8 heads of 512, feed-forward
+                      3072, batch 64. With the parameter bytes, the peak's
+                      ratio to them (imports included), and the SHA-256 of
+                      the parameters after the step.
   forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
                       and without the cache.
   predict_s           `predict_video` wall time in this process: median and
@@ -93,8 +100,8 @@ from fakeseg.harness.config import load_experiment_config  # noqa: E402
 from fakeseg.harness.experiment import fit, load_split_features, score_videos, synth_features  # noqa: E402
 from fakeseg.injection import VideoSpec, plan_one_segment  # noqa: E402
 from fakeseg.synth import synth_video  # noqa: E402
-from fakeseg.training import predict_video  # noqa: E402
-from fakeseg.transformer import SequenceClassifier, TransformerConfig, forward_with_cache  # noqa: E402
+from fakeseg.training import FlatAdam, predict_video  # noqa: E402
+from fakeseg.transformer import SequenceClassifier, TransformerConfig, forward_with_cache, loss_and_grads  # noqa: E402
 from fakeseg.windowing import FeatureSequence, read_features, write_features  # noqa: E402
 
 QUICKSTART = ROOT / "configs" / "quickstart.json"
@@ -108,6 +115,8 @@ PAIRS = 6
 SWEEP_WIDTHS = (16, 32, 64, 128, 192, 256, 384, 512, 768)
 SWEEP_BATCH = 64
 SERIAL_GAIN = 0.2  # a second thread that saves less than this share of the time is not worth its risk
+PAPER_WIDTHS = (768, 8, 512, 3072)  # input_dim, heads, head_dim, feed-forward of the paper's block
+PAPER_BATCH = 64
 
 
 def _quickstart_model():
@@ -164,6 +173,25 @@ def _fit_child(root: str) -> None:
     print(json.dumps({"peak_mb": peak_mb, "fit_rise_mb": peak_mb - before_mb, "model_sha256": digest}))
 
 
+def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int) -> None:
+    cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((PAPER_BATCH, cfg.window, input_dim), dtype=np.float32)
+    targets = np.arange(PAPER_BATCH) % 2
+    adam = FlatAdam(model, 1e-4)
+    if hasattr(adam, "pack"):  # fakeseg that returned the gradients as a dict for Adam to copy
+        _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng)
+        adam.pack(grads)
+    else:
+        _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng, out=adam.grad)
+    adam.step()  # with `grads` still bound, as in `train`
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    param_mb = model.flat.nbytes / 2**20
+    digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
+    print(json.dumps({"peak_mb": peak_mb, "param_mb": param_mb, "ratio": peak_mb / param_mb, "params_sha256": digest}))
+
+
 def _child(*args: str) -> str:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), *args], capture_output=True, text=True, check=True
@@ -191,6 +219,14 @@ def train_rss(videos: int, frames: int) -> dict:
         _child("write-train", tmp, str(videos), str(frames))
         result = json.loads(_child("train", tmp))
     return {"train_videos": videos, "val_videos": max(1, videos // 4), "frames": frames, **result}
+
+
+def paper_scale(widths) -> dict:
+    """Peak RSS of a fresh process that takes one training step of a 1-block
+    model of `widths` (input_dim, heads, head_dim, feed-forward)."""
+    keys = ("input_dim", "num_heads", "head_dim", "ff_hidden")
+    result = json.loads(_child("paper-step", *map(str, widths)))
+    return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": PAPER_BATCH, **result}
 
 
 def forward_peaks() -> dict:
@@ -418,11 +454,13 @@ def measure(
     clips=CLIPS,
     pairs=PAIRS,
     sweep_widths=SWEEP_WIDTHS,
+    paper_widths=PAPER_WIDTHS,
 ) -> dict:
     return {
         "synth_rss_mb": {str(t): synth_rss(t) for t in rss_frames},
         "predict_rss_mb": {str(t): predict_rss(t) for t in rss_frames},
         "train_rss_mb": train_rss(*train_videos),
+        "paper_scale": paper_scale(paper_widths),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "predict_s": predict_time(time_frames, repeats),
         "synth_s": synth_time(time_frames, repeats),
@@ -462,5 +500,7 @@ if __name__ == "__main__":
         _write_train_child(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
     elif sys.argv[1:2] == ["train"]:
         _fit_child(sys.argv[2])
+    elif sys.argv[1:2] == ["paper-step"]:
+        _paper_step_child(*map(int, sys.argv[2:6]))
     else:
         main()

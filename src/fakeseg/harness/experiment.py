@@ -69,6 +69,10 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
+        self.cause = cause
+
+    def __reduce__(self):  # pickle rebuilds through __init__, which takes more than the message
+        return type(self), (self.stage, self.cause)
 
 
 @contextmanager

@@ -29,6 +29,11 @@ ADAM_EPS = 1e-8
 # a window's last bit moved for 187 of the batch sizes 1-399 against the
 # same windows in a batch of 600), so changing it changes the scores.
 PREDICT_BATCH = 256
+# Elements per pass of FlatAdam.step and of its gradient check. Every
+# desk-scale model fits in one (the quickstart model has 13,634), and at
+# the paper's width the two scratch arrays stay 0.5 MiB instead of two
+# more copies of the model.
+ADAM_CHUNK = 1 << 16
 FINITE_ROWS = 8192  # feature rows per finiteness check in check_features
 
 
@@ -38,8 +43,12 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, what: str, epoch: int, step: int):
         super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+        self.what = what
         self.epoch = epoch
         self.step = step
+
+    def __reduce__(self):  # pickle rebuilds through __init__, which takes more than the message
+        return type(self), (self.what, self.epoch, self.step)
 
 
 @dataclass(frozen=True)
@@ -99,50 +108,56 @@ def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndar
 class FlatAdam:
     """Adam over a model's whole parameter buffer, with in-place updates.
 
-    The gradient, the two moments and two scratch arrays are flat buffers
-    the size of the model, allocated once. `pack` copies the per-tensor
-    gradients into `grad` (in `param_layout` order); `step` then applies
-    the update with in-place ufuncs. Element for element the arithmetic is
-    the textbook per-tensor Adam in the model's dtype, so the result is
-    bit-identical to it.
+    The gradient and the two moments are flat buffers the size of the model,
+    allocated once; `loss_and_grads(..., out=adam.grad)` writes the gradient
+    in `param_layout` order. `step` applies the update ADAM_CHUNK elements
+    at a time with in-place ufuncs on two chunk-sized scratch arrays.
+    Element for element the arithmetic is the textbook per-tensor Adam in
+    the model's dtype, so the result is bit-identical to it at any chunk.
     """
 
     def __init__(self, model: SequenceClassifier, learning_rate: float):
         self.model = model
-        self.names = list(model.params)
         self.lr = model.dtype.type(learning_rate)
         self.grad = np.empty_like(model.flat)
         self.m = np.zeros_like(model.flat)
         self.v = np.zeros_like(model.flat)
-        self._s1 = np.empty_like(model.flat)
-        self._s2 = np.empty_like(model.flat)
+        chunk = min(ADAM_CHUNK, model.flat.size)
+        self._s1 = np.empty(chunk, model.dtype)
+        self._s2 = np.empty(chunk, model.dtype)
         self.steps = 0
 
-    def pack(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """Copy per-tensor gradients into `grad`; returns it."""
-        np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.grad)
-        return self.grad
+    def _chunks(self):
+        """The (lo, hi) bounds of each chunk of the flat buffers."""
+        size, chunk = self.grad.size, self._s1.size
+        return ((lo, min(lo + chunk, size)) for lo in range(0, size, chunk))
+
+    def grad_is_finite(self) -> bool:
+        """Whether every element of `grad` is finite, checked a chunk at a time."""
+        return all(np.isfinite(self.grad[lo:hi]).all() for lo, hi in self._chunks())
 
     def step(self) -> None:
-        """One Adam update from the gradient currently packed in `grad`."""
+        """One Adam update from the gradient currently in `grad`."""
         self.steps += 1
         bias1 = 1.0 - ADAM_BETA1**self.steps
         bias2 = 1.0 - ADAM_BETA2**self.steps
-        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1 - ADAM_BETA1, out=s1)
-        np.add(m, s1, out=m)
-        np.multiply(g, g, out=s1)
-        np.multiply(s1, 1 - ADAM_BETA2, out=s1)
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.add(v, s1, out=v)
-        np.divide(v, bias2, out=s1)
-        np.sqrt(s1, out=s1)
-        np.add(s1, ADAM_EPS, out=s1)
-        np.divide(m, bias1, out=s2)
-        np.divide(s2, s1, out=s2)
-        np.multiply(s2, self.lr, out=s2)
-        np.subtract(self.model.flat, s2, out=self.model.flat)
+        for lo, hi in self._chunks():
+            g, m, v, p = self.grad[lo:hi], self.m[lo:hi], self.v[lo:hi], self.model.flat[lo:hi]
+            s1, s2 = self._s1[: hi - lo], self._s2[: hi - lo]
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1 - ADAM_BETA1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(g, g, out=s1)
+            np.multiply(s1, 1 - ADAM_BETA2, out=s1)
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.add(v, s1, out=v)
+            np.divide(v, bias2, out=s1)
+            np.sqrt(s1, out=s1)
+            np.add(s1, ADAM_EPS, out=s1)
+            np.divide(m, bias1, out=s2)
+            np.divide(s2, s1, out=s2)
+            np.multiply(s2, self.lr, out=s2)
+            np.subtract(p, s2, out=p)
 
 
 @blas_threads_kept()
@@ -175,7 +190,7 @@ def train(
     adam = FlatAdam(model, cfg.learning_rate)
 
     best_val = np.inf
-    best_params = model.copy_params()
+    best_params = model.copy_params()  # refreshed in place: one snapshot at any time
     best_epoch = 0
     wait = 0
     stopped_early = False
@@ -188,11 +203,10 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = x_tr[idx], y_tr[idx]
-            loss, probs, grads = loss_and_grads(model, xb, yb, train=True, rng=rng)
+            loss, probs, _ = loss_and_grads(model, xb, yb, train=True, rng=rng, out=adam.grad)
             if not math.isfinite(loss):
                 raise TrainingDivergedError("training loss", epoch, adam.steps + 1)
-            flat_grad = adam.pack(grads)
-            if not np.isfinite(flat_grad).all():
+            if not adam.grad_is_finite():
                 raise TrainingDivergedError("gradient", epoch, adam.steps + 1)
             run_loss += loss * len(idx)
             run_correct += int((probs.argmax(axis=1) == yb).sum())
@@ -212,7 +226,7 @@ def train(
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_params = model.copy_params()
+            np.copyto(best_params, model.flat)
             best_epoch = epoch
             wait = 0
         else:
@@ -221,7 +235,7 @@ def train(
                 stopped_early = True
                 break
 
-    model.flat[...] = best_params
+    np.copyto(model.flat, best_params)
     return model, TrainHistory(tuple(history), best_epoch=best_epoch, stopped_early=stopped_early)
 
 

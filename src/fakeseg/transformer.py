@@ -282,12 +282,15 @@ def _linear_forward(x, w, b):
     return out, (x, w)
 
 
-def _linear_backward(g, cache, window=None):
-    """(dx, dw, db) for 2-D rows g. With a window, dx is one product per window:
-    OpenBLAS rounds one folded product differently at some shapes (w of (16, 64))."""
+def _linear_backward(g, cache, dw, db, window=None):
+    """dx for 2-D rows g, with the weight and bias gradients written into dw
+    and db. With a window, dx is one product per window: OpenBLAS rounds one
+    folded product differently at some shapes (w of (16, 64))."""
     x, w = cache
+    np.matmul(x.T, g, out=dw)
+    np.add.reduce(g, axis=0, out=db)
     rows = g if window is None else g.reshape(-1, window, g.shape[-1])
-    return (rows @ w.T).reshape(-1, w.shape[0]), x.T @ g, g.sum(axis=0)
+    return (rows @ w.T).reshape(-1, w.shape[0])
 
 
 def _mean_last(x):
@@ -304,14 +307,17 @@ def _layer_norm_forward(x, gain, bias):
     return gain * xhat + bias, (xhat, inv, gain)
 
 
-def _layer_norm_backward(g, cache):
+def _layer_norm_backward(g, cache, dgain, dbias):
+    """dx for 2-D rows g, with the gain and bias gradients written into
+    dgain and dbias."""
     xhat, inv, gain = cache
-    lead = tuple(range(g.ndim - 1))
-    dgain = (g * xhat).sum(axis=lead)
-    dbias = g.sum(axis=lead)
+    np.add.reduce(g * xhat, axis=0, out=dgain)
+    np.add.reduce(g, axis=0, out=dbias)
     dxhat = g * gain
-    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
-    return dx, dgain, dbias
+    dx = dxhat - _mean_last(dxhat)  # inv * (dxhat - mean - xhat * mean), a step at a time in place
+    dx -= xhat * _mean_last(dxhat * xhat)
+    dx *= inv
+    return dx
 
 
 # numpy reduces a short contiguous last axis one row at a time, so the row
@@ -372,23 +378,31 @@ def _attention_forward(h, params, prefix, config, keep_cache=True):
     if not keep_cache:
         del v, probs
     out, co = _linear_forward(ctx.reshape(n * w, nh * hd), params[prefix + "wo"], params[prefix + "bo"])
-    return out.reshape(h.shape), (cq, (h2, wk), cv, q, kt, v, probs, co, scale) if keep_cache else None
+    return out.reshape(h.shape), [cq, (h2, wk), cv, q, kt, v, probs, co, scale] if keep_cache else None
 
 
 def _attention_backward(g, cache, grads, prefix):
+    """d(input) of attention; writes the weight and bias gradients into the
+    views of `grads`. It empties the `cache` list, so that each activation is
+    freed once read."""
     cq, ck, cv, q, kt, v, probs, co, scale = cache
+    cache.clear()
     n, nh, w, hd = q.shape
-    dctx, grads[prefix + "wo"], grads[prefix + "bo"] = _linear_backward(g.reshape(n * w, -1), co, w)
+    dctx = _linear_backward(g.reshape(n * w, -1), co, grads[prefix + "wo"], grads[prefix + "bo"], w)
+    del co
     dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
     dv = probs.swapaxes(-1, -2) @ dctx
+    del v, dctx
     dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
+    del probs, dprobs
     dq = (dscores @ kt.swapaxes(-1, -2)) * scale
     dk = (dscores.swapaxes(-1, -2) @ q) * scale
+    del kt, q, dscores
     dh = None
     for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
         merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
-        dhi, grads[prefix + "w" + name], grads[prefix + "b" + name] = _linear_backward(merged, c, w)
+        dhi = _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name], w)
         dh = dhi if dh is None else np.add(dh, dhi, out=dh)
     return dh.reshape(g.shape)
 
@@ -495,59 +509,70 @@ def loss_and_grads(
     targets: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ):
     """Mean cross-entropy and its exact analytic gradients for every parameter.
 
-    Returns (loss, probs, grads) where grads maps each parameter name to an
-    array of the parameter's shape.
+    Returns (loss, probs, grads) where grads maps each parameter name to a
+    view of the parameter's shape into `out`: a flat buffer laid out like
+    `model.flat` (a new one when None), every element of which the call
+    writes. The backward frees each block's cache once it has read it.
     """
     targets = np.asarray(targets)
     if targets.shape != (batch.shape[0],):
         raise ValueError("targets must be a vector with one class index per window")
+    cfg = model.config
+    grads = SequenceClassifier(cfg, np.empty_like(model.flat) if out is None else out).params
     logits, probs, cache = forward_with_cache(model, batch, train=train, rng=rng)
     loss = cross_entropy(logits, targets)
-
-    cfg = model.config
     block_caches, c_final, head_caches, n = cache
-    grads: dict[str, np.ndarray] = {}
+    del logits, cache
 
     g = probs.copy(order="C")  # probs - onehot(targets), rows contiguous for the sums below
     g[np.arange(n), targets] -= 1
     g /= n
 
-    for i in range(len(head_caches) - 1, -1, -1):
-        c_lin, z_ss, z_pre = head_caches[i]
-        if i < len(head_caches) - 1:
+    last = len(head_caches) - 1
+    for i in range(last, -1, -1):
+        c_lin, z_ss, z_pre = head_caches.pop()
+        if i < last:
             g = g * (z_pre > 0)
         if z_ss is not None:
-            grads[f"head.layer{i}.scale"] = (z_ss * g).sum(axis=0)
-            grads[f"head.layer{i}.shift"] = g.sum(axis=0)
+            np.add.reduce(z_ss * g, axis=0, out=grads[f"head.layer{i}.scale"])
+            np.add.reduce(g, axis=0, out=grads[f"head.layer{i}.shift"])
             g = model.params[f"head.layer{i}.scale"] * g
-        g, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"] = _linear_backward(g, c_lin)
+        g = _linear_backward(g, c_lin, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"])
 
     # un-pool: distribute the pooled gradient evenly over window positions
-    g = np.repeat(g, cfg.window, axis=0) / cfg.window
-    g, grads["final_norm.gain"], grads["final_norm.bias"] = _layer_norm_backward(g, c_final)
+    g = np.repeat(g, cfg.window, axis=0)
+    g /= cfg.window
+    g = _layer_norm_backward(g, c_final, grads["final_norm.gain"], grads["final_norm.bias"])
+    del c_final
 
     for b in range(cfg.num_blocks - 1, -1, -1):
         pre = f"block{b}."
-        c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff = block_caches[b]
+        c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff = block_caches.pop()
 
         g_ff = g * m_ff if m_ff is not None else g
-        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_backward(g_ff, c_ff2, cfg.window)
+        da1 = _linear_backward(g_ff, c_ff2, grads[pre + "ff.w2"], grads[pre + "ff.b2"], cfg.window)
         da1 *= c_ff2[0] > 0  # ReLU: the cached activation is positive where its input was
-        dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_backward(da1, c_ff1, cfg.window)
-        dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_backward(dh2, c_ln2)
+        del g_ff, m_ff, c_ff2
+        dh2 = _linear_backward(da1, c_ff1, grads[pre + "ff.w1"], grads[pre + "ff.b1"], cfg.window)
+        del da1, c_ff1
+        dx = _layer_norm_backward(dh2, c_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"])
+        del dh2, c_ln2
         dx += g  # residual around the feed-forward sublayer
         g = dx
 
         g_attn = g * m_attn if m_attn is not None else g
         dh = _attention_backward(g_attn, c_attn, grads, pre + "attn.")
-        dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_backward(dh, c_ln1)
+        del g_attn, m_attn
+        dx = _layer_norm_backward(dh, c_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"])
+        del dh, c_ln1
         dx += g  # residual around attention
         g = dx
 
     if cfg.use_positional:
-        grads["pos_embed"] = g.reshape(n, cfg.window, -1).sum(axis=0)
+        np.add.reduce(g.reshape(n, cfg.window, -1), axis=0, out=grads["pos_embed"])
 
     return loss, probs, grads

@@ -1,7 +1,8 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
 per-tensor Adam, row-wise softmax, einsum attention, the (N, W, d) forward
-and backward, loop versions of the per-frame kernels, whole-video predict,
-the row-by-row synth, configs."""
+and backward, the training step that packed a dict of gradients into a
+whole-model Adam, loop versions of the per-frame kernels, whole-video
+predict, the row-by-row synth, configs."""
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_fo
 from fakeseg.transformer import (
     SequenceClassifier,
     _dropout_mask,
-    _layer_norm_backward,
     _layer_norm_forward,
+    _mean_last,
+    _reduce_rows,
     cross_entropy,
     forward_with_cache,
 )
@@ -348,7 +350,7 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
         grads[f"head.layer{i}.b"] = db
 
     g = np.repeat(g[:, None, :], cfg.window, axis=1) / cfg.window
-    g, dgain, dbias = _layer_norm_backward(g, c_final)
+    g, dgain, dbias = _layer_norm_reference_backward(g, c_final)
     grads["final_norm.gain"] = dgain
     grads["final_norm.bias"] = dbias
 
@@ -364,14 +366,14 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
         dh2, dw1, db1 = _linear_reference_backward(dz1, c_ff1)
         grads[pre + "ff.w1"] = dw1
         grads[pre + "ff.b1"] = db1
-        dx, dgain2, dbias2 = _layer_norm_backward(dh2, c_ln2)
+        dx, dgain2, dbias2 = _layer_norm_reference_backward(dh2, c_ln2)
         grads[pre + "ln2.gain"] = dgain2
         grads[pre + "ln2.bias"] = dbias2
         g = g + dx
 
         g_attn = g * m_attn if m_attn is not None else g
         dh = _attention_reference_backward(g_attn, c_attn, grads, pre + "attn.")
-        dx, dgain1, dbias1 = _layer_norm_backward(dh, c_ln1)
+        dx, dgain1, dbias1 = _layer_norm_reference_backward(dh, c_ln1)
         grads[pre + "ln1.gain"] = dgain1
         grads[pre + "ln1.bias"] = dbias1
         g = g + dx
@@ -379,6 +381,140 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
     if cfg.use_positional:
         grads["pos_embed"] = g.sum(axis=0)
     return loss, probs, grads
+
+
+# -- the training step with a dict of gradients and a packing Adam --
+#
+# The library writes each gradient straight into a flat buffer (Adam's own),
+# frees each block's cache once the backward has read it, and runs Adam a
+# chunk at a time on chunk-sized scratch; these are the bodies it replaced:
+# the backward returns a dict of new arrays with the whole cache live, and
+# Adam copies the dict into its buffer and updates on model-sized scratch.
+
+
+def _layer_norm_reference_backward(g, cache):
+    xhat, inv, gain = cache
+    lead = tuple(range(g.ndim - 1))
+    dgain = (g * xhat).sum(axis=lead)
+    dbias = g.sum(axis=lead)
+    dxhat = g * gain
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+    return dx, dgain, dbias
+
+
+def _linear_dict_backward(g, cache, window=None):
+    x, w = cache
+    rows = g if window is None else g.reshape(-1, window, g.shape[-1])
+    return (rows @ w.T).reshape(-1, w.shape[0]), x.T @ g, g.sum(axis=0)
+
+
+def _attention_dict_backward(g, cache, grads, prefix):
+    cq, ck, cv, q, kt, v, probs, co, scale = cache
+    n, nh, w, hd = q.shape
+    dctx, grads[prefix + "wo"], grads[prefix + "bo"] = _linear_dict_backward(g.reshape(n * w, -1), co, w)
+    dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
+    dprobs = dctx @ v.swapaxes(-1, -2)
+    dv = probs.swapaxes(-1, -2) @ dctx
+    dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
+    dq = (dscores @ kt.swapaxes(-1, -2)) * scale
+    dk = (dscores.swapaxes(-1, -2) @ q) * scale
+    dh = None
+    for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
+        merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
+        dhi, grads[prefix + "w" + name], grads[prefix + "b" + name] = _linear_dict_backward(merged, c, w)
+        dh = dhi if dh is None else np.add(dh, dhi, out=dh)
+    return dh.reshape(g.shape)
+
+
+def loss_and_grads_dict_reference(model, batch, targets, train=False, rng=None):
+    """(loss, probs, grads) from `forward_with_cache`, grads a dict of new arrays."""
+    targets = np.asarray(targets)
+    logits, probs, cache = forward_with_cache(model, batch, train=train, rng=rng)
+    loss = cross_entropy(logits, targets)
+
+    cfg = model.config
+    block_caches, c_final, head_caches, n = cache
+    grads: dict[str, np.ndarray] = {}
+
+    g = probs.copy(order="C")
+    g[np.arange(n), targets] -= 1
+    g /= n
+
+    for i in range(len(head_caches) - 1, -1, -1):
+        c_lin, z_ss, z_pre = head_caches[i]
+        if i < len(head_caches) - 1:
+            g = g * (z_pre > 0)
+        if z_ss is not None:
+            grads[f"head.layer{i}.scale"] = (z_ss * g).sum(axis=0)
+            grads[f"head.layer{i}.shift"] = g.sum(axis=0)
+            g = model.params[f"head.layer{i}.scale"] * g
+        g, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"] = _linear_dict_backward(g, c_lin)
+
+    g = np.repeat(g, cfg.window, axis=0) / cfg.window
+    g, grads["final_norm.gain"], grads["final_norm.bias"] = _layer_norm_reference_backward(g, c_final)
+
+    for b in range(cfg.num_blocks - 1, -1, -1):
+        pre = f"block{b}."
+        c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff = block_caches[b]
+
+        g_ff = g * m_ff if m_ff is not None else g
+        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_dict_backward(g_ff, c_ff2, cfg.window)
+        da1 *= c_ff2[0] > 0
+        dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_dict_backward(da1, c_ff1, cfg.window)
+        dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_reference_backward(dh2, c_ln2)
+        dx += g
+        g = dx
+
+        g_attn = g * m_attn if m_attn is not None else g
+        dh = _attention_dict_backward(g_attn, c_attn, grads, pre + "attn.")
+        dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_reference_backward(dh, c_ln1)
+        dx += g
+        g = dx
+
+    if cfg.use_positional:
+        grads["pos_embed"] = g.reshape(n, cfg.window, -1).sum(axis=0)
+
+    return loss, probs, grads
+
+
+class PackedAdamReference:
+    """Adam over the whole parameter buffer on model-sized scratch: `pack`
+    copies a dict of gradients into `grad`, and `step` updates in one pass."""
+
+    def __init__(self, model: SequenceClassifier, learning_rate: float):
+        self.model = model
+        self.names = list(model.params)
+        self.lr = model.dtype.type(learning_rate)
+        self.grad = np.empty_like(model.flat)
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
+        self._s1 = np.empty_like(model.flat)
+        self._s2 = np.empty_like(model.flat)
+        self.steps = 0
+
+    def pack(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        np.concatenate([grads[name].reshape(-1) for name in self.names], out=self.grad)
+        return self.grad
+
+    def step(self) -> None:
+        self.steps += 1
+        bias1 = 1.0 - ADAM_BETA1**self.steps
+        bias2 = 1.0 - ADAM_BETA2**self.steps
+        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=s1)
+        np.add(m, s1, out=m)
+        np.multiply(g, g, out=s1)
+        np.multiply(s1, 1 - ADAM_BETA2, out=s1)
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.add(v, s1, out=v)
+        np.divide(v, bias2, out=s1)
+        np.sqrt(s1, out=s1)
+        np.add(s1, ADAM_EPS, out=s1)
+        np.divide(m, bias1, out=s2)
+        np.divide(s2, s1, out=s2)
+        np.multiply(s2, self.lr, out=s2)
+        np.subtract(self.model.flat, s2, out=self.model.flat)
 
 
 # -- loop oracles for the vectorized per-frame kernels --

@@ -1,5 +1,6 @@
 """bench/memory.py end to end at 1,000 frames, a 4-video train split, 4
-clips and two narrow widths: every field it records is filled."""
+clips, two narrow widths and a narrow paper-scale step: every field it
+records is filled."""
 
 import hashlib
 import importlib.util
@@ -18,7 +19,7 @@ def _memory_bench():
 def test_memory_bench_runs_at_a_thousand_frames():
     memory = _memory_bench()
     result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260),
-                            clips=(4, 300), pairs=2, sweep_widths=(8, 16))
+                            clips=(4, 300), pairs=2, sweep_widths=(8, 16), paper_widths=(16, 2, 8, 32))
     synth = result["synth_rss_mb"]["1000"]
     assert synth["peak_mb"] > 0
     want = memory.synth_video(*memory._synth_args(1000)).features
@@ -28,6 +29,11 @@ def test_memory_bench_runs_at_a_thousand_frames():
     trained = result["train_rss_mb"]
     assert (trained["train_videos"], trained["val_videos"], trained["frames"]) == (4, 1, 260)
     assert 0 <= trained["fit_rise_mb"] < trained["peak_mb"] and len(trained["model_sha256"]) == 64
+    paper = result["paper_scale"]
+    assert (paper["input_dim"], paper["num_heads"], paper["head_dim"], paper["ff_hidden"]) == (16, 2, 8, 32)
+    assert (paper["num_blocks"], paper["batch"]) == (1, 64)
+    assert 0 < paper["param_mb"] < paper["peak_mb"] and paper["ratio"] == paper["peak_mb"] / paper["param_mb"]
+    assert len(paper["params_sha256"]) == 64
     peaks = result["forward_peak_mib"]
     assert 0 < peaks["no_cache"] < peaks["cached"]
     for timing in (result["predict_s"], result["synth_s"]):

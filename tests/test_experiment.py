@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from fakeseg.harness import StageError, VideoEval, evaluate_maps, run_experiment
 from fakeseg.harness.config import parse_experiment_config
 from fakeseg.harness.experiment import fit, windows_for_split
 from fakeseg.injection import read_plans
+from fakeseg.training import TrainingDivergedError
 from fakeseg.windowing import load_split_features
 from helpers import micro_config_dict
 
@@ -542,3 +544,13 @@ def test_a_quickstart_run_stays_in_one_process(tmp_path):
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=str(root / "src")),
     )
     assert proc.stdout.split() == ["[]", "0.0", "0"]
+
+
+@pytest.mark.parametrize("cause", [ValueError("bad feature file"), TrainingDivergedError("gradient", 2, 9)])
+def test_a_stage_error_survives_pickle(cause):
+    """A stage failure raised in a worker process reaches the caller by pickle."""
+    err = StageError("train", cause)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is StageError
+    assert str(back) == str(err) == f"stage 'train' failed: {cause}"
+    assert back.stage == "train"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from fakeseg import (
 )
 from fakeseg.training import FlatAdam, check_features
 from fakeseg.windowing import window_starts
-from helpers import adam_reference_step, predict_video_reference
+from helpers import PackedAdamReference, adam_reference_step, loss_and_grads_dict_reference, predict_video_reference
 
 CFG = TransformerConfig(
     input_dim=8, window=3, num_blocks=1, num_heads=2, head_dim=4,
@@ -223,8 +224,7 @@ def test_flat_adam_matches_per_tensor_oracle_bit_for_bit(dtype):
     v = {k: np.zeros_like(p) for k, p in ref.params.items()}
     rng = np.random.default_rng(0)
     for step in range(1, 6):
-        _, _, grads = loss_and_grads(model, x, y, train=True, rng=rng)
-        adam.pack(grads)
+        _, _, grads = loss_and_grads(model, x, y, train=True, rng=rng, out=adam.grad)
         adam.step()
         adam_reference_step(ref.params, grads, m, v, step, dtype(1e-3))
         assert np.array_equal(model.flat, ref.flat), f"step {step}"
@@ -274,7 +274,7 @@ def test_non_finite_gradient_names_epoch_and_step(monkeypatch):
         loss, probs, grads = loss_and_grads(*args, **kwargs)
         calls.append(None)
         if len(calls) == 6:  # the second step of epoch 2 (four steps per epoch)
-            grads["head.layer1.b"] = np.full_like(grads["head.layer1.b"], np.nan)
+            grads["head.layer1.b"][...] = np.nan  # a view of the buffer Adam reads
         return loss, probs, grads
 
     monkeypatch.setattr(fakeseg.training, "loss_and_grads", poisoned)
@@ -292,3 +292,91 @@ def test_non_finite_validation_loss_is_an_error(monkeypatch):
     cfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=5, early_stop_patience=2, seed=0)
     with pytest.raises(TrainingDivergedError, match="validation loss at epoch 1, step 4"):
         train(SequenceClassifier.initialize(CFG, seed=0), train_set, val_set, cfg)
+
+
+def test_a_divergence_error_survives_pickle():
+    """A training error raised in a worker process reaches the caller by pickle."""
+    err = TrainingDivergedError("gradient", 2, 9)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is TrainingDivergedError
+    assert str(back) == str(err) == "non-finite gradient at epoch 2, step 9"
+    assert (back.epoch, back.step) == (2, 9)
+
+
+# positional embedding, scale-shift head, dropout
+STEP_CASES = [(pos, ss, drop) for pos in (False, True) for ss in (False, True) for drop in (0.0, 0.25)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("pos,scale_shift,dropout", STEP_CASES)
+def test_steps_into_adams_buffer_match_the_packing_step_bit_for_bit(pos, scale_shift, dropout, dtype):
+    """Gradients written into `FlatAdam.grad` and the chunked update give the
+    bytes of the dict of gradients packed into a one-pass Adam, step after step."""
+    cfg = dataclasses.replace(CFG, num_blocks=2, mlp_hidden=(8, 4), use_positional=pos,
+                              use_scale_shift_head=scale_shift, dropout=dropout)
+    x, y = _separable_windows(16, cfg, seed=12)
+    model = SequenceClassifier.initialize(cfg, seed=5).astype(dtype)
+    ref = SequenceClassifier.initialize(cfg, seed=5).astype(dtype)
+    adam, ref_adam = FlatAdam(model, 1e-2), PackedAdamReference(ref, 1e-2)
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for step in range(1, 5):
+        loss, probs, grads = loss_and_grads(model, x, y, train=True, rng=rng, out=adam.grad)
+        ref_loss, ref_probs, ref_grads = loss_and_grads_dict_reference(ref, x, y, train=True, rng=ref_rng)
+        assert loss == ref_loss and probs.tobytes() == ref_probs.tobytes(), f"step {step}"
+        assert list(grads) == list(model.params)
+        for name, view in grads.items():
+            assert np.shares_memory(view, adam.grad) and view.tobytes() == ref_grads[name].tobytes(), name
+        adam.step()
+        ref_adam.pack(ref_grads)
+        ref_adam.step()
+        for got, want in ((model.flat, ref.flat), (adam.m, ref_adam.m), (adam.v, ref_adam.v)):
+            assert got.tobytes() == want.tobytes(), f"step {step}"
+
+
+# ADAM_CHUNK for a model of n elements: the model is one element short of a
+# chunk, exactly one, one element over, and many chunks with a partial last
+CHUNKS = {"chunk-1": lambda n: n + 1, "chunk": lambda n: n, "chunk+1": lambda n: n - 1, "many": lambda n: 64}
+
+
+@pytest.mark.parametrize("chunk_of", list(CHUNKS.values()), ids=list(CHUNKS))
+def test_adam_in_chunks_matches_one_pass(monkeypatch, chunk_of):
+    model = SequenceClassifier.initialize(CFG, seed=8)
+    ref = SequenceClassifier.initialize(CFG, seed=8)
+    chunk = chunk_of(model.flat.size)
+    monkeypatch.setattr(fakeseg.training, "ADAM_CHUNK", chunk)
+    adam, ref_adam = FlatAdam(model, 1e-2), PackedAdamReference(ref, 1e-2)
+    assert adam._s1.size == min(model.flat.size, chunk) and model.flat.size % 64 != 0
+    rng = np.random.default_rng(3)
+    for step in range(1, 4):
+        grad = rng.standard_normal(model.flat.size).astype(np.float32)
+        grad[::7] *= 1e-6  # some tiny, some large steps
+        adam.grad[...] = grad
+        ref_adam.grad[...] = grad
+        assert adam.grad_is_finite()
+        adam.step()
+        ref_adam.step()
+        for got, want in ((model.flat, ref.flat), (adam.m, ref_adam.m), (adam.v, ref_adam.v)):
+            assert got.tobytes() == want.tobytes(), f"step {step}"
+    adam.grad[-1] = np.inf  # in the last chunk, whole or partial
+    assert not adam.grad_is_finite()
+
+
+def test_training_holds_four_models_and_a_little_scratch():
+    """At a width where the parameters dominate, `train` over two improving
+    epochs allocates the snapshot, Adam's gradient and two moments, and less
+    than half a model besides (the chunk scratch, one batch's activations):
+    no second snapshot, dict of gradients or model-sized Adam scratch."""
+    cfg = TransformerConfig(input_dim=256, window=3, num_blocks=1, num_heads=4, head_dim=64, mlp_hidden=(16,),
+                            dropout=0.0)
+    train_set = _separable_windows(4, cfg, seed=14)
+    val_set = _separable_windows(4, cfg, seed=15)
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    tc = TrainConfig(batch_size=4, learning_rate=1e-4, max_epochs=2, early_stop_patience=1, seed=0)
+    tracemalloc.start()
+    try:
+        _, history = train(model, train_set, val_set, tc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert history.best_epoch == 2  # so the snapshot was refreshed
+    assert peak < 4.5 * model.flat.nbytes, peak / model.flat.nbytes

@@ -167,6 +167,51 @@ def test_head_bias_gradient_closed_form():
     assert np.allclose(grads["head.layer1.b"], expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("pos,scale_shift", [(False, False), (True, True)])
+def test_gradients_are_written_into_every_element_of_the_buffer(pos, scale_shift):
+    """A buffer full of NaN comes back finite: every view is written on every
+    call, and the views are the buffer's, in the parameters' layout."""
+    cfg = TransformerConfig(input_dim=8, window=3, num_blocks=2, num_heads=2, head_dim=4, ff_hidden=16,
+                            mlp_hidden=(8, 4), use_positional=pos, use_scale_shift_head=scale_shift)
+    model = SequenceClassifier.initialize(cfg, seed=4)
+    x, y = _batch(cfg, n=6, seed=10, dtype=np.float32), np.arange(6) % 2
+    out = np.full_like(model.flat, np.nan)
+    for seed in (0, 1):
+        _, _, grads = loss_and_grads(model, x, y, train=True, rng=np.random.default_rng(seed), out=out)
+        assert np.isfinite(out).all()
+        _, _, fresh = loss_and_grads(model, x, y, train=True, rng=np.random.default_rng(seed))
+        assert list(grads) == list(fresh) == list(model.params)
+        views = SequenceClassifier(cfg, out).params
+        for name, view in grads.items():
+            assert view.shape == views[name].shape and view.ctypes.data == views[name].ctypes.data, name
+            assert view.tobytes() == fresh[name].tobytes(), name
+        out[...] = np.nan
+
+
+def test_a_step_holds_little_more_than_its_forward():
+    """The backward frees each block's cache and its own temporaries once it
+    has read them, so a batch-64 quickstart step peaks within 15% of the
+    training forward that builds the cache (55% while the cache stayed live)."""
+    cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = _batch(cfg, n=64, seed=11, dtype=np.float32), rng.integers(0, 2, 64)
+    out = np.empty_like(model.flat)
+
+    def traced_peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward_peak = traced_peak(lambda: forward_with_cache(model, x, train=True, rng=rng))
+    step_peak = traced_peak(lambda: loss_and_grads(model, x, y, train=True, rng=rng, out=out))
+    assert step_peak < 1.15 * forward_peak, step_peak / forward_peak
+
+
 def test_forward_input_validation():
     model = SequenceClassifier.initialize(TINY, seed=0)
     with pytest.raises(ValueError, match="shape"):
@@ -341,7 +386,9 @@ def test_matmul_attention_matches_einsum_oracle(dtype, n):
     ref_out, ref_cache = einsum_attention_forward(h, model.params, "block0.attn.", cfg)
     _assert_close_to_oracle(out, ref_out, dtype, "forward")
 
-    grads, ref_grads = {}, {}
+    # the backward writes into the views it is given; NaN shows one left unwritten
+    grads = {k: np.full_like(p, np.nan) for k, p in model.params.items() if k.startswith("block0.attn.")}
+    ref_grads = {}
     dh = _attention_backward(g, cache, grads, "block0.attn.")
     ref_dh = einsum_attention_backward(g, ref_cache, ref_grads, "block0.attn.")
     _assert_close_to_oracle(dh, ref_dh, dtype, "input gradient")
@@ -581,8 +628,7 @@ small, targets = batch[:64].copy(), rng.integers(0, 2, 64)
 adam = FlatAdam(model, 1e-3)
 
 def train_step():
-    _, _, grads = loss_and_grads(model, small, targets, train=True, rng=rng)
-    adam.pack(grads)
+    loss_and_grads(model, small, targets, train=True, rng=rng, out=adam.grad)
     adam.step()
 
 def train_activations():
@@ -620,7 +666,7 @@ def test_batch_256_forwards_reuse_their_heap_pages():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
 def test_batch_64_training_steps_reuse_their_heap_pages():
-    """A training step (forward with dropout, backward, pack and Adam update)
+    """A training step (forward with dropout, backward into Adam's buffer and Adam update)
     reuses its pages too, the written-in-place context and K^T included."""
     result = _fault_probe("train_step")
     assert result["activation_pages"] > 250
