@@ -35,6 +35,9 @@ predict do not depend on trained weights. It records:
                       the parameters after the step.
   forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
                       and without the cache.
+  paper_forward       tracemalloc peak of one warm batch-256 forward without
+                      a cache of a 1-block model of the paper's width (as in
+                      paper_scale), with the SHA-256 of its logits.
   predict_s           `predict_video` wall time in this process: median and
                       interquartile range of repeated runs.
   synth_s             the same for `synth_video` (as in synth_rss_mb).
@@ -183,8 +186,9 @@ def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int)
     if hasattr(adam, "pack"):  # fakeseg that returned the gradients as a dict for Adam to copy
         _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng)
         adam.pack(grads)
-    else:
-        _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng, out=adam.grad)
+    else:  # Adam's gradient views; a fakeseg that built them per call took the flat buffer
+        out = adam.grads if hasattr(adam, "grads") else adam.grad
+        _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng, out=out)
     adam.step()  # with `grads` still bound, as in `train`
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     param_mb = model.flat.nbytes / 2**20
@@ -229,22 +233,34 @@ def paper_scale(widths) -> dict:
     return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": PAPER_BATCH, **result}
 
 
+def _forward_peak(model, **kwargs) -> tuple[float, np.ndarray]:
+    """tracemalloc peak, in MiB, of one warm batch-256 forward of `model`, and its logits."""
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((FORWARD_BATCH, model.config.window, model.config.input_dim), dtype=np.float32)
+    forward_with_cache(model, batch, **kwargs)
+    tracemalloc.start()
+    try:
+        logits, _, _ = forward_with_cache(model, batch, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20, logits
+    finally:
+        tracemalloc.stop()
+
+
 def forward_peaks() -> dict:
     """tracemalloc peaks, in MiB, of one warm batch-256 forward with and without the cache."""
     model, _ = _quickstart_model()
-    rng = np.random.default_rng(0)
-    batch = rng.standard_normal((FORWARD_BATCH, model.config.window, model.config.input_dim), dtype=np.float32)
+    return {"cached": _forward_peak(model)[0], "no_cache": _forward_peak(model, keep_cache=False)[0]}
 
-    def peak(**kwargs) -> float:
-        forward_with_cache(model, batch, **kwargs)
-        tracemalloc.start()
-        try:
-            forward_with_cache(model, batch, **kwargs)
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
 
-    return {"cached": peak(), "no_cache": peak(keep_cache=False)}
+def paper_forward(widths) -> dict:
+    """`_forward_peak` without a cache of a 1-block model of `widths`
+    (input_dim, heads, head_dim, feed-forward), with its logits' SHA-256."""
+    input_dim, heads, head_dim, ff_hidden = widths
+    cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
+    peak, logits = _forward_peak(SequenceClassifier.initialize(cfg, seed=0), keep_cache=False)
+    keys = ("input_dim", "num_heads", "head_dim", "ff_hidden")
+    return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": FORWARD_BATCH, "no_cache_mib": peak,
+            "logits_sha256": hashlib.sha256(logits.tobytes()).hexdigest()}
 
 
 def _timed(call, frames: int, repeats: int) -> dict:
@@ -462,6 +478,7 @@ def measure(
         "train_rss_mb": train_rss(*train_videos),
         "paper_scale": paper_scale(paper_widths),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
+        "paper_forward": paper_forward(paper_widths),
         "predict_s": predict_time(time_frames, repeats),
         "synth_s": synth_time(time_frames, repeats),
         "score_videos_s": score_videos_time(*clips, pairs),

@@ -17,7 +17,7 @@ from .transformer import (
     forward_with_cache,
     loss_and_grads,
 )
-from .windowing import FeatureSequence, SplitWindows, cut_windows, frames_from_windows, window_starts
+from .windowing import FeatureSequence, SplitWindows, frames_from_windows, window_starts
 from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
 ADAM_BETA1 = 0.9
@@ -109,9 +109,10 @@ class FlatAdam:
     """Adam over a model's whole parameter buffer, with in-place updates.
 
     The gradient and the two moments are flat buffers the size of the model,
-    allocated once; `loss_and_grads(..., out=adam.grad)` writes the gradient
-    in `param_layout` order. `step` applies the update ADAM_CHUNK elements
-    at a time with in-place ufuncs on two chunk-sized scratch arrays.
+    allocated once; `loss_and_grads(..., out=adam.grads)` writes the gradient
+    through `grads`, the views of `grad` built once with it. `step` applies
+    the update ADAM_CHUNK elements at a time with in-place ufuncs on two
+    chunk-sized scratch arrays.
     Element for element the arithmetic is the textbook per-tensor Adam in
     the model's dtype, so the result is bit-identical to it at any chunk.
     """
@@ -119,7 +120,8 @@ class FlatAdam:
     def __init__(self, model: SequenceClassifier, learning_rate: float):
         self.model = model
         self.lr = model.dtype.type(learning_rate)
-        self.grad = np.empty_like(model.flat)
+        self.grads = SequenceClassifier(model.config, np.empty_like(model.flat))
+        self.grad = self.grads.flat
         self.m = np.zeros_like(model.flat)
         self.v = np.zeros_like(model.flat)
         chunk = min(ADAM_CHUNK, model.flat.size)
@@ -203,7 +205,7 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             xb, yb = x_tr[idx], y_tr[idx]
-            loss, probs, _ = loss_and_grads(model, xb, yb, train=True, rng=rng, out=adam.grad)
+            loss, probs, _ = loss_and_grads(model, xb, yb, train=True, rng=rng, out=adam.grads)
             if not math.isfinite(loss):
                 raise TrainingDivergedError("training loss", epoch, adam.steps + 1)
             if not adam.grad_is_finite():
@@ -280,10 +282,9 @@ def predict_video(
     cfg = model.config
     check_features([seq], cfg)
     w = cfg.window
-    starts = window_starts(seq.num_frames, w, overlap)
-    scores = np.empty(len(starts))
-    for lo in range(0, len(starts), PREDICT_BATCH):
-        windows = cut_windows(seq.features, starts[lo : lo + PREDICT_BATCH], w)
-        _, probs, _ = forward_with_cache(model, windows, keep_cache=False)
+    windows = SplitWindows(seq.features, window_starts(seq.num_frames, w, overlap), w)
+    scores = np.empty(len(windows))
+    for lo in range(0, len(windows), PREDICT_BATCH):
+        _, probs, _ = forward_with_cache(model, windows[lo : lo + PREDICT_BATCH], keep_cache=False)
         scores[lo : lo + PREDICT_BATCH] = probs[:, 1]
-    return frames_from_windows(scores, starts, w, seq.num_frames, mode=mode)
+    return frames_from_windows(scores, windows.starts, w, seq.num_frames, mode=mode)

@@ -116,6 +116,13 @@ def limit_blas_threads(n: int) -> None:
     _use_blas_threads(_blas_limit)
 
 
+# Windows per pass of the attention's K^T, scores and context products.
+# Each product is one BLAS call per window (and head) whatever the chunk,
+# so the bytes hold at any value; without a cache, K^T and the context are
+# held one chunk at a time. The quickstart model's batch-256 predict
+# forward makes four chunks.
+WINDOW_CHUNK = 64
+
 # Full-size reference settings are 8 blocks, 8 heads, head dimension 512
 # over 768-dim frame features; the defaults below are desk-scale so the
 # whole pipeline trains in seconds on one CPU core.
@@ -272,8 +279,8 @@ class SequenceClassifier:
 # Activations are laid out for the products that read them: the residual
 # stream is one (N * W, d) array, so each linear is one GEMM with its bias
 # added in place; K is projected straight into its (N, H, hd, W) transpose,
-# and the attention context is written into an (N, W, H, hd) buffer that
-# the output projection reads as (N * W, H * hd), so neither is copied.
+# and the attention context is written in the (N, W, H, hd) layout that the
+# output projection reads as (N * W, H * hd), so no transpose is copied.
 
 
 def _linear_forward(x, w, b):
@@ -353,32 +360,57 @@ def _dropout_mask(shape, rate, rng, dtype):
 
 def _attention_forward(h, params, prefix, config, keep_cache=True):
     """Self-attention over windows of config.window rows; h is (N, W, d) or
-    (N * W, d) and the output has h's shape. Without `keep_cache` each
-    activation is dropped once read and the cache is None."""
+    (N * W, d) and the output has h's shape.
+
+    K^T, the scores and the context are made WINDOW_CHUNK windows at a time,
+    by the same per-window products as in one pass. With `keep_cache` the
+    chunks fill whole K^T and context buffers for the backward. Without it
+    K^T and the context are one chunk each: each chunk of the context goes
+    back into V's own buffer, which the output projection reads, every
+    activation is dropped once read, and the cache is None."""
     w, nh, hd = config.window, config.num_heads, config.head_dim
     h2 = h.reshape(-1, h.shape[-1])
     n = h2.shape[0] // w
+    chunks = [(lo, min(lo + WINDOW_CHUNK, n)) for lo in range(0, n, WINDOW_CHUNK)]
+    held = n if keep_cache else min(WINDOW_CHUNK, n)  # windows in the K^T and context buffers
+
+    def part(buf, lo, hi):
+        return buf[lo:hi] if keep_cache else buf[: hi - lo]
+
     q, cq = _linear_forward(h2, params[prefix + "wq"], params[prefix + "bq"])
-    wk = params[prefix + "wk"]
-    kt = wk.T @ h2.reshape(n, w, -1).transpose(0, 2, 1)  # (N, H * hd, W)
-    kt += params[prefix + "bk"][:, None]
     q = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
-    kt = kt.reshape(n, nh, hd, w)
-    scale = 1.0 / math.sqrt(hd)
-    scores = q @ kt
+    wk = params[prefix + "wk"]
+    bk = np.repeat(params[prefix + "bk"], w).reshape(nh * hd, w)  # bk[:, None] as one contiguous block
+    h_t = h2.reshape(n, w, -1).transpose(0, 2, 1)  # each window's (d, W) view
+    kt = np.empty((held, nh * hd, w), h2.dtype)
+    scores = np.empty((n, nh, w, w), h2.dtype)
+    for lo, hi in chunks:
+        kt_c = part(kt, lo, hi)
+        np.matmul(wk.T, h_t[lo:hi], out=kt_c)
+        kt_c += bk
+        np.matmul(q[lo:hi], kt_c.reshape(-1, nh, hd, w), out=scores[lo:hi])
     if not keep_cache:
-        del q, kt, cq
+        del q, kt, kt_c, cq
+    scale = 1.0 / math.sqrt(hd)
     scores *= scale
     probs = _softmax(scores)
     del scores  # V is projected only now: without a cache Q, K^T, the scores and V are never all live
     v, cv = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
-    v = v.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
-    ctx = np.empty((n, w, nh, hd), h2.dtype)
-    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    v = v.reshape(n, w, nh, hd)  # the layout the output projection reads
+    ctx = np.empty((held, w, nh, hd), h2.dtype)
+    for lo, hi in chunks:
+        ctx_c = part(ctx, lo, hi)
+        np.matmul(probs[lo:hi], v[lo:hi].transpose(0, 2, 1, 3), out=ctx_c.transpose(0, 2, 1, 3))
+        if not keep_cache:
+            v[lo:hi] = ctx_c  # these windows of V are read
     if not keep_cache:
-        del v, probs
+        ctx = v
+        del v, ctx_c, probs, cv
     out, co = _linear_forward(ctx.reshape(n * w, nh * hd), params[prefix + "wo"], params[prefix + "bo"])
-    return out.reshape(h.shape), [cq, (h2, wk), cv, q, kt, v, probs, co, scale] if keep_cache else None
+    if not keep_cache:
+        return out.reshape(h.shape), None
+    kt, v = kt.reshape(n, nh, hd, w), v.transpose(0, 2, 1, 3)  # (N, H, hd, W) and (N, H, W, hd)
+    return out.reshape(h.shape), [cq, (h2, wk), cv, q, kt, v, probs, co, scale]
 
 
 def _attention_backward(g, cache, grads, prefix):
@@ -443,31 +475,39 @@ def forward_with_cache(
     x = x.reshape(n * w, d)  # the residual stream, one row per frame
     drop = train and cfg.dropout > 0.0
 
+    def kept(result):  # a primitive's (output, cache), its cache dropped at once without keep_cache
+        return result if keep_cache else (result[0], None)
+
     block_caches = []
     for b in range(cfg.num_blocks):
         pre = f"block{b}."
-        h, c_ln1 = _layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        attn_out, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
-        m_attn = _dropout_mask(attn_out.shape, cfg.dropout, rng, dtype) if drop else None
+        h, c_ln1 = kept(_layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"]))
+        branch, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
+        del h
+        m_attn = _dropout_mask(branch.shape, cfg.dropout, rng, dtype) if drop else None
         if drop:
-            attn_out *= m_attn
-        attn_out += x
-        x = attn_out
+            branch *= m_attn
+        branch += x
+        x = branch  # each residual add writes into its branch, which becomes the stream: the old one is freed
 
-        h2, c_ln2 = _layer_norm_forward(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-        z1, c_ff1 = _linear_forward(h2, p[pre + "ff.w1"], p[pre + "ff.b1"])
-        ff_out, c_ff2 = _linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"])
-        m_ff = _dropout_mask(ff_out.shape, cfg.dropout, rng, dtype) if drop else None
+        h, c_ln2 = kept(_layer_norm_forward(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"]))
+        z1, c_ff1 = kept(_linear_forward(h, p[pre + "ff.w1"], p[pre + "ff.b1"]))
+        del h
+        branch, c_ff2 = kept(_linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"]))
+        del z1
+        m_ff = _dropout_mask(branch.shape, cfg.dropout, rng, dtype) if drop else None
         if drop:
-            ff_out *= m_ff
-        ff_out += x
-        x = ff_out
+            branch *= m_ff
+        branch += x
+        x = branch
         if keep_cache:
             block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff))
-        del h, c_ln1, c_attn, h2, c_ln2, z1, c_ff1, c_ff2  # only the cache holds them on
+        del c_ln1, c_attn, c_ln2, c_ff1, c_ff2  # only the cache holds them on
 
-    normed, c_final = _layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"])
+    normed, c_final = kept(_layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"]))
+    del x, branch
     z = np.add.reduce(normed.reshape(n, w, d), axis=1) / w  # 1-D global average pool over window positions
+    del normed
 
     head_caches = []
     n_layers = len(cfg.mlp_hidden) + 1
@@ -509,20 +549,20 @@ def loss_and_grads(
     targets: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    out: np.ndarray | None = None,
+    out: SequenceClassifier | None = None,
 ):
     """Mean cross-entropy and its exact analytic gradients for every parameter.
 
-    Returns (loss, probs, grads) where grads maps each parameter name to a
-    view of the parameter's shape into `out`: a flat buffer laid out like
-    `model.flat` (a new one when None), every element of which the call
-    writes. The backward frees each block's cache once it has read it.
+    Returns (loss, probs, grads) where grads is `out.params`: `out` is laid
+    out like `model` (a new one when None), and the call writes every
+    element of its buffer through those views, which it builds no more of.
+    The backward frees each block's cache once it has read it.
     """
     targets = np.asarray(targets)
     if targets.shape != (batch.shape[0],):
         raise ValueError("targets must be a vector with one class index per window")
     cfg = model.config
-    grads = SequenceClassifier(cfg, np.empty_like(model.flat) if out is None else out).params
+    grads = (SequenceClassifier(cfg, np.empty_like(model.flat)) if out is None else out).params
     logits, probs, cache = forward_with_cache(model, batch, train=train, rng=rng)
     loss = cross_entropy(logits, targets)
     block_caches, c_final, head_caches, n = cache

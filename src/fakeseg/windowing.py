@@ -88,11 +88,6 @@ def window_view(features: np.ndarray, window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(features, (window, features.shape[1]))[:, 0]
 
 
-def cut_windows(features: np.ndarray, starts: np.ndarray, window: int) -> np.ndarray:
-    """The C-contiguous (len(starts), window, d) windows of T x d `features`."""
-    return np.ascontiguousarray(window_view(features, window)[starts])
-
-
 @dataclass(frozen=True)
 class SplitWindows:
     """The windows of a split's videos, cut when they are indexed.
@@ -100,8 +95,8 @@ class SplitWindows:
     `features` holds the videos' frames one after another, `starts` the
     row of `features` at which each window begins (no window crosses a
     video), and `window` the frames per window. Indexing with an index
-    array or a slice gathers those windows from `window_view`, as
-    `cut_windows` does, so only the batch in use is ever materialized.
+    array or a slice gathers those windows, C-contiguous, from
+    `window_view`, so only the batch in use is ever materialized.
     """
 
     features: np.ndarray
@@ -132,7 +127,7 @@ def make_windows(seq: FeatureSequence, window: int, overlap: int) -> WindowBatch
             f"video {seq.video_id!r} has {seq.num_frames} frames, fewer than the window of {window}"
         )
     starts = window_starts(seq.num_frames, window, overlap)
-    windows = cut_windows(seq.features, starts, window)
+    windows = SplitWindows(seq.features, starts, window)[:]
     labels = None
     if seq.labels is not None:
         labels = seq.labels.labels[starts + window // 2].copy()

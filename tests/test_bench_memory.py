@@ -1,6 +1,6 @@
 """bench/memory.py end to end at 1,000 frames, a 4-video train split, 4
-clips, two narrow widths and a narrow paper-scale step: every field it
-records is filled."""
+clips, two narrow widths and a narrow paper-scale step and forward: every
+field it records is filled."""
 
 import hashlib
 import importlib.util
@@ -36,6 +36,10 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert len(paper["params_sha256"]) == 64
     peaks = result["forward_peak_mib"]
     assert 0 < peaks["no_cache"] < peaks["cached"]
+    wide = result["paper_forward"]
+    assert (wide["input_dim"], wide["num_heads"], wide["head_dim"], wide["ff_hidden"]) == (16, 2, 8, 32)
+    assert (wide["num_blocks"], wide["batch"]) == (1, 256)
+    assert wide["no_cache_mib"] > 0 and len(wide["logits_sha256"]) == 64
     for timing in (result["predict_s"], result["synth_s"]):
         assert timing["frames"] == 1000 and timing["repeats"] == 3
         assert timing["median"] > 0 and timing["iqr"] >= 0

@@ -224,7 +224,7 @@ def test_flat_adam_matches_per_tensor_oracle_bit_for_bit(dtype):
     v = {k: np.zeros_like(p) for k, p in ref.params.items()}
     rng = np.random.default_rng(0)
     for step in range(1, 6):
-        _, _, grads = loss_and_grads(model, x, y, train=True, rng=rng, out=adam.grad)
+        _, _, grads = loss_and_grads(model, x, y, train=True, rng=rng, out=adam.grads)
         adam.step()
         adam_reference_step(ref.params, grads, m, v, step, dtype(1e-3))
         assert np.array_equal(model.flat, ref.flat), f"step {step}"
@@ -320,7 +320,7 @@ def test_steps_into_adams_buffer_match_the_packing_step_bit_for_bit(pos, scale_s
     adam, ref_adam = FlatAdam(model, 1e-2), PackedAdamReference(ref, 1e-2)
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     for step in range(1, 5):
-        loss, probs, grads = loss_and_grads(model, x, y, train=True, rng=rng, out=adam.grad)
+        loss, probs, grads = loss_and_grads(model, x, y, train=True, rng=rng, out=adam.grads)
         ref_loss, ref_probs, ref_grads = loss_and_grads_dict_reference(ref, x, y, train=True, rng=ref_rng)
         assert loss == ref_loss and probs.tobytes() == ref_probs.tobytes(), f"step {step}"
         assert list(grads) == list(model.params)
@@ -380,3 +380,21 @@ def test_training_holds_four_models_and_a_little_scratch():
         tracemalloc.stop()
     assert history.best_epoch == 2  # so the snapshot was refreshed
     assert peak < 4.5 * model.flat.nbytes, peak / model.flat.nbytes
+
+
+def test_training_lays_out_the_gradient_views_once_not_per_step(monkeypatch):
+    """`train` builds the `{name: view}` dict over Adam's gradient buffer once,
+    so the `param_layout` calls do not grow with the steps."""
+    from fakeseg import transformer
+
+    layout, calls = transformer.param_layout, []
+    monkeypatch.setattr(transformer, "param_layout", lambda cfg: calls.append(cfg) or layout(cfg))
+    x, y = _separable_windows(6, CFG, seed=16)
+    counts = []
+    for epochs in (1, 3):  # 3 and 9 steps of batch 4
+        model = SequenceClassifier.initialize(CFG, seed=0)
+        calls.clear()
+        _, history = train(model, (x, y), (x, y), TrainConfig(batch_size=4, max_epochs=epochs, early_stop_patience=5))
+        assert len(history.epochs) == epochs
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import struct
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fakeseg import (
@@ -21,9 +22,11 @@ from fakeseg import (
     predict_video,
     save_checkpoint,
 )
+from fakeseg import transformer
 from fakeseg.harness.config import load_experiment_config
 from fakeseg.transformer import (
     LN_EPS,
+    WINDOW_CHUNK,
     _attention_backward,
     _attention_forward,
     _softmax,
@@ -175,17 +178,17 @@ def test_gradients_are_written_into_every_element_of_the_buffer(pos, scale_shift
                             mlp_hidden=(8, 4), use_positional=pos, use_scale_shift_head=scale_shift)
     model = SequenceClassifier.initialize(cfg, seed=4)
     x, y = _batch(cfg, n=6, seed=10, dtype=np.float32), np.arange(6) % 2
-    out = np.full_like(model.flat, np.nan)
+    out = SequenceClassifier(cfg, np.full_like(model.flat, np.nan))
     for seed in (0, 1):
         _, _, grads = loss_and_grads(model, x, y, train=True, rng=np.random.default_rng(seed), out=out)
-        assert np.isfinite(out).all()
+        assert np.isfinite(out.flat).all()
         _, _, fresh = loss_and_grads(model, x, y, train=True, rng=np.random.default_rng(seed))
         assert list(grads) == list(fresh) == list(model.params)
-        views = SequenceClassifier(cfg, out).params
+        views = SequenceClassifier(cfg, out.flat).params
         for name, view in grads.items():
             assert view.shape == views[name].shape and view.ctypes.data == views[name].ctypes.data, name
             assert view.tobytes() == fresh[name].tobytes(), name
-        out[...] = np.nan
+        out.flat[...] = np.nan
 
 
 def test_a_step_holds_little_more_than_its_forward():
@@ -196,7 +199,7 @@ def test_a_step_holds_little_more_than_its_forward():
     model = SequenceClassifier.initialize(cfg, seed=0)
     rng = np.random.default_rng(0)
     x, y = _batch(cfg, n=64, seed=11, dtype=np.float32), rng.integers(0, 2, 64)
-    out = np.empty_like(model.flat)
+    out = SequenceClassifier(cfg, np.empty_like(model.flat))
 
     def traced_peak(call):
         call()
@@ -538,14 +541,72 @@ def test_2d_layout_matches_the_3d_reference_at_any_width(case):
     _assert_within_rounding(_layout_pairs(case), case[0].dtype)
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=st.one_of(layout_cases(st.sampled_from(SHIPPED_WIDTHS)), layout_cases(any_widths())))
-def test_forward_without_a_cache_gives_the_same_bytes_and_no_cache(case):
+def _assert_bare_forward_matches(case):
     model, x, _, train, seed = case
     logits, probs, cache = forward_with_cache(model, x, train, np.random.default_rng(seed))
     bare = forward_with_cache(model, x, train, np.random.default_rng(seed), keep_cache=False)
     assert cache is not None and bare[2] is None
     assert bare[0].tobytes() == logits.tobytes() and bare[1].tobytes() == probs.tobytes()
+
+
+ANY_LAYOUT = st.one_of(layout_cases(st.sampled_from(SHIPPED_WIDTHS)), layout_cases(any_widths()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=ANY_LAYOUT)
+def test_forward_without_a_cache_gives_the_same_bytes_and_no_cache(case):
+    _assert_bare_forward_matches(case)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=ANY_LAYOUT)
+def test_forward_without_a_cache_gives_the_same_bytes_in_chunks_of_two_windows(monkeypatch, case):
+    """Every batch of more than two windows crosses chunks of K^T and the context."""
+    monkeypatch.setattr(transformer, "WINDOW_CHUNK", 2)
+    _assert_bare_forward_matches(case)
+
+
+def _attention_in_one_pass(h, params, prefix, config):
+    """(output, K^T, V) of attention with K^T, the scores and the context
+    each made by one matmul over the whole batch, bias added as bk[:, None]."""
+    w, nh, hd = config.window, config.num_heads, config.head_dim
+    n = len(h) // w
+    q = h @ params[prefix + "wq"] + params[prefix + "bq"]
+    kt = params[prefix + "wk"].T @ h.reshape(n, w, -1).transpose(0, 2, 1)
+    kt += params[prefix + "bk"][:, None]
+    kt = kt.reshape(n, nh, hd, w)
+    scores = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3) @ kt
+    scores *= 1.0 / math.sqrt(hd)
+    probs = _softmax(scores)
+    v = (h @ params[prefix + "wv"] + params[prefix + "bv"]).reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
+    ctx = np.empty((n, w, nh, hd), h.dtype)
+    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    out = ctx.reshape(n * w, nh * hd) @ params[prefix + "wo"] + params[prefix + "bo"]
+    return out, kt, v
+
+
+# windows per batch: one short of a chunk, one chunk, one over, several with a partial last
+CHUNK_EDGES = {"chunk-1": -1, "chunk": 0, "chunk+1": 1, "several": 2 * WINDOW_CHUNK + 5}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("extra", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
+def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
+    cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
+    model = SequenceClassifier.initialize(cfg, seed=4).astype(dtype)
+    n = WINDOW_CHUNK + extra
+    h = np.random.default_rng(n).standard_normal((n * cfg.window, cfg.input_dim)).astype(dtype)
+    want, want_kt, want_v = _attention_in_one_pass(h, model.params, "block0.attn.", cfg)
+    out, cache = _attention_forward(h, model.params, "block0.attn.", cfg)
+    bare, none = _attention_forward(h, model.params, "block0.attn.", cfg, keep_cache=False)
+    assert none is None and out.tobytes() == want.tobytes() and bare.tobytes() == want.tobytes()
+    kt, v = cache[4], cache[5]  # what the backward reads
+    assert kt.shape == want_kt.shape and kt.tobytes() == want_kt.tobytes()
+    assert v.shape == want_v.shape and np.array_equal(v, want_v)
+    x = np.random.default_rng(n).standard_normal((n, cfg.window, cfg.input_dim)).astype(dtype)
+    logits, probs, _ = forward_with_cache(model, x)
+    bare_logits, bare_probs, _ = forward_with_cache(model, x, keep_cache=False)
+    assert bare_logits.tobytes() == logits.tobytes() and bare_probs.tobytes() == probs.tobytes()
 
 
 def _traced_peak(call) -> int:
@@ -565,7 +626,7 @@ def test_a_batch_256_forward_without_a_cache_peaks_at_a_fraction_of_one_with_it(
     batch = _batch(cfg, n=256, dtype=np.float32)
     cached = _traced_peak(lambda: forward_with_cache(model, batch))
     bare = _traced_peak(lambda: forward_with_cache(model, batch, keep_cache=False))
-    assert bare <= 0.4 * cached, (bare, cached)
+    assert bare <= 0.2 * cached, (bare, cached)
 
 
 def test_predict_video_on_an_hour_holds_one_batch_and_the_score_arrays():
@@ -580,8 +641,9 @@ def test_predict_video_on_an_hour_holds_one_batch_and_the_score_arrays():
 
 # Runs in a fresh interpreter, so the heap it measures is its own: warm up,
 # size the activations one call holds, then count minor page faults over 50
-# more calls. Three kinds of call: a batch-256 forward (the cached one and the
-# one without a cache, as predict runs it) and a batch-64 training step
+# more calls. Three kinds of call: a batch-256 forward with the cache, a
+# batch-512 forward without one (a batch-256 one peaks at about 175 pages,
+# too few to tell reuse from faulting), and a batch-64 training step
 # (loss_and_grads, then the Adam update).
 _FAULT_PROBE = """
 import json, resource, sys, tracemalloc
@@ -628,7 +690,7 @@ small, targets = batch[:64].copy(), rng.integers(0, 2, 64)
 adam = FlatAdam(model, 1e-3)
 
 def train_step():
-    loss_and_grads(model, small, targets, train=True, rng=rng, out=adam.grad)
+    loss_and_grads(model, small, targets, train=True, rng=rng, out=adam.grads)
     adam.step()
 
 def train_activations():
@@ -636,7 +698,8 @@ def train_activations():
     return forward_with_cache(model, small, train=True, rng=rng), loss_and_grads(model, small, targets)
 
 forward = lambda: forward_with_cache(model, batch)
-bare_forward = lambda: forward_with_cache(model, batch, keep_cache=False)
+wide = np.concatenate([batch, batch])
+bare_forward = lambda: forward_with_cache(model, wide, keep_cache=False)
 calls = {
     "forward": (forward, lambda: owned_bytes(forward(), set())),
     "bare_forward": (bare_forward, lambda: traced_peak(bare_forward)),
@@ -676,7 +739,8 @@ def test_batch_64_training_steps_reuse_their_heap_pages():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
 def test_batch_256_forwards_without_a_cache_reuse_their_heap_pages():
     """A forward that keeps no cache frees each activation once read; the
-    pages of its peak are reused by the next call all the same."""
+    pages of its peak are reused by the next call all the same. The probe
+    forwards 512 windows, whose peak still spans more than 250 pages."""
     result = _fault_probe("bare_forward")
     assert result["activation_pages"] > 250
     assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
@@ -686,14 +750,10 @@ def test_batch_256_forwards_without_a_cache_reuse_their_heap_pages():
 
 
 def _blas_threads():
-    from fakeseg import transformer
-
     return transformer._OPENBLAS[0]()
 
 
 def test_a_forward_picks_its_blas_threads_by_its_largest_gemm():
-    from fakeseg import transformer
-
     if transformer._OPENBLAS is None:
         pytest.skip("numpy's BLAS has no scipy_openblas thread symbols")
     rng = np.random.default_rng(0)
@@ -708,8 +768,6 @@ def test_a_forward_picks_its_blas_threads_by_its_largest_gemm():
 
 def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
     import ctypes.util
-
-    from fakeseg import transformer
 
     assert transformer._openblas_threads(ctypes.util.find_library("c")) is None
     assert transformer._openblas_threads(str(ROOT / "no-such-library.so")) is None
@@ -728,7 +786,6 @@ def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
 
 def test_train_evaluate_and_predict_put_the_blas_threads_back(monkeypatch):
     """Their forwards run on one thread; the caller's count is theirs again after."""
-    from fakeseg import transformer
     from fakeseg.training import TrainConfig, evaluate, predict_video, train
     from fakeseg.windowing import FeatureSequence
 
