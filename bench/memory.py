@@ -35,6 +35,9 @@ predict do not depend on trained weights. It records:
                       the parameters after the step.
   forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
                       and without the cache.
+  step_peak_mib       tracemalloc peak of one warm batch-64 training step of
+                      the quickstart model (as in paper_scale), and of the
+                      training forward with the cache that it starts with.
   paper_forward       tracemalloc peak of one warm batch-256 forward without
                       a cache of a 1-block model of the paper's width (as in
                       paper_scale), with the SHA-256 of its logits.
@@ -120,6 +123,7 @@ SWEEP_BATCH = 64
 SERIAL_GAIN = 0.2  # a second thread that saves less than this share of the time is not worth its risk
 PAPER_WIDTHS = (768, 8, 512, 3072)  # input_dim, heads, head_dim, feed-forward of the paper's block
 PAPER_BATCH = 64
+STEP_BATCH = 64
 
 
 def _quickstart_model():
@@ -176,13 +180,9 @@ def _fit_child(root: str) -> None:
     print(json.dumps({"peak_mb": peak_mb, "fit_rise_mb": peak_mb - before_mb, "model_sha256": digest}))
 
 
-def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int) -> None:
-    cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
-    model = SequenceClassifier.initialize(cfg, seed=0)
-    rng = np.random.default_rng(0)
-    batch = rng.standard_normal((PAPER_BATCH, cfg.window, input_dim), dtype=np.float32)
-    targets = np.arange(PAPER_BATCH) % 2
-    adam = FlatAdam(model, 1e-4)
+def _train_step(model, adam, batch, targets, rng) -> None:
+    """One training step as `train` takes it: `loss_and_grads` with dropout
+    into Adam's gradient, then `FlatAdam.step`."""
     if hasattr(adam, "pack"):  # fakeseg that returned the gradients as a dict for Adam to copy
         _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng)
         adam.pack(grads)
@@ -190,6 +190,14 @@ def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int)
         out = adam.grads if hasattr(adam, "grads") else adam.grad
         _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng, out=out)
     adam.step()  # with `grads` still bound, as in `train`
+
+
+def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int) -> None:
+    cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((PAPER_BATCH, cfg.window, input_dim), dtype=np.float32)
+    _train_step(model, FlatAdam(model, 1e-4), batch, np.arange(PAPER_BATCH) % 2, rng)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     param_mb = model.flat.nbytes / 2**20
     digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
@@ -233,23 +241,44 @@ def paper_scale(widths) -> dict:
     return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": PAPER_BATCH, **result}
 
 
+def _traced(call):
+    """tracemalloc peak, in MiB, of the second of two calls of `call()`, and what it returned."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1] / 2**20, result
+    finally:
+        tracemalloc.stop()
+
+
 def _forward_peak(model, **kwargs) -> tuple[float, np.ndarray]:
     """tracemalloc peak, in MiB, of one warm batch-256 forward of `model`, and its logits."""
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((FORWARD_BATCH, model.config.window, model.config.input_dim), dtype=np.float32)
-    forward_with_cache(model, batch, **kwargs)
-    tracemalloc.start()
-    try:
-        logits, _, _ = forward_with_cache(model, batch, **kwargs)
-        return tracemalloc.get_traced_memory()[1] / 2**20, logits
-    finally:
-        tracemalloc.stop()
+    peak, (logits, _, _) = _traced(lambda: forward_with_cache(model, batch, **kwargs))
+    return peak, logits
 
 
 def forward_peaks() -> dict:
     """tracemalloc peaks, in MiB, of one warm batch-256 forward with and without the cache."""
     model, _ = _quickstart_model()
     return {"cached": _forward_peak(model)[0], "no_cache": _forward_peak(model, keep_cache=False)[0]}
+
+
+def step_peaks() -> dict:
+    """tracemalloc peaks, in MiB, of one warm batch-64 quickstart training
+    step and of its training forward with the cache."""
+    model, _ = _quickstart_model()
+    cfg = model.config
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((STEP_BATCH, cfg.window, cfg.input_dim), dtype=np.float32)
+    targets = np.arange(STEP_BATCH) % 2
+    adam = FlatAdam(model, 1e-3)
+    return {
+        "step": _traced(lambda: _train_step(model, adam, batch, targets, rng))[0],
+        "forward": _traced(lambda: forward_with_cache(model, batch, train=True, rng=rng))[0],
+    }
 
 
 def paper_forward(widths) -> dict:
@@ -478,6 +507,7 @@ def measure(
         "train_rss_mb": train_rss(*train_videos),
         "paper_scale": paper_scale(paper_widths),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
+        "step_peak_mib": {"batch": STEP_BATCH, **step_peaks()},
         "paper_forward": paper_forward(paper_widths),
         "predict_s": predict_time(time_frames, repeats),
         "synth_s": synth_time(time_frames, repeats),

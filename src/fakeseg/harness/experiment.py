@@ -371,13 +371,17 @@ def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
     features_root = materialize_features(cfg, run_dir)
 
     with _stage("train"):
-        split_seqs = {s: load_split_features(features_root / s) for s in SPLITS}
-        test_seqs = check_features(split_seqs["test"], cfg.model, labeled=True)
-        model, history = fit(cfg.model, cfg.train, split_seqs["train"], split_seqs["val"], ev.overlap)
+        train_seqs, val_seqs = (load_split_features(features_root / s) for s in ("train", "val"))
+        # a bad test video fails here, before a model is written; the split
+        # is read again for predict rather than held through training
+        check_features(load_split_features(features_root / "test"), cfg.model, labeled=True)
+        model, history = fit(cfg.model, cfg.train, train_seqs, val_seqs, ev.overlap)
+        del train_seqs, val_seqs
         save_checkpoint(run_dir / "model.tfkm", model)
         write_json(run_dir / "history.json", dataclasses.asdict(history))
 
     with _stage("predict"):
+        test_seqs = load_split_features(features_root / "test")
         gt_maps = {seq.video_id: seq.labels for seq in test_seqs}
         score_maps = score_videos(model, test_seqs, ev.overlap, ev.frame_mode, run_dir / "scores")
         maps_dir = run_dir / "maps"

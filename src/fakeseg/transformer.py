@@ -278,15 +278,25 @@ class SequenceClassifier:
 #
 # Activations are laid out for the products that read them: the residual
 # stream is one (N * W, d) array, so each linear is one GEMM with its bias
-# added in place; K is projected straight into its (N, H, hd, W) transpose,
-# and the attention context is written in the (N, W, H, hd) layout that the
-# output projection reads as (N * W, H * hd), so no transpose is copied.
+# added in place; K^T is projected per window (`wk.T @ h`), and the
+# attention context is written in the (N, W, H, hd) layout that the output
+# projection reads as (N * W, H * hd), so no transpose is copied.
 
 
 def _linear_forward(x, w, b):
     out = x @ w
     out += b
     return out, (x, w)
+
+
+# OpenBLAS's small-matrix kernels read a C-contiguous w^T 2-5x faster than
+# the transposed view (64 -> 16 at batch 64: 32 -> 9 us), and sum the same
+# bits from either when the linear's output (the contraction) is at most
+# this many bytes wide and a window has two rows or more (SkylakeX: every
+# fan-in from 1 to 69 and nine more to 3,072). Wider outputs, one-row
+# windows (a vector-matrix product) and the head keep the view: there the
+# copy changes bits.
+WT_COPY_BYTES = 64
 
 
 def _linear_backward(g, cache, dw, db, window=None):
@@ -296,8 +306,10 @@ def _linear_backward(g, cache, dw, db, window=None):
     x, w = cache
     np.matmul(x.T, g, out=dw)
     np.add.reduce(g, axis=0, out=db)
-    rows = g if window is None else g.reshape(-1, window, g.shape[-1])
-    return (rows @ w.T).reshape(-1, w.shape[0])
+    if window is None:
+        return g @ w.T
+    wt = w.T.copy() if window > 1 and w.shape[1] * w.itemsize <= WT_COPY_BYTES else w.T
+    return (g.reshape(-1, window, g.shape[-1]) @ wt).reshape(-1, w.shape[0])
 
 
 def _mean_last(x):
@@ -355,71 +367,92 @@ def _softmax(z):
 
 def _dropout_mask(shape, rate, rng, dtype):
     keep = rng.random(shape) >= rate
-    return keep.astype(dtype) / dtype.type(1.0 - rate)
+    mask = keep.astype(dtype)
+    mask /= dtype.type(1.0 - rate)
+    return mask
+
+
+def _attention_activations(h2, params, prefix, heads, window, probs=None):
+    """Q, K, V and the context of attention over windows of `window` rows
+    of the (N * W, d) input h2, WINDOW_CHUNK windows at a time. The forward
+    and the backward's rebuild share these per-window and per-(window,
+    head) products, so both get the same bytes; K^T is projected a chunk
+    at a time (`wk.T @ h` per window).
+
+    Without `probs` (the forward) each K^T chunk goes into the scores and
+    each context chunk back into V's (N, W, H, hd) buffer: returns that
+    buffer and the probabilities. With them (the rebuild) returns Q, a
+    contiguous K and V, each (N, H, W, hd), and the (N, W, H, hd) context."""
+    rebuild = probs is not None
+    w, nh = window, heads
+    hd = params[prefix + "wq"].shape[1] // nh
+    n = h2.shape[0] // w
+    chunks = [(lo, min(lo + WINDOW_CHUNK, n)) for lo in range(0, n, WINDOW_CHUNK)]
+    q, _ = _linear_forward(h2, params[prefix + "wq"], params[prefix + "bq"])
+    q = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
+    wk = params[prefix + "wk"]
+    bk = np.repeat(params[prefix + "bk"], w).reshape(nh * hd, w)  # bk[:, None] as one contiguous block
+    h_t = h2.reshape(n, w, -1).transpose(0, 2, 1)  # each window's (d, W) view
+    kt = np.empty((min(WINDOW_CHUNK, n), nh * hd, w), h2.dtype)
+    if rebuild:
+        k = np.empty((n, nh, w, hd), h2.dtype)  # the layout dq = dscores @ K reads fastest
+    else:
+        scores = np.empty((n, nh, w, w), h2.dtype)
+    for lo, hi in chunks:
+        kt_c = kt[: hi - lo]
+        np.matmul(wk.T, h_t[lo:hi], out=kt_c)
+        kt_c += bk
+        kt_c = kt_c.reshape(-1, nh, hd, w)
+        if rebuild:
+            k[lo:hi] = kt_c.swapaxes(-1, -2)
+        else:
+            np.matmul(q[lo:hi], kt_c, out=scores[lo:hi])
+    del kt, kt_c
+    if not rebuild:
+        del q
+        scores *= 1.0 / math.sqrt(hd)
+        probs = _softmax(scores)
+        del scores  # V is projected only now: Q, K^T, the scores and V are never all live
+    v, _ = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
+    v = v.reshape(n, w, nh, hd)  # the layout the output projection reads
+    ctx = np.empty((n if rebuild else min(WINDOW_CHUNK, n), w, nh, hd), h2.dtype)
+    for lo, hi in chunks:
+        ctx_c = ctx[lo:hi] if rebuild else ctx[: hi - lo]
+        np.matmul(probs[lo:hi], v[lo:hi].transpose(0, 2, 1, 3), out=ctx_c.transpose(0, 2, 1, 3))
+        if not rebuild:
+            v[lo:hi] = ctx_c  # these windows of V are read
+    if rebuild:
+        return q, k, v.transpose(0, 2, 1, 3), ctx
+    return v, probs
 
 
 def _attention_forward(h, params, prefix, config, keep_cache=True):
     """Self-attention over windows of config.window rows; h is (N, W, d) or
     (N * W, d) and the output has h's shape.
 
-    K^T, the scores and the context are made WINDOW_CHUNK windows at a time,
-    by the same per-window products as in one pass. With `keep_cache` the
-    chunks fill whole K^T and context buffers for the backward. Without it
-    K^T and the context are one chunk each: each chunk of the context goes
-    back into V's own buffer, which the output projection reads, every
-    activation is dropped once read, and the cache is None."""
-    w, nh, hd = config.window, config.num_heads, config.head_dim
+    The cache is the input, the probabilities and the parameter views, from
+    which the backward makes Q, K, V and the context again; without
+    `keep_cache` it is None."""
     h2 = h.reshape(-1, h.shape[-1])
-    n = h2.shape[0] // w
-    chunks = [(lo, min(lo + WINDOW_CHUNK, n)) for lo in range(0, n, WINDOW_CHUNK)]
-    held = n if keep_cache else min(WINDOW_CHUNK, n)  # windows in the K^T and context buffers
-
-    def part(buf, lo, hi):
-        return buf[lo:hi] if keep_cache else buf[: hi - lo]
-
-    q, cq = _linear_forward(h2, params[prefix + "wq"], params[prefix + "bq"])
-    q = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
-    wk = params[prefix + "wk"]
-    bk = np.repeat(params[prefix + "bk"], w).reshape(nh * hd, w)  # bk[:, None] as one contiguous block
-    h_t = h2.reshape(n, w, -1).transpose(0, 2, 1)  # each window's (d, W) view
-    kt = np.empty((held, nh * hd, w), h2.dtype)
-    scores = np.empty((n, nh, w, w), h2.dtype)
-    for lo, hi in chunks:
-        kt_c = part(kt, lo, hi)
-        np.matmul(wk.T, h_t[lo:hi], out=kt_c)
-        kt_c += bk
-        np.matmul(q[lo:hi], kt_c.reshape(-1, nh, hd, w), out=scores[lo:hi])
-    if not keep_cache:
-        del q, kt, kt_c, cq
-    scale = 1.0 / math.sqrt(hd)
-    scores *= scale
-    probs = _softmax(scores)
-    del scores  # V is projected only now: without a cache Q, K^T, the scores and V are never all live
-    v, cv = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
-    v = v.reshape(n, w, nh, hd)  # the layout the output projection reads
-    ctx = np.empty((held, w, nh, hd), h2.dtype)
-    for lo, hi in chunks:
-        ctx_c = part(ctx, lo, hi)
-        np.matmul(probs[lo:hi], v[lo:hi].transpose(0, 2, 1, 3), out=ctx_c.transpose(0, 2, 1, 3))
-        if not keep_cache:
-            v[lo:hi] = ctx_c  # these windows of V are read
-    if not keep_cache:
-        ctx = v
-        del v, ctx_c, probs, cv
-    out, co = _linear_forward(ctx.reshape(n * w, nh * hd), params[prefix + "wo"], params[prefix + "bo"])
-    if not keep_cache:
-        return out.reshape(h.shape), None
-    kt, v = kt.reshape(n, nh, hd, w), v.transpose(0, 2, 1, 3)  # (N, H, hd, W) and (N, H, W, hd)
-    return out.reshape(h.shape), [cq, (h2, wk), cv, q, kt, v, probs, co, scale]
+    ctx, probs = _attention_activations(h2, params, prefix, config.num_heads, config.window)
+    cache = [h2, probs, params] if keep_cache else None
+    del probs
+    out, _ = _linear_forward(ctx.reshape(h2.shape[0], -1), params[prefix + "wo"], params[prefix + "bo"])
+    return out.reshape(h.shape), cache
 
 
 def _attention_backward(g, cache, grads, prefix):
     """d(input) of attention; writes the weight and bias gradients into the
-    views of `grads`. It empties the `cache` list, so that each activation is
-    freed once read."""
-    cq, ck, cv, q, kt, v, probs, co, scale = cache
+    views of `grads`. Q, K, V and the context are made again from the
+    cached input and probabilities, by the forward's own products. It
+    empties the `cache` list, so that each activation is freed once read."""
+    h2, probs, params = cache
     cache.clear()
-    n, nh, w, hd = q.shape
+    n, nh, w, _ = probs.shape
+    q, k, v, ctx = _attention_activations(h2, params, prefix, nh, w, probs)
+    hd = q.shape[-1]
+    co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
+    del ctx
     dctx = _linear_backward(g.reshape(n * w, -1), co, grads[prefix + "wo"], grads[prefix + "bo"], w)
     del co
     dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
@@ -428,12 +461,14 @@ def _attention_backward(g, cache, grads, prefix):
     del v, dctx
     dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
     del probs, dprobs
-    dq = (dscores @ kt.swapaxes(-1, -2)) * scale
+    scale = 1.0 / math.sqrt(hd)
+    dq = (dscores @ k) * scale
     dk = (dscores.swapaxes(-1, -2) @ q) * scale
-    del kt, q, dscores
+    del k, q, dscores
     dh = None
-    for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
+    for dz, name in ((dq, "q"), (dk, "k"), (dv, "v")):
         merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
+        c = (h2, params[prefix + "w" + name])
         dhi = _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name], w)
         dh = dhi if dh is None else np.add(dh, dhi, out=dh)
     return dh.reshape(g.shape)
@@ -460,6 +495,8 @@ def forward_with_cache(
         raise ValueError(
             f"batch shape {batch.shape} does not match (N, {cfg.window}, {cfg.input_dim})"
         )
+    if batch.shape[0] == 0:
+        raise ValueError(f"batch of shape {batch.shape} has no windows")
     if not np.isfinite(batch).all():
         raise ValueError("batch contains non-finite values")
     if train and cfg.dropout > 0.0 and rng is None:
@@ -474,6 +511,9 @@ def forward_with_cache(
         x = x + p["pos_embed"]
     x = x.reshape(n * w, d)  # the residual stream, one row per frame
     drop = train and cfg.dropout > 0.0
+    # every block's two masks from one draw: the generator's stream splits
+    # in order, so they are the masks drawn one at a time
+    masks = _dropout_mask((2 * cfg.num_blocks, n * w, d), cfg.dropout, rng, dtype) if drop else None
 
     def kept(result):  # a primitive's (output, cache), its cache dropped at once without keep_cache
         return result if keep_cache else (result[0], None)
@@ -484,7 +524,7 @@ def forward_with_cache(
         h, c_ln1 = kept(_layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"]))
         branch, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
         del h
-        m_attn = _dropout_mask(branch.shape, cfg.dropout, rng, dtype) if drop else None
+        m_attn, m_ff = (masks[2 * b], masks[2 * b + 1]) if drop else (None, None)
         if drop:
             branch *= m_attn
         branch += x
@@ -495,7 +535,6 @@ def forward_with_cache(
         del h
         branch, c_ff2 = kept(_linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"]))
         del z1
-        m_ff = _dropout_mask(branch.shape, cfg.dropout, rng, dtype) if drop else None
         if drop:
             branch *= m_ff
         branch += x

@@ -18,6 +18,7 @@ from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PREDICT_BATCH
 from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from fakeseg.transformer import (
     SequenceClassifier,
+    _attention_activations,
     _dropout_mask,
     _layer_norm_forward,
     _mean_last,
@@ -386,10 +387,12 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
 # -- the training step with a dict of gradients and a packing Adam --
 #
 # The library writes each gradient straight into a flat buffer (Adam's own),
-# frees each block's cache once the backward has read it, and runs Adam a
-# chunk at a time on chunk-sized scratch; these are the bodies it replaced:
-# the backward returns a dict of new arrays with the whole cache live, and
-# Adam copies the dict into its buffer and updates on model-sized scratch.
+# frees each block's cache once the backward has read it, runs Adam a chunk
+# at a time on chunk-sized scratch, and reads K and some w^T contiguous in
+# the backward; these are the bodies it replaced: the backward returns a
+# dict of new arrays with the whole cache live and reads K^T and every w^T
+# transposed, and Adam copies the dict into its buffer and updates on
+# model-sized scratch.
 
 
 def _layer_norm_reference_backward(g, cache):
@@ -409,8 +412,15 @@ def _linear_dict_backward(g, cache, window=None):
 
 
 def _attention_dict_backward(g, cache, grads, prefix):
-    cq, ck, cv, q, kt, v, probs, co, scale = cache
-    n, nh, w, hd = q.shape
+    """The attention backward as it read a cache of Q, K^T, V and the
+    context: K^T contiguous and read transposed, every w^T a view. Those
+    activations are made again here by the library's own products."""
+    h2, probs, params = cache
+    n, nh, w, _ = probs.shape
+    q, k, v, ctx = _attention_activations(h2, params, prefix, nh, w, probs)
+    kt, hd = np.ascontiguousarray(k.swapaxes(-1, -2)), q.shape[-1]
+    scale = 1.0 / math.sqrt(hd)
+    co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
     dctx, grads[prefix + "wo"], grads[prefix + "bo"] = _linear_dict_backward(g.reshape(n * w, -1), co, w)
     dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
@@ -419,8 +429,9 @@ def _attention_dict_backward(g, cache, grads, prefix):
     dq = (dscores @ kt.swapaxes(-1, -2)) * scale
     dk = (dscores.swapaxes(-1, -2) @ q) * scale
     dh = None
-    for dz, c, name in ((dq, cq, "q"), (dk, ck, "k"), (dv, cv, "v")):
+    for dz, name in ((dq, "q"), (dk, "k"), (dv, "v")):
         merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
+        c = (h2, params[prefix + "w" + name])
         dhi, grads[prefix + "w" + name], grads[prefix + "b" + name] = _linear_dict_backward(merged, c, w)
         dh = dhi if dh is None else np.add(dh, dhi, out=dh)
     return dh.reshape(g.shape)

@@ -1,6 +1,6 @@
 """bench/memory.py end to end at 1,000 frames, a 4-video train split, 4
-clips, two narrow widths and a narrow paper-scale step and forward: every
-field it records is filled."""
+clips, two narrow widths, a narrow paper-scale step and forward, and the
+quickstart step: every field it records is filled."""
 
 import hashlib
 import importlib.util
@@ -36,6 +36,8 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert len(paper["params_sha256"]) == 64
     peaks = result["forward_peak_mib"]
     assert 0 < peaks["no_cache"] < peaks["cached"]
+    step = result["step_peak_mib"]
+    assert step["batch"] == 64 and 0 < step["forward"] < step["step"]
     wide = result["paper_forward"]
     assert (wide["input_dim"], wide["num_heads"], wide["head_dim"], wide["ff_hidden"]) == (16, 2, 8, 32)
     assert (wide["num_blocks"], wide["batch"]) == (1, 256)

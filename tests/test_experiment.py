@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,33 @@ def test_sweep_window_grid_checks_the_test_split_before_training(micro_run, tmp_
     monkeypatch.setattr(experiment, "fit", no_training)
     with pytest.raises(ValueError, match="video 'test0001' has no labels"):
         sweep_window_grid(cfg, tmp_path / "sweep", window_sizes=[5], overlaps=[4])
+
+
+def test_run_reads_the_test_split_again_after_training(micro_run, tmp_path, monkeypatch):
+    """The test split is read and checked before training and dropped, so
+    training does not hold it; predict reads it again, to the same bytes."""
+    from fakeseg.harness import experiment
+
+    cfg, run_dir, _ = micro_run
+    test_reads, alive_in_fit = [], []
+    read, real_fit = experiment.load_split_features, experiment.fit
+
+    def read_and_watch(split_dir):
+        seqs = read(split_dir)
+        if Path(split_dir).name == "test":
+            test_reads.append(weakref.ref(seqs[0].features.base))  # the split's one buffer
+        return seqs
+
+    def fit_and_look(*args):
+        alive_in_fit.append([ref() is not None for ref in test_reads])
+        return real_fit(*args)
+
+    monkeypatch.setattr(experiment, "load_split_features", read_and_watch)
+    monkeypatch.setattr(experiment, "fit", fit_and_look)
+    run_experiment(cfg, tmp_path / "run")
+    assert alive_in_fit == [[False]] and len(test_reads) == 2
+    for name in ("model.tfkm", "report.json", "scores/test0000.scores.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 # -- a split's windows, cut on demand --

@@ -27,6 +27,7 @@ from fakeseg.harness.config import load_experiment_config
 from fakeseg.transformer import (
     LN_EPS,
     WINDOW_CHUNK,
+    _attention_activations,
     _attention_backward,
     _attention_forward,
     _softmax,
@@ -192,27 +193,18 @@ def test_gradients_are_written_into_every_element_of_the_buffer(pos, scale_shift
 
 
 def test_a_step_holds_little_more_than_its_forward():
-    """The backward frees each block's cache and its own temporaries once it
-    has read them, so a batch-64 quickstart step peaks within 15% of the
-    training forward that builds the cache (55% while the cache stayed live)."""
+    """A batch-64 quickstart step peaks at most 1,000 KiB: each attention
+    caches its input and probabilities and rebuilds Q, K, V and the context
+    in the backward, and the backward frees each block's cache and its own
+    temporaries once read (1,287 KiB while Q, K^T, V and the context were
+    cached, 1.91 MiB while the whole cache stayed live)."""
     cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
     model = SequenceClassifier.initialize(cfg, seed=0)
     rng = np.random.default_rng(0)
     x, y = _batch(cfg, n=64, seed=11, dtype=np.float32), rng.integers(0, 2, 64)
     out = SequenceClassifier(cfg, np.empty_like(model.flat))
-
-    def traced_peak(call):
-        call()
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    forward_peak = traced_peak(lambda: forward_with_cache(model, x, train=True, rng=rng))
-    step_peak = traced_peak(lambda: loss_and_grads(model, x, y, train=True, rng=rng, out=out))
-    assert step_peak < 1.15 * forward_peak, step_peak / forward_peak
+    step_peak = _traced_peak(lambda: loss_and_grads(model, x, y, train=True, rng=rng, out=out))
+    assert step_peak <= 1000 << 10, step_peak / 1024
 
 
 def test_forward_input_validation():
@@ -225,6 +217,8 @@ def test_forward_input_validation():
         forward(model, bad)
     with pytest.raises(ValueError, match="generator"):
         forward(model, np.zeros((2, 3, 8), dtype=np.float32), train=True)
+    with pytest.raises(ValueError, match=r"batch of shape \(0, 3, 8\) has no windows"):
+        forward(model, np.zeros((0, 3, 8), dtype=np.float32))
 
 
 def test_loss_target_validation():
@@ -567,46 +561,67 @@ def test_forward_without_a_cache_gives_the_same_bytes_in_chunks_of_two_windows(m
 
 
 def _attention_in_one_pass(h, params, prefix, config):
-    """(output, K^T, V) of attention with K^T, the scores and the context
-    each made by one matmul over the whole batch, bias added as bk[:, None]."""
+    """(output, Q, K^T, V, context, probs) of attention with K^T, the scores
+    and the context each made by one matmul over the whole batch, bias
+    added as bk[:, None]."""
     w, nh, hd = config.window, config.num_heads, config.head_dim
     n = len(h) // w
-    q = h @ params[prefix + "wq"] + params[prefix + "bq"]
+    q = (h @ params[prefix + "wq"] + params[prefix + "bq"]).reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     kt = params[prefix + "wk"].T @ h.reshape(n, w, -1).transpose(0, 2, 1)
     kt += params[prefix + "bk"][:, None]
     kt = kt.reshape(n, nh, hd, w)
-    scores = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3) @ kt
+    scores = q @ kt
     scores *= 1.0 / math.sqrt(hd)
     probs = _softmax(scores)
     v = (h @ params[prefix + "wv"] + params[prefix + "bv"]).reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     ctx = np.empty((n, w, nh, hd), h.dtype)
     np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
     out = ctx.reshape(n * w, nh * hd) @ params[prefix + "wo"] + params[prefix + "bo"]
-    return out, kt, v
+    return out, q, kt, v, ctx, probs
 
 
 # windows per batch: one short of a chunk, one chunk, one over, several with a partial last
 CHUNK_EDGES = {"chunk-1": -1, "chunk": 0, "chunk+1": 1, "several": 2 * WINDOW_CHUNK + 5}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-@pytest.mark.parametrize("extra", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
-def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
+def _chunk_edge_case(dtype, extra):
+    """The quickstart model in `dtype`, its config and an attention input of chunk + extra windows."""
     cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
     model = SequenceClassifier.initialize(cfg, seed=4).astype(dtype)
     n = WINDOW_CHUNK + extra
-    h = np.random.default_rng(n).standard_normal((n * cfg.window, cfg.input_dim)).astype(dtype)
-    want, want_kt, want_v = _attention_in_one_pass(h, model.params, "block0.attn.", cfg)
+    return model, cfg, np.random.default_rng(n).standard_normal((n * cfg.window, cfg.input_dim)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("extra", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
+def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
+    model, cfg, h = _chunk_edge_case(dtype, extra)
+    n = len(h) // cfg.window
+    want, *_, want_probs = _attention_in_one_pass(h, model.params, "block0.attn.", cfg)
     out, cache = _attention_forward(h, model.params, "block0.attn.", cfg)
     bare, none = _attention_forward(h, model.params, "block0.attn.", cfg, keep_cache=False)
     assert none is None and out.tobytes() == want.tobytes() and bare.tobytes() == want.tobytes()
-    kt, v = cache[4], cache[5]  # what the backward reads
-    assert kt.shape == want_kt.shape and kt.tobytes() == want_kt.tobytes()
-    assert v.shape == want_v.shape and np.array_equal(v, want_v)
+    h2, probs, params = cache  # what the backward reads
+    assert h2 is h or h2.base is h
+    assert probs.shape == want_probs.shape and probs.tobytes() == want_probs.tobytes()
+    assert params is model.params
     x = np.random.default_rng(n).standard_normal((n, cfg.window, cfg.input_dim)).astype(dtype)
     logits, probs, _ = forward_with_cache(model, x)
     bare_logits, bare_probs, _ = forward_with_cache(model, x, keep_cache=False)
     assert bare_logits.tobytes() == logits.tobytes() and bare_probs.tobytes() == probs.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("extra", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
+def test_the_backward_rebuilds_q_k_v_and_the_context_with_the_forwards_bytes(dtype, extra):
+    model, cfg, h = _chunk_edge_case(dtype, extra)
+    _, want_q, want_kt, want_v, want_ctx, _ = _attention_in_one_pass(h, model.params, "block0.attn.", cfg)
+    _, (h2, probs, params) = _attention_forward(h, model.params, "block0.attn.", cfg)
+    q, k, v, ctx = _attention_activations(h2, params, "block0.attn.", cfg.num_heads, cfg.window, probs)
+    assert k.flags.c_contiguous and ctx.flags.c_contiguous
+    for name, got, want in (("Q", q, want_q), ("K^T", k.swapaxes(-1, -2), want_kt), ("V", v, want_v),
+                            ("context", ctx, want_ctx)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def _traced_peak(call) -> int:
@@ -621,12 +636,15 @@ def _traced_peak(call) -> int:
 
 
 def test_a_batch_256_forward_without_a_cache_peaks_at_a_fraction_of_one_with_it():
+    """A warm batch-256 quickstart forward peaks at most 2,300 KiB with the
+    cache (4,514 KiB while it held Q, K^T, V and the context) and at most
+    800 KiB without one."""
     cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
     model = SequenceClassifier.initialize(cfg, seed=0)
     batch = _batch(cfg, n=256, dtype=np.float32)
     cached = _traced_peak(lambda: forward_with_cache(model, batch))
     bare = _traced_peak(lambda: forward_with_cache(model, batch, keep_cache=False))
-    assert bare <= 0.2 * cached, (bare, cached)
+    assert cached <= 2300 << 10 and bare <= 800 << 10, (cached / 1024, bare / 1024)
 
 
 def test_predict_video_on_an_hour_holds_one_batch_and_the_score_arrays():
@@ -641,10 +659,11 @@ def test_predict_video_on_an_hour_holds_one_batch_and_the_score_arrays():
 
 # Runs in a fresh interpreter, so the heap it measures is its own: warm up,
 # size the activations one call holds, then count minor page faults over 50
-# more calls. Three kinds of call: a batch-256 forward with the cache, a
-# batch-512 forward without one (a batch-256 one peaks at about 175 pages,
-# too few to tell reuse from faulting), and a batch-64 training step
-# (loss_and_grads, then the Adam update).
+# more calls. Three kinds of call, each large enough that its activations
+# span more pages than reuse and faulting can be told apart by: a batch-512
+# forward with the cache and one without (at batch 256 they hold about 430
+# and 175 pages), and a batch-128 training step (loss_and_grads, then the
+# Adam update; at batch 64 it holds about 150 pages).
 _FAULT_PROBE = """
 import json, resource, sys, tracemalloc
 import numpy as np
@@ -686,7 +705,7 @@ cfg = load_experiment_config(sys.argv[1]).model
 model = SequenceClassifier.initialize(cfg, seed=0)
 rng = np.random.default_rng(0)
 batch = rng.standard_normal((256, cfg.window, cfg.input_dim)).astype(np.float32)
-small, targets = batch[:64].copy(), rng.integers(0, 2, 64)
+small, targets = batch[:128].copy(), rng.integers(0, 2, 128)
 adam = FlatAdam(model, 1e-3)
 
 def train_step():
@@ -697,8 +716,8 @@ def train_activations():
     # what a step holds at its peak: the training forward's cache and the gradients
     return forward_with_cache(model, small, train=True, rng=rng), loss_and_grads(model, small, targets)
 
-forward = lambda: forward_with_cache(model, batch)
 wide = np.concatenate([batch, batch])
+forward = lambda: forward_with_cache(model, wide)
 bare_forward = lambda: forward_with_cache(model, wide, keep_cache=False)
 calls = {
     "forward": (forward, lambda: owned_bytes(forward(), set())),
@@ -721,7 +740,8 @@ def _fault_probe(call):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
 def test_batch_256_forwards_reuse_their_heap_pages():
     """Without the allocator setting every forward faults its activations in
-    again, about one fault per page; with it the pages are reused."""
+    again, about one fault per page; with it the pages are reused. The probe
+    forwards 512 windows, whose cache spans more than 500 pages."""
     result = _fault_probe("forward")
     assert result["activation_pages"] > 500
     assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
@@ -730,7 +750,8 @@ def test_batch_256_forwards_reuse_their_heap_pages():
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="allocator tuning is glibc only")
 def test_batch_64_training_steps_reuse_their_heap_pages():
     """A training step (forward with dropout, backward into Adam's buffer and Adam update)
-    reuses its pages too, the written-in-place context and K^T included."""
+    reuses its pages too, the rebuilt Q, K, V and context included. The probe
+    steps on 128 windows, whose activations span more than 250 pages."""
     result = _fault_probe("train_step")
     assert result["activation_pages"] > 250
     assert result["faults_per_call"] < 0.1 * result["activation_pages"], result
