@@ -365,8 +365,8 @@ def _softmax(z):
     return zt.T.reshape(z.shape)
 
 
-def _dropout_mask(shape, rate, rng, dtype):
-    keep = rng.random(shape) >= rate
+def _dropout_mask(keep, rate, dtype):
+    """The inverted-dropout mask of the boolean draws `keep`."""
     mask = keep.astype(dtype)
     mask /= dtype.type(1.0 - rate)
     return mask
@@ -511,9 +511,9 @@ def forward_with_cache(
         x = x + p["pos_embed"]
     x = x.reshape(n * w, d)  # the residual stream, one row per frame
     drop = train and cfg.dropout > 0.0
-    # every block's two masks from one draw: the generator's stream splits
-    # in order, so they are the masks drawn one at a time
-    masks = _dropout_mask((2 * cfg.num_blocks, n * w, d), cfg.dropout, rng, dtype) if drop else None
+    # every block's two dropout draws in one call: the generator's stream
+    # splits in order, so each is the draw made on its own
+    keep = rng.random((2 * cfg.num_blocks, n * w, d)) >= cfg.dropout if drop else None
 
     def kept(result):  # a primitive's (output, cache), its cache dropped at once without keep_cache
         return result if keep_cache else (result[0], None)
@@ -524,7 +524,7 @@ def forward_with_cache(
         h, c_ln1 = kept(_layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"]))
         branch, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
         del h
-        m_attn, m_ff = (masks[2 * b], masks[2 * b + 1]) if drop else (None, None)
+        m_attn = _dropout_mask(keep[2 * b], cfg.dropout, dtype) if drop else None
         if drop:
             branch *= m_attn
         branch += x
@@ -535,6 +535,7 @@ def forward_with_cache(
         del h
         branch, c_ff2 = kept(_linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"]))
         del z1
+        m_ff = _dropout_mask(keep[2 * b + 1], cfg.dropout, dtype) if drop else None
         if drop:
             branch *= m_ff
         branch += x

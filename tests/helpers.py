@@ -19,7 +19,6 @@ from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_fo
 from fakeseg.transformer import (
     SequenceClassifier,
     _attention_activations,
-    _dropout_mask,
     _layer_norm_forward,
     _mean_last,
     _reduce_rows,
@@ -270,6 +269,11 @@ def _attention_reference_backward(g, cache, grads, prefix):
     return dh
 
 
+def _dropout_mask_reference(shape, rate, rng, dtype):
+    """One dropout mask, drawn on its own."""
+    return (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
+
+
 def forward_reference(model, batch, train=False, rng=None):
     """(logits, probs, cache) of the classifier, computed on (N, W, d) arrays."""
     cfg = model.config
@@ -286,7 +290,7 @@ def forward_reference(model, batch, train=False, rng=None):
         attn_out, c_attn = _attention_reference_forward(h, p, pre + "attn.", cfg)
         m_attn = None
         if train and cfg.dropout > 0.0:
-            m_attn = _dropout_mask(attn_out.shape, cfg.dropout, rng, dtype)
+            m_attn = _dropout_mask_reference(attn_out.shape, cfg.dropout, rng, dtype)
             attn_out = attn_out * m_attn
         x = x + attn_out
 
@@ -296,7 +300,7 @@ def forward_reference(model, batch, train=False, rng=None):
         ff_out, c_ff2 = _linear_reference(a1, p[pre + "ff.w2"], p[pre + "ff.b2"])
         m_ff = None
         if train and cfg.dropout > 0.0:
-            m_ff = _dropout_mask(ff_out.shape, cfg.dropout, rng, dtype)
+            m_ff = _dropout_mask_reference(ff_out.shape, cfg.dropout, rng, dtype)
             ff_out = ff_out * m_ff
         x = x + ff_out
         block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, z1, c_ff2, m_ff))
