@@ -38,6 +38,9 @@ predict do not depend on trained weights. It records:
   step_peak_mib       tracemalloc peak of one warm batch-64 training step of
                       the quickstart model (as in paper_scale), and of the
                       training forward with the cache that it starts with.
+  cache_kib           the bytes that cache holds: every distinct array
+                      buffer reachable from it, counted once, the model's
+                      parameter buffer (which its weight views share) not.
   paper_forward       tracemalloc peak of one warm batch-256 forward without
                       a cache of a 1-block model of the paper's width (as in
                       paper_scale), with the SHA-256 of its logits.
@@ -281,6 +284,33 @@ def step_peaks() -> dict:
     }
 
 
+def _owned_bytes(obj, seen: set) -> int:
+    """Bytes of the distinct array buffers reachable from obj through
+    tuples, lists and dicts; a buffer whose id is in `seen` counts once."""
+    if isinstance(obj, (tuple, list)):
+        return sum(_owned_bytes(o, seen) for o in obj)
+    if isinstance(obj, dict):
+        return _owned_bytes(list(obj.values()), seen)
+    if not isinstance(obj, np.ndarray):
+        return 0
+    base = obj if obj.base is None else obj.base
+    if not isinstance(base, np.ndarray) or id(base) in seen:
+        return 0
+    seen.add(id(base))
+    return base.nbytes
+
+
+def cache_size() -> dict:
+    """KiB of the cache of a batch-64 quickstart training forward (as in
+    step_peaks), parameters left out."""
+    model, _ = _quickstart_model()
+    cfg = model.config
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((STEP_BATCH, cfg.window, cfg.input_dim), dtype=np.float32)
+    cache = forward_with_cache(model, batch, train=True, rng=rng)[2]
+    return {"batch": STEP_BATCH, "kib": _owned_bytes(cache, {id(model.flat)}) / 1024}
+
+
 def paper_forward(widths) -> dict:
     """`_forward_peak` without a cache of a 1-block model of `widths`
     (input_dim, heads, head_dim, feed-forward), with its logits' SHA-256."""
@@ -508,6 +538,7 @@ def measure(
         "paper_scale": paper_scale(paper_widths),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "step_peak_mib": {"batch": STEP_BATCH, **step_peaks()},
+        "cache_kib": cache_size(),
         "paper_forward": paper_forward(paper_widths),
         "predict_s": predict_time(time_frames, repeats),
         "synth_s": synth_time(time_frames, repeats),

@@ -258,8 +258,11 @@ def evaluate_maps(
 
 
 def write_json(path: str | Path, obj: Any, indent: int | None = None) -> None:
-    """Write `obj` as JSON with sorted keys and a trailing newline."""
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
+    """Write `obj` as JSON with sorted keys and a trailing newline, streamed
+    into the file rather than built as one string first."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
 
 
 def _make_videos(cfg: ExperimentConfig) -> dict[str, list[tuple[VideoSpec, SegmentPlan]]]:

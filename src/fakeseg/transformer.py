@@ -322,8 +322,15 @@ def _layer_norm_forward(x, gain, bias):
     xc = x - mu
     var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gain * xhat + bias, (xhat, inv, gain)
+    xc *= inv  # x-hat, in the centered buffer
+    return _layer_norm_output((xc, inv, gain), bias), (xc, inv, gain)
+
+
+def _layer_norm_output(cache, bias):
+    """gain * xhat + bias from a layer norm's cache: the backward makes the output again in its bytes."""
+    out = cache[2] * cache[0]
+    out += bias
+    return out
 
 
 def _layer_norm_backward(g, cache, dgain, dbias):
@@ -459,18 +466,22 @@ def _attention_backward(g, cache, grads, prefix):
     dprobs = dctx @ v.swapaxes(-1, -2)
     dv = probs.swapaxes(-1, -2) @ dctx
     del v, dctx
+
+    def d_input(dz, name):  # d(input) through one projection, dz freed once read
+        merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
+        del dz
+        c = (h2, params[prefix + "w" + name])
+        return _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name], w)
+
+    dh_v = d_input(dv, "v")  # dV goes first, then dQ, then dK ...
+    del dv
     dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
     del probs, dprobs
     scale = 1.0 / math.sqrt(hd)
-    dq = (dscores @ k) * scale
-    dk = (dscores.swapaxes(-1, -2) @ q) * scale
-    del k, q, dscores
-    dh = None
-    for dz, name in ((dq, "q"), (dk, "k"), (dv, "v")):
-        merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
-        c = (h2, params[prefix + "w" + name])
-        dhi = _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name], w)
-        dh = dhi if dh is None else np.add(dh, dhi, out=dh)
+    dh = d_input((dscores @ k) * scale, "q")
+    del k
+    dh += d_input((dscores.swapaxes(-1, -2) @ q) * scale, "k")
+    dh += dh_v  # ... and the input gradients add up in q, k, v order
     return dh.reshape(g.shape)
 
 
@@ -513,7 +524,7 @@ def forward_with_cache(
     drop = train and cfg.dropout > 0.0
     # every block's two dropout draws in one call: the generator's stream
     # splits in order, so each is the draw made on its own
-    keep = rng.random((2 * cfg.num_blocks, n * w, d)) >= cfg.dropout if drop else None
+    keep = rng.random((2 * cfg.num_blocks, n * w, d)) >= cfg.dropout if drop else [None] * (2 * cfg.num_blocks)
 
     def kept(result):  # a primitive's (output, cache), its cache dropped at once without keep_cache
         return result if keep_cache else (result[0], None)
@@ -524,25 +535,25 @@ def forward_with_cache(
         h, c_ln1 = kept(_layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"]))
         branch, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
         del h
-        m_attn = _dropout_mask(keep[2 * b], cfg.dropout, dtype) if drop else None
+        if keep_cache:
+            c_attn[0] = None  # the layer norm's output, made again from c_ln1 by the backward
         if drop:
-            branch *= m_attn
+            branch *= _dropout_mask(keep[2 * b], cfg.dropout, dtype)
         branch += x
         x = branch  # each residual add writes into its branch, which becomes the stream: the old one is freed
 
         h, c_ln2 = kept(_layer_norm_forward(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"]))
-        z1, c_ff1 = kept(_linear_forward(h, p[pre + "ff.w1"], p[pre + "ff.b1"]))
+        z1 = _linear_forward(h, p[pre + "ff.w1"], p[pre + "ff.b1"])[0]  # its input is made again from c_ln2 too
         del h
         branch, c_ff2 = kept(_linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"]))
         del z1
-        m_ff = _dropout_mask(keep[2 * b + 1], cfg.dropout, dtype) if drop else None
         if drop:
-            branch *= m_ff
+            branch *= _dropout_mask(keep[2 * b + 1], cfg.dropout, dtype)
         branch += x
         x = branch
-        if keep_cache:
-            block_caches.append((c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff))
-        del c_ln1, c_attn, c_ln2, c_ff1, c_ff2  # only the cache holds them on
+        if keep_cache:  # each dropout mask as its booleans
+            block_caches.append((c_ln1, c_attn, keep[2 * b], c_ln2, c_ff2, keep[2 * b + 1]))
+        del c_ln1, c_attn, c_ln2, c_ff2  # only the cache holds them on
 
     normed, c_final = kept(_layer_norm_forward(x, p["final_norm.gain"], p["final_norm.bias"]))
     del x, branch
@@ -629,14 +640,16 @@ def loss_and_grads(
     g = _layer_norm_backward(g, c_final, grads["final_norm.gain"], grads["final_norm.bias"])
     del c_final
 
+    p = model.params
     for b in range(cfg.num_blocks - 1, -1, -1):
         pre = f"block{b}."
-        c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff = block_caches.pop()
+        c_ln1, c_attn, keep_attn, c_ln2, c_ff2, keep_ff = block_caches.pop()
 
-        g_ff = g * m_ff if m_ff is not None else g
+        g_ff = g if keep_ff is None else g * _dropout_mask(keep_ff, cfg.dropout, g.dtype)
         da1 = _linear_backward(g_ff, c_ff2, grads[pre + "ff.w2"], grads[pre + "ff.b2"], cfg.window)
         da1 *= c_ff2[0] > 0  # ReLU: the cached activation is positive where its input was
-        del g_ff, m_ff, c_ff2
+        del g_ff, keep_ff, c_ff2
+        c_ff1 = (_layer_norm_output(c_ln2, p[pre + "ln2.bias"]), p[pre + "ff.w1"])
         dh2 = _linear_backward(da1, c_ff1, grads[pre + "ff.w1"], grads[pre + "ff.b1"], cfg.window)
         del da1, c_ff1
         dx = _layer_norm_backward(dh2, c_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"])
@@ -644,9 +657,10 @@ def loss_and_grads(
         dx += g  # residual around the feed-forward sublayer
         g = dx
 
-        g_attn = g * m_attn if m_attn is not None else g
+        g_attn = g if keep_attn is None else g * _dropout_mask(keep_attn, cfg.dropout, g.dtype)
+        c_attn[0] = _layer_norm_output(c_ln1, p[pre + "ln1.bias"])
         dh = _attention_backward(g_attn, c_attn, grads, pre + "attn.")
-        del g_attn, m_attn
+        del g_attn, keep_attn
         dx = _layer_norm_backward(dh, c_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"])
         del dh, c_ln1
         dx += g  # residual around attention

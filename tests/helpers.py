@@ -269,9 +269,14 @@ def _attention_reference_backward(g, cache, grads, prefix):
     return dh
 
 
+def _dropout_mask_from(keep, rate, dtype):
+    """The inverted-dropout mask of the boolean draws `keep`."""
+    return keep.astype(dtype) / dtype.type(1.0 - rate)
+
+
 def _dropout_mask_reference(shape, rate, rng, dtype):
     """One dropout mask, drawn on its own."""
-    return (rng.random(shape) >= rate).astype(dtype) / dtype.type(1.0 - rate)
+    return _dropout_mask_from(rng.random(shape) >= rate, rate, dtype)
 
 
 def forward_reference(model, batch, train=False, rng=None):
@@ -396,7 +401,9 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
 # the backward; these are the bodies it replaced: the backward returns a
 # dict of new arrays with the whole cache live and reads K^T and every w^T
 # transposed, and Adam copies the dict into its buffer and updates on
-# model-sized scratch.
+# model-sized scratch. Each layer norm's output (the attention's and ff.w1's
+# input) and each float dropout mask are made here from the cache's x-hat
+# and booleans by the plain expressions, not by the library's routines.
 
 
 def _layer_norm_reference_backward(g, cache):
@@ -409,17 +416,22 @@ def _layer_norm_reference_backward(g, cache):
     return dx, dgain, dbias
 
 
+def _layer_norm_output_reference(cache, bias):
+    xhat, _, gain = cache
+    return gain * xhat + bias
+
+
 def _linear_dict_backward(g, cache, window=None):
     x, w = cache
     rows = g if window is None else g.reshape(-1, window, g.shape[-1])
     return (rows @ w.T).reshape(-1, w.shape[0]), x.T @ g, g.sum(axis=0)
 
 
-def _attention_dict_backward(g, cache, grads, prefix):
-    """The attention backward as it read a cache of Q, K^T, V and the
-    context: K^T contiguous and read transposed, every w^T a view. Those
-    activations are made again here by the library's own products."""
-    h2, probs, params = cache
+def _attention_dict_backward(g, h2, cache, grads, prefix):
+    """The attention backward of input h2 as it read a cache of Q, K^T, V
+    and the context: K^T contiguous and read transposed, every w^T a view.
+    Those activations are made again here by the library's own products."""
+    _, probs, params = cache
     n, nh, w, _ = probs.shape
     q, k, v, ctx = _attention_activations(h2, params, prefix, nh, w, probs)
     kt, hd = np.ascontiguousarray(k.swapaxes(-1, -2)), q.shape[-1]
@@ -470,18 +482,20 @@ def loss_and_grads_dict_reference(model, batch, targets, train=False, rng=None):
 
     for b in range(cfg.num_blocks - 1, -1, -1):
         pre = f"block{b}."
-        c_ln1, c_attn, m_attn, c_ln2, c_ff1, c_ff2, m_ff = block_caches[b]
+        c_ln1, c_attn, keep_attn, c_ln2, c_ff2, keep_ff = block_caches[b]
 
-        g_ff = g * m_ff if m_ff is not None else g
+        g_ff = g * _dropout_mask_from(keep_ff, cfg.dropout, model.dtype) if keep_ff is not None else g
         da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_dict_backward(g_ff, c_ff2, cfg.window)
         da1 *= c_ff2[0] > 0
+        c_ff1 = (_layer_norm_output_reference(c_ln2, model.params[pre + "ln2.bias"]), model.params[pre + "ff.w1"])
         dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_dict_backward(da1, c_ff1, cfg.window)
         dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_reference_backward(dh2, c_ln2)
         dx += g
         g = dx
 
-        g_attn = g * m_attn if m_attn is not None else g
-        dh = _attention_dict_backward(g_attn, c_attn, grads, pre + "attn.")
+        g_attn = g * _dropout_mask_from(keep_attn, cfg.dropout, model.dtype) if keep_attn is not None else g
+        h = _layer_norm_output_reference(c_ln1, model.params[pre + "ln1.bias"])
+        dh = _attention_dict_backward(g_attn, h, c_attn, grads, pre + "attn.")
         dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_reference_backward(dh, c_ln1)
         dx += g
         g = dx

@@ -38,6 +38,8 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert 0 < peaks["no_cache"] < peaks["cached"]
     step = result["step_peak_mib"]
     assert step["batch"] == 64 and 0 < step["forward"] < step["step"]
+    cache = result["cache_kib"]
+    assert cache["batch"] == 64 and 0 < cache["kib"] < 1024 * step["forward"]
     wide = result["paper_forward"]
     assert (wide["input_dim"], wide["num_heads"], wide["head_dim"], wide["ff_hidden"]) == (16, 2, 8, 32)
     assert (wide["num_blocks"], wide["batch"]) == (1, 256)
