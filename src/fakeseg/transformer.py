@@ -373,10 +373,8 @@ def _softmax(z):
 
 
 def _dropout_mask(keep, rate, dtype):
-    """The inverted-dropout mask of the boolean draws `keep`."""
-    mask = keep.astype(dtype)
-    mask /= dtype.type(1.0 - rate)
-    return mask
+    """The inverted-dropout mask of the boolean draws `keep`, cast and divided in one call."""
+    return np.divide(keep, dtype.type(1.0 - rate), dtype=dtype)
 
 
 def _attention_activations(h2, params, prefix, heads, window, probs=None):
