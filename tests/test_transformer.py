@@ -667,11 +667,11 @@ def test_a_dropout_step_with_boolean_masks_matches_the_float_mask_reference(dtyp
     assert len({id(m.base) for m in masks}) == 1
     assert all(c[1][0] is None for c in blocks)  # the attention's input is made again
     loss, probs, grads = loss_and_grads(model, x, y, train=True, rng=np.random.default_rng(9))
-    ref_loss, ref_probs, ref_grads = loss_and_grads_dict_reference(model, x, y, train=True, rng=np.random.default_rng(9))
+    ref_loss, ref_probs, ref_grads = loss_and_grads_dict_reference(model, x, y, True, np.random.default_rng(9))
     assert loss == ref_loss and probs.tobytes() == ref_probs.tobytes()
     for name, want in ref_grads.items():
         assert grads[name].tobytes() == want.tobytes(), name
-    ref_loss, ref_probs, ref_grads = loss_and_grads_reference(model, x, y, train=True, rng=np.random.default_rng(9))
+    ref_loss, ref_probs, ref_grads = loss_and_grads_reference(model, x, y, True, np.random.default_rng(9))
     pairs = [("loss", np.array(loss), np.array(ref_loss)), ("probs", probs, ref_probs)]
     _assert_within_rounding(pairs + [(name, grads[name], ref_grads[name]) for name in ref_grads], dtype)
 
