@@ -26,6 +26,11 @@ predict do not depend on trained weights. It records:
                       the trained parameters. The synthesized files (the
                       quickstart generator, one fake segment per video) are
                       written by a separate process first.
+  import_mb, rise_mb  beside each fresh process's peak above: its resident size
+                      right after its imports, and the peak's rise above
+                      that. The import size moves by up to 0.3 MB from run
+                      to run and between two checkouts of the same sources,
+                      so compare two checkouts by the rise.
   paper_scale         peak resident size of a fresh process that takes one
                       training step as `train` does (`loss_and_grads` with
                       dropout, then `FlatAdam.step`) on a 1-block model of the
@@ -44,6 +49,10 @@ predict do not depend on trained weights. It records:
   paper_forward       tracemalloc peak of one warm batch-256 forward without
                       a cache of a 1-block model of the paper's width (as in
                       paper_scale), with the SHA-256 of its logits.
+  predict_clip_peak_kib
+                      tracemalloc peak of one warm `predict_video` on one clip
+                      of 300 frames (as in score_videos_s), with the SHA-256
+                      of its scores.
   predict_s           `predict_video` wall time in this process: median and
                       interquartile range of repeated runs.
   synth_s             the same for `synth_video` (as in synth_rss_mb).
@@ -139,16 +148,29 @@ def _features(frames: int, dim: int) -> FeatureSequence:
     return FeatureSequence("long", rng.standard_normal((frames, dim), dtype=np.float32))
 
 
-def _synth_args(frames: int) -> tuple:
+def _synth_args(frames: int, video_id: str = "long") -> tuple:
     """`synth_video`'s arguments for one quickstart-generator video of `frames` frames with one fake segment."""
     cfg = load_experiment_config(QUICKSTART).dataset
-    return plan_one_segment(VideoSpec("long", frames), cfg.seed), frames, cfg.synth
+    return plan_one_segment(VideoSpec(video_id, frames), cfg.seed), frames, cfg.synth
+
+
+def _rss_mb() -> float:
+    """This process's peak resident size so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+
+
+def _peak(import_mb: float) -> dict:
+    """The peak resident size now, the size `import_mb` read right after the
+    imports, and the rise between them. Read it before hashing a result, as
+    `tobytes` copies."""
+    peak_mb = _rss_mb()
+    return {"peak_mb": peak_mb, "import_mb": import_mb, "rise_mb": peak_mb - import_mb}
 
 
 def _synth_child(frames: int) -> None:
+    import_mb = _rss_mb()
     features = synth_video(*_synth_args(frames)).features
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
-    print(json.dumps({"peak_mb": peak_mb, "features_sha256": hashlib.sha256(features.tobytes()).hexdigest()}))
+    print(json.dumps({**_peak(import_mb), "features_sha256": hashlib.sha256(features.tobytes()).hexdigest()}))
 
 
 def _write_child(path: str, frames: int) -> None:
@@ -157,10 +179,10 @@ def _write_child(path: str, frames: int) -> None:
 
 
 def _predict_child(path: str) -> None:
+    import_mb = _rss_mb()
     model, ev = _quickstart_model()
     scores = predict_video(model, read_features(path), ev.overlap, mode=ev.frame_mode).scores
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
-    print(json.dumps({"peak_mb": peak_mb, "scores_sha256": hashlib.sha256(scores.tobytes()).hexdigest()}))
+    print(json.dumps({**_peak(import_mb), "scores_sha256": hashlib.sha256(scores.tobytes()).hexdigest()}))
 
 
 def _write_train_child(root: str, videos: int, frames: int) -> None:
@@ -172,15 +194,16 @@ def _write_train_child(root: str, videos: int, frames: int) -> None:
 
 
 def _fit_child(root: str) -> None:
+    import_mb = _rss_mb()
     cfg = load_experiment_config(QUICKSTART)
     train_seqs = load_split_features(Path(root) / "train")
     val_seqs = load_split_features(Path(root) / "val")
-    before_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    before_mb = _rss_mb()
     one_epoch = dataclasses.replace(cfg.train, max_epochs=1)
     model, _ = fit(cfg.model, one_epoch, train_seqs, val_seqs, cfg.eval.overlap)
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = _peak(import_mb)
     digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
-    print(json.dumps({"peak_mb": peak_mb, "fit_rise_mb": peak_mb - before_mb, "model_sha256": digest}))
+    print(json.dumps({**peak, "fit_rise_mb": peak["peak_mb"] - before_mb, "model_sha256": digest}))
 
 
 def _train_step(model, adam, batch, targets, rng) -> None:
@@ -196,15 +219,16 @@ def _train_step(model, adam, batch, targets, rng) -> None:
 
 
 def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int) -> None:
+    import_mb = _rss_mb()
     cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
     model = SequenceClassifier.initialize(cfg, seed=0)
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((PAPER_BATCH, cfg.window, input_dim), dtype=np.float32)
     _train_step(model, FlatAdam(model, 1e-4), batch, np.arange(PAPER_BATCH) % 2, rng)
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = _peak(import_mb)
     param_mb = model.flat.nbytes / 2**20
     digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
-    print(json.dumps({"peak_mb": peak_mb, "param_mb": param_mb, "ratio": peak_mb / param_mb, "params_sha256": digest}))
+    print(json.dumps({**peak, "param_mb": param_mb, "ratio": peak["peak_mb"] / param_mb, "params_sha256": digest}))
 
 
 def _child(*args: str) -> str:
@@ -322,6 +346,15 @@ def paper_forward(widths) -> dict:
             "logits_sha256": hashlib.sha256(logits.tobytes()).hexdigest()}
 
 
+def predict_clip_peak(frames: int) -> dict:
+    """tracemalloc peak, in KiB, of one warm `predict_video` on one
+    `frames`-frame clip (as in score_videos_time), with its scores' SHA-256."""
+    model, ev = _quickstart_model()
+    seq = synth_video(*_synth_args(frames, "clip0000"))
+    peak, scores = _traced(lambda: predict_video(model, seq, ev.overlap, mode=ev.frame_mode).scores)
+    return {"frames": frames, "kib": peak * 1024, "scores_sha256": hashlib.sha256(scores.tobytes()).hexdigest()}
+
+
 def _timed(call, frames: int, repeats: int) -> dict:
     """Median and interquartile range of `repeats` calls of `call()`, in seconds."""
     times = []
@@ -403,9 +436,7 @@ def _serially():
 def score_videos_time(clips: int, frames: int, pairs: int) -> dict:
     """`score_videos` on `clips` clips of `frames` frames, serially and fanned out."""
     model, ev = _quickstart_model()
-    ds = load_experiment_config(QUICKSTART).dataset
-    specs = [VideoSpec(f"clip{i:04d}", frames) for i in range(clips)]
-    seqs = [synth_video(plan_one_segment(v, ds.seed), frames, ds.synth) for v in specs]
+    seqs = [synth_video(*_synth_args(frames, f"clip{i:04d}")) for i in range(clips)]
     digests = set()
 
     def run(out: Path) -> float:
@@ -540,6 +571,7 @@ def measure(
         "step_peak_mib": {"batch": STEP_BATCH, **step_peaks()},
         "cache_kib": cache_size(),
         "paper_forward": paper_forward(paper_widths),
+        "predict_clip_peak_kib": predict_clip_peak(clips[1]),
         "predict_s": predict_time(time_frames, repeats),
         "synth_s": synth_time(time_frames, repeats),
         "score_videos_s": score_videos_time(*clips, pairs),

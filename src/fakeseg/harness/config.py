@@ -17,6 +17,7 @@ from pathlib import Path
 from ..synth import SynthConfig
 from ..training import TrainConfig
 from ..transformer import TransformerConfig
+from ..windowing import FRAME_MODES
 
 
 class ConfigError(ValueError):
@@ -86,8 +87,8 @@ class EvalConfig:
             raise ConfigError("eval.threshold must lie in [0, 1]")
         if self.overlap < 0:
             raise ConfigError("eval.overlap must be >= 0")
-        if self.frame_mode not in ("mean", "max", "center"):
-            raise ConfigError("eval.frame_mode must be one of mean/max/center")
+        if self.frame_mode not in FRAME_MODES:
+            raise ConfigError(f"eval.frame_mode must be one of {'/'.join(FRAME_MODES)}")
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,18 @@ from .transformer import (
     forward_with_cache,
     loss_and_grads,
 )
-from .windowing import FeatureSequence, SplitWindows, frames_from_windows, window_starts
+from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, frames_from_windows, window_starts
 from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Windows per forward in predict_video. The scores' bytes hold for this
-# partition only: OpenBLAS may round a window's products differently in a
-# batch of another size (on the quickstart model and test windows, SkylakeX,
-# a window's last bit moved for 187 of the batch sizes 1-399 against the
-# same windows in a batch of 600), so changing it changes the scores.
-PREDICT_BATCH = 256
+# Windows per forward in predict_video. Each forward has a fixed cost: against
+# 256, 128 windows halve the activations for a few percent more time, and 64
+# take 20-30% more. Batches of 64, 128 or 256 gave the same score bytes under
+# SkylakeX, Sandybridge and Prescott at every video length tried; under
+# Haswell and Zen the scores' bytes hold for this partition only.
+PREDICT_BATCH = 128
 # Elements per pass of FlatAdam.step and of its gradient check. Every
 # desk-scale model fits in one (the quickstart model has 13,634), and at
 # the paper's width the two scratch arrays stay 0.5 MiB instead of two
@@ -277,8 +277,10 @@ def predict_video(
 ) -> ScoreMap:
     """Frame-level Fake scores for one video: window, classify, project back.
 
-    Windows are cut and classified PREDICT_BATCH at a time. A video the
-    model cannot take raises `check_features`' ValueError."""
+    Windows are cut and classified PREDICT_BATCH at a time. A mode not in
+    FRAME_MODES or a video the model cannot take raises a ValueError first."""
+    if mode not in FRAME_MODES:
+        raise ValueError(f"unknown projection mode {mode!r}")
     cfg = model.config
     check_features([seq], cfg)
     w = cfg.window

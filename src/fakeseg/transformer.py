@@ -80,7 +80,7 @@ _blas_limit = _OPENBLAS[0]() if _OPENBLAS else 1  # the most threads a forward m
 # A forward whose largest GEMM has at most this many multiply-adds runs on
 # one OpenBLAS thread, and larger ones on `_blas_limit`. Where the boundary
 # lies is known only roughly: every desk-scale forward (the quickstart's
-# batch-256 predict forward is 1.3M) gained nothing from a second thread,
+# batch-256 `evaluate` forward is 1.3M) gained nothing from a second thread,
 # and paper-scale ones (billions) do. bench/memory.py's forward sweep
 # (`blas_threads`) put the boundary anywhere from 21M to 189M from run to
 # run, so any value between desk and paper scale behaves the same. Next to
@@ -119,8 +119,8 @@ def limit_blas_threads(n: int) -> None:
 # Windows per pass of the attention's K^T, scores and context products.
 # Each product is one BLAS call per window (and head) whatever the chunk,
 # so the bytes hold at any value; without a cache, K^T and the context are
-# held one chunk at a time. The quickstart model's batch-256 predict
-# forward makes four chunks.
+# held one chunk at a time. The quickstart model's batch-128 predict
+# forward makes two chunks.
 WINDOW_CHUNK = 64
 
 # Full-size reference settings are 8 blocks, 8 heads, head dimension 512

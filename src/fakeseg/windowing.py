@@ -27,6 +27,7 @@ from .segmap import ScoreMap, SegmentationMap
 
 FEATURE_MAGIC = b"TFKF"
 FEATURE_VERSION = 1
+FRAME_MODES = ("mean", "max", "center")  # the projections of frames_from_windows
 
 
 @dataclass(frozen=True)

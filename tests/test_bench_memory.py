@@ -21,15 +21,17 @@ def test_memory_bench_runs_at_a_thousand_frames():
     result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260),
                             clips=(4, 300), pairs=2, sweep_widths=(8, 16), paper_widths=(16, 2, 8, 32))
     synth = result["synth_rss_mb"]["1000"]
-    assert synth["peak_mb"] > 0
     want = memory.synth_video(*memory._synth_args(1000)).features
     assert want.shape == (1000, 16) and synth["features_sha256"] == hashlib.sha256(want.tobytes()).hexdigest()
     rss = result["predict_rss_mb"]["1000"]
-    assert rss["peak_mb"] > 0 and len(rss["scores_sha256"]) == 64
+    assert len(rss["scores_sha256"]) == 64
     trained = result["train_rss_mb"]
-    assert (trained["train_videos"], trained["val_videos"], trained["frames"]) == (4, 1, 260)
-    assert 0 <= trained["fit_rise_mb"] < trained["peak_mb"] and len(trained["model_sha256"]) == 64
     paper = result["paper_scale"]
+    for child in (synth, rss, trained, paper):  # a fresh process's peak, its size after the imports, the rise
+        assert 0 < child["import_mb"] <= child["peak_mb"]
+        assert child["rise_mb"] == child["peak_mb"] - child["import_mb"]
+    assert (trained["train_videos"], trained["val_videos"], trained["frames"]) == (4, 1, 260)
+    assert 0 <= trained["fit_rise_mb"] <= trained["rise_mb"] and len(trained["model_sha256"]) == 64
     assert (paper["input_dim"], paper["num_heads"], paper["head_dim"], paper["ff_hidden"]) == (16, 2, 8, 32)
     assert (paper["num_blocks"], paper["batch"]) == (1, 64)
     assert 0 < paper["param_mb"] < paper["peak_mb"] and paper["ratio"] == paper["peak_mb"] / paper["param_mb"]
@@ -44,6 +46,12 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert (wide["input_dim"], wide["num_heads"], wide["head_dim"], wide["ff_hidden"]) == (16, 2, 8, 32)
     assert (wide["num_blocks"], wide["batch"]) == (1, 256)
     assert wide["no_cache_mib"] > 0 and len(wide["logits_sha256"]) == 64
+    clip = result["predict_clip_peak_kib"]
+    assert clip["frames"] == 300 and clip["kib"] > 0
+    model, ev = memory._quickstart_model()
+    seq = memory.synth_video(*memory._synth_args(300, "clip0000"))
+    want = memory.predict_video(model, seq, ev.overlap, mode=ev.frame_mode).scores
+    assert clip["scores_sha256"] == hashlib.sha256(want.tobytes()).hexdigest()
     for timing in (result["predict_s"], result["synth_s"]):
         assert timing["frames"] == 1000 and timing["repeats"] == 3
         assert timing["median"] > 0 and timing["iqr"] >= 0

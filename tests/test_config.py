@@ -7,6 +7,7 @@ import pytest
 
 from fakeseg.harness import ConfigError, load_experiment_config
 from fakeseg.harness.config import parse_experiment_config
+from fakeseg.windowing import FRAME_MODES
 from helpers import micro_config_dict
 
 QUICKSTART = Path(__file__).parent.parent / "configs" / "quickstart.json"
@@ -51,6 +52,13 @@ def test_invalid_values_rejected():
         parse_experiment_config(micro_config_dict(eval={"overlap": 5}))
     with pytest.raises(ConfigError, match="input_dim"):
         parse_experiment_config(micro_config_dict(model={"input_dim": 99}))
+
+
+def test_eval_frame_mode_is_one_of_the_projections():
+    for mode in FRAME_MODES:
+        assert parse_experiment_config(micro_config_dict(eval={"frame_mode": mode})).eval.frame_mode == mode
+    with pytest.raises(ConfigError, match="eval.frame_mode must be one of mean/max/center"):
+        parse_experiment_config(micro_config_dict(eval={"frame_mode": "median"}))
 
 
 def test_sections_get_defaults():

@@ -19,7 +19,7 @@ from fakeseg import (
     predict_video,
     train,
 )
-from fakeseg.training import FlatAdam, check_features
+from fakeseg.training import PREDICT_BATCH, FlatAdam, check_features
 from fakeseg.windowing import window_starts
 from helpers import PackedAdamReference, adam_reference_step, loss_and_grads_dict_reference, predict_video_reference
 
@@ -137,11 +137,12 @@ def test_predict_video_constant_features_give_constant_scores():
 
 
 @pytest.mark.parametrize("mode", ["mean", "max", "center"])
-@pytest.mark.parametrize("num_windows", [1, 255, 256, 257, 513])
+@pytest.mark.parametrize("num_windows", sorted({1, PREDICT_BATCH - 1, PREDICT_BATCH, PREDICT_BATCH + 1,
+                                                2 * PREDICT_BATCH + 1, 513}))
 def test_predict_video_matches_the_whole_video_oracle_byte_for_byte(num_windows, mode):
     """Batches cut as predict goes and forwarded without a cache give the bytes
     of every window cut at once and forwarded with it, on each side of the
-    batch size."""
+    batch size and past two batches."""
     model = SequenceClassifier.initialize(CFG, seed=3)
     overlap = CFG.window - 1  # stride 1: T - W + 1 windows
     frames = num_windows + CFG.window - 1
@@ -150,6 +151,21 @@ def test_predict_video_matches_the_whole_video_oracle_byte_for_byte(num_windows,
     seq = FeatureSequence("v", rng.standard_normal((frames, CFG.input_dim)).astype(np.float32))
     got = predict_video(model, seq, overlap, mode=mode).scores
     assert got.tobytes() == predict_video_reference(model, seq, overlap, mode).tobytes()
+
+
+def test_predict_video_rejects_an_unknown_mode_before_any_forward(monkeypatch):
+    calls, forward = [], fakeseg.training.forward_with_cache
+
+    def counted(model, batch, **kwargs):
+        calls.append(len(batch))
+        return forward(model, batch, **kwargs)
+
+    monkeypatch.setattr(fakeseg.training, "forward_with_cache", counted)
+    model = SequenceClassifier.initialize(CFG, seed=0)
+    seq = FeatureSequence("v", np.zeros((300, CFG.input_dim), dtype=np.float32))
+    with pytest.raises(ValueError, match="unknown projection mode 'median'"):
+        predict_video(model, seq, overlap=2, mode="median")
+    assert calls == []
 
 
 def test_predict_video_too_short_is_an_error():

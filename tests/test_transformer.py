@@ -709,6 +709,17 @@ def test_predict_video_on_an_hour_holds_one_batch_and_the_score_arrays():
     assert peak <= 8 << 20, peak
 
 
+def test_predict_video_on_a_clip_holds_the_activations_of_128_windows():
+    """A 300-frame clip has 296 windows at the quickstart overlap: forwarded
+    256 at a time its warm predict peaked at 783 KiB, 128 at a time 454 KiB."""
+    cfg = load_experiment_config(ROOT / "configs" / "quickstart.json").model
+    model = SequenceClassifier.initialize(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    seq = FeatureSequence("clip", rng.standard_normal((300, cfg.input_dim)).astype(np.float32))
+    peak = _traced_peak(lambda: predict_video(model, seq, 4, mode="mean"))
+    assert peak <= 600 << 10, peak / 1024
+
+
 # Runs in a fresh interpreter, so the heap it measures is its own: warm up,
 # size the activations one call holds, then count minor page faults over 50
 # more calls. Three kinds of call, each large enough that its activations
