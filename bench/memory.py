@@ -31,6 +31,11 @@ predict do not depend on trained weights. It records:
                       that. The import size moves by up to 0.3 MB from run
                       to run and between two checkouts of the same sources,
                       so compare two checkouts by the rise.
+  repeats, iqr, runs  each fresh process above (and paper_scale below) runs
+                      RSS_REPEATS times in a row: its numbers are the medians
+                      of the repeats, `iqr` their interquartile ranges and
+                      `runs` each repeat's numbers; every repeat must give
+                      the same digests.
   paper_scale         peak resident size of a fresh process that takes one
                       training step as `train` does (`loss_and_grads` with
                       dropout, then `FlatAdam.step`) on a 1-block model of the
@@ -78,9 +83,12 @@ predict do not depend on trained weights. It records:
                       boundary lies; fakeseg's `BLAS_SERIAL_MACS` (`in_use`)
                       need only lie between desk and paper scale.
   environment         Python and numpy versions, core count, git revision,
-                      the OpenBLAS kernel and the thread count a quickstart
-                      forward runs with; both timings and score bytes depend
-                      on the kernel.
+                      whether the checkout differs from it, the SHA-256 of
+                      the measured sources (`src_sha256`: every file under
+                      src/fakeseg but bytecode caches, by relative path and
+                      bytes in sorted order), the OpenBLAS kernel and the
+                      thread count a quickstart forward runs with; both
+                      timings and score bytes depend on the kernel.
 
 The result goes to BENCH_<n>.json at the repository root, n one past the
 highest there.
@@ -126,6 +134,7 @@ QUICKSTART = ROOT / "configs" / "quickstart.json"
 RSS_FRAMES = (90_000, 450_000)
 TIME_FRAMES = 90_000
 REPEATS = 7
+RSS_REPEATS = 5  # fresh processes per RSS measurement: one does not resolve 0.2 MB
 FORWARD_BATCH = 256
 TRAIN_VIDEOS = (100, 900)  # train videos and frames per video; the val split has a quarter as many videos
 CLIPS = (300, 300)  # clips and frames per clip, as perfbench's score_clips
@@ -238,33 +247,52 @@ def _child(*args: str) -> str:
     return proc.stdout
 
 
-def synth_rss(frames: int) -> dict:
+def _children(repeats: int, *args: str) -> dict:
+    """`repeats` fresh processes of `_child(*args)` in a row: the median of
+    each number they print, its IQR (`iqr`) and each repeat's numbers
+    (`runs`), and the digests, which must be equal in every repeat."""
+    runs = [json.loads(_child(*args)) for _ in range(repeats)]
+    digests = {key: {run[key] for run in runs} for key in runs[0] if key.endswith("_sha256")}
+    if any(len(values) != 1 for values in digests.values()):
+        raise RuntimeError(f"{args[0]}: repeats gave different digests: {digests}")
+    numbers = [{key: value for key, value in run.items() if key not in digests} for run in runs]
+    quartiles = {key: _quartiles([run[key] for run in numbers]) for key in numbers[0]}
+    return {
+        **{key: q["median"] for key, q in quartiles.items()},
+        "repeats": repeats,
+        "iqr": {key: q["iqr"] for key, q in quartiles.items()},
+        "runs": numbers,
+        **{key: values.pop() for key, values in digests.items()},
+    }
+
+
+def synth_rss(frames: int, repeats: int) -> dict:
     """Peak RSS of a fresh process that synthesizes one `frames`-frame video."""
-    return json.loads(_child("synth", str(frames)))
+    return _children(repeats, "synth", str(frames))
 
 
-def predict_rss(frames: int) -> dict:
+def predict_rss(frames: int, repeats: int) -> dict:
     """Peak RSS of a fresh read-and-predict process on a `frames`-frame file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "long.feat")
         _child("write", path, str(frames))
-        return json.loads(_child("predict", path))
+        return _children(repeats, "predict", path)
 
 
-def train_rss(videos: int, frames: int) -> dict:
+def train_rss(videos: int, frames: int, repeats: int) -> dict:
     """Peak RSS of a fresh process that reads `videos` x `frames` training
     frames (and a quarter as many val videos) and trains one epoch on them."""
     with tempfile.TemporaryDirectory() as tmp:
         _child("write-train", tmp, str(videos), str(frames))
-        result = json.loads(_child("train", tmp))
+        result = _children(repeats, "train", tmp)
     return {"train_videos": videos, "val_videos": max(1, videos // 4), "frames": frames, **result}
 
 
-def paper_scale(widths) -> dict:
+def paper_scale(widths, repeats: int) -> dict:
     """Peak RSS of a fresh process that takes one training step of a 1-block
     model of `widths` (input_dim, heads, head_dim, feed-forward)."""
     keys = ("input_dim", "num_heads", "head_dim", "ff_hidden")
-    result = json.loads(_child("paper-step", *map(str, widths)))
+    result = _children(repeats, "paper-step", *map(str, widths))
     return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": PAPER_BATCH, **result}
 
 
@@ -552,6 +580,16 @@ def git_revision() -> dict:
     return {"revision": git("rev-parse", "HEAD") or "unknown", "dirty": bool(git("status", "--porcelain"))}
 
 
+def src_sha256(root: Path = ROOT / "src" / "fakeseg") -> str:
+    """SHA-256 over every file under `root` but bytecode caches: each
+    file's relative path and bytes, in sorted order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and "__pycache__" not in p.parts):
+        h.update(str(path.relative_to(root)).encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def measure(
     rss_frames=RSS_FRAMES,
     time_frames=TIME_FRAMES,
@@ -561,12 +599,13 @@ def measure(
     pairs=PAIRS,
     sweep_widths=SWEEP_WIDTHS,
     paper_widths=PAPER_WIDTHS,
+    rss_repeats=RSS_REPEATS,
 ) -> dict:
     return {
-        "synth_rss_mb": {str(t): synth_rss(t) for t in rss_frames},
-        "predict_rss_mb": {str(t): predict_rss(t) for t in rss_frames},
-        "train_rss_mb": train_rss(*train_videos),
-        "paper_scale": paper_scale(paper_widths),
+        "synth_rss_mb": {str(t): synth_rss(t, rss_repeats) for t in rss_frames},
+        "predict_rss_mb": {str(t): predict_rss(t, rss_repeats) for t in rss_frames},
+        "train_rss_mb": train_rss(*train_videos, rss_repeats),
+        "paper_scale": paper_scale(paper_widths, rss_repeats),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "step_peak_mib": {"batch": STEP_BATCH, **step_peaks()},
         "cache_kib": cache_size(),
@@ -583,6 +622,7 @@ def measure(
             "cpu_count": os.cpu_count(),
             "openblas": openblas(),
             **git_revision(),
+            "src_sha256": src_sha256(),
         },
     }
 

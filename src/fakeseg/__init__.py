@@ -25,7 +25,6 @@ from .metrics import (
     video_label,
     video_score,
 )
-from .scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from .segmap import FrameLabel, ScoreMap, SegmentationMap, segments_of
 from .smoothing import SmoothConfig, smooth, smooth_scores
 from .synth import SynthConfig, class_means, synth_video
@@ -52,6 +51,7 @@ from .windowing import (
     make_windows,
     read_features,
     window_starts,
+    windows_for_split,
     write_features,
 )
 

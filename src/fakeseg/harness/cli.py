@@ -18,7 +18,7 @@ from ..checkpoint import load_checkpoint, save_checkpoint
 from ..injection import dataset_stats, read_plans, read_videos, write_plans
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
-from ..windowing import feature_paths, load_split_features, read_features
+from ..windowing import load_split_features
 from .config import ConfigError, load_experiment_config
 from .experiment import (
     PLANNERS,
@@ -122,7 +122,7 @@ def _cmd_predict(args) -> int:
             f"eval.overlap ({ev.overlap}) in {args.config} must be smaller than the window "
             f"({model.config.window}) of {args.model}"
         )
-    seqs = (read_features(path) for path in feature_paths(args.features))
+    seqs = load_split_features(args.features)
     scores = score_videos(model, seqs, ev.overlap, ev.frame_mode, args.out_dir)
     print(f"scored {len(scores)} videos -> {Path(args.out_dir)}")
     return 0

@@ -45,16 +45,9 @@ from ..prng import stream_for
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
-from ..training import TrainConfig, TrainHistory, check_features, predict_video, train
+from ..training import TrainConfig, TrainHistory, predict_video, train
 from ..transformer import SequenceClassifier, TransformerConfig, limit_blas_threads
-from ..windowing import (
-    FeatureSequence,
-    SplitWindows,
-    joined_features,
-    load_split_features,
-    window_starts,
-    write_features,
-)
+from ..windowing import FeatureSequence, check_features, load_split_features, windows_for_split, write_features
 from ..windowing import make_windows, read_features  # noqa: F401 - names the frozen perfbench/ hooks and calls
 from .config import EvalConfig, ExperimentConfig
 
@@ -312,22 +305,6 @@ def materialize_features(cfg: ExperimentConfig, run_dir: Path) -> Path:
         for split in SPLITS:
             synth_features(split_records[split], run_dir / "features" / split, cfg.dataset.synth)
     return run_dir / "features"
-
-
-def windows_for_split(
-    seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int
-) -> tuple[SplitWindows, np.ndarray]:
-    """One split's windows, cut on demand from its features, and their
-    center-frame labels, once `check_features` passes."""
-    seqs = check_features(seqs, model_cfg, labeled=True)
-    w = model_cfg.window
-    starts, labels, offset = [], [], 0
-    for seq in seqs:
-        video_starts = window_starts(seq.num_frames, w, overlap)
-        labels.append(seq.labels.labels[video_starts + w // 2])
-        starts.append(video_starts + offset)
-        offset += seq.num_frames
-    return SplitWindows(joined_features(seqs), np.concatenate(starts), w), np.concatenate(labels)
 
 
 def fit(

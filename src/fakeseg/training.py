@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .segmap import ScoreMap
 from .transformer import (
     SequenceClassifier,
-    TransformerConfig,
     blas_threads_kept,
     cross_entropy,
     forward_with_cache,
     loss_and_grads,
 )
-from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, frames_from_windows, window_starts
+from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, check_features, frames_from_windows, window_starts
 from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
 ADAM_BETA1 = 0.9
@@ -34,7 +32,6 @@ PREDICT_BATCH = 128
 # the paper's width the two scratch arrays stay 0.5 MiB instead of two
 # more copies of the model.
 ADAM_CHUNK = 1 << 16
-FINITE_ROWS = 8192  # feature rows per finiteness check in check_features
 
 
 class TrainingDivergedError(RuntimeError):
@@ -239,33 +236,6 @@ def train(
 
     np.copyto(model.flat, best_params)
     return model, TrainHistory(tuple(history), best_epoch=best_epoch, stopped_early=stopped_early)
-
-
-def check_features(
-    seqs: Iterable[FeatureSequence], config: TransformerConfig, labeled: bool = False
-) -> list[FeatureSequence]:
-    """The videos as a list, once each fits a model of `config`.
-
-    Raises a ValueError naming the first video whose features are not
-    `config.input_dim` wide, that has fewer frames than the window, that
-    holds a non-finite value (checked FINITE_ROWS rows at a time) or, when
-    `labeled`, that has no labels."""
-    seqs = list(seqs)
-    for seq in seqs:
-        if seq.dim != config.input_dim:
-            problem = f"has {seq.dim}-dim features, the model takes {config.input_dim}"
-        elif seq.num_frames < config.window:
-            problem = f"has {seq.num_frames} frames, fewer than the window of {config.window}"
-        elif not all(
-            np.isfinite(seq.features[lo : lo + FINITE_ROWS]).all() for lo in range(0, seq.num_frames, FINITE_ROWS)
-        ):
-            problem = "has non-finite features"
-        elif labeled and seq.labels is None:
-            problem = "has no labels"
-        else:
-            continue
-        raise ValueError(f"video {seq.video_id!r} {problem}")
-    return seqs
 
 
 @blas_threads_kept()

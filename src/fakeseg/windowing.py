@@ -1,4 +1,5 @@
-"""Sliding-window assembly of per-frame features and frame-score projection.
+"""Per-frame features: read, checked against a model, cut into windows,
+and window scores projected back to frames.
 
 Per-frame feature vectors are accumulated sequentially for one video and cut
 into overlapping windows of W frames (stride = W - overlap). Windows never
@@ -20,14 +21,17 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .segmap import ScoreMap, SegmentationMap
+from .transformer import TransformerConfig
 
 FEATURE_MAGIC = b"TFKF"
 FEATURE_VERSION = 1
 FRAME_MODES = ("mean", "max", "center")  # the projections of frames_from_windows
+FINITE_ROWS = 8192  # feature rows per finiteness check in check_features
 
 
 @dataclass(frozen=True)
@@ -264,40 +268,43 @@ def _sequence(path: Path, feats: np.ndarray) -> FeatureSequence:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _read_files(paths: list[Path]) -> list[FeatureSequence]:
+    """The videos of the feature files `paths`, each opened once: its
+    header checked, then its rows read unbuffered (as the file is after the
+    check) into its T x d view of one float32 buffer sized from the files'
+    sizes, in as many `readinto` calls as the OS needs (about 2 GiB each)."""
+    slots = [max(os.stat(path).st_size - 16, 0) // 4 for path in paths]
+    buffer = np.empty(sum(slots), dtype="<f4")
+    seqs, lo = [], 0
+    for path, slot in zip(paths, slots):
+        with open(path, "rb", buffering=0) as fh:
+            t, d = _read_header(fh, path)
+            if t * d != slot:
+                raise ValueError(f"{path}: the file changed size while it was read")
+            feats = buffer[lo : lo + slot].reshape(t, d)
+            rows, got = feats.reshape(-1).view(np.uint8), 0
+            while got < rows.size and (n := fh.readinto(rows[got:])):
+                got += n
+        if got != rows.size:
+            raise ValueError(f"{path}: truncated feature file: read {got} of its {t}x{d} features' {rows.size} bytes")
+        seqs.append(_sequence(path, feats))
+        lo += slot
+    return seqs
+
+
 def read_features(path: str | Path) -> FeatureSequence:
     """Read a binary feature file; picks up the sibling label file if present."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        t, d = _read_header(fh, path)
-        data = fh.read(4 * t * d)
-    return _sequence(path, np.frombuffer(data, dtype="<f4").reshape(t, d))
+    (seq,) = _read_files([Path(path)])
+    return seq
 
 
 def load_split_features(split_dir: str | Path) -> list[FeatureSequence]:
-    """The videos of `feature_paths(split_dir)`, read into one float32
-    buffer: each video's T x d features are a view of it, so the split's
-    frames are held once, and videos of one width join without a copy
-    (`joined_features`). Each file is checked as `read_features` checks it;
-    whether a width suits a model is `check_features`' test."""
-    paths = feature_paths(split_dir)
-    shapes = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            shapes.append(_read_header(fh, path))
-    buffer = np.empty(sum(t * d for t, d in shapes), dtype="<f4")
-    seqs, lo = [], 0
-    for path, (t, d) in zip(paths, shapes):
-        feats = buffer[lo : lo + t * d].reshape(t, d)
-        with open(path, "rb") as fh:
-            fh.seek(16)
-            got = fh.readinto(feats)
-        if got != feats.nbytes:
-            raise ValueError(
-                f"{path}: truncated feature file: read {got} of its {t}x{d} features' {feats.nbytes} bytes"
-            )
-        seqs.append(_sequence(path, feats))
-        lo += t * d
-    return seqs
+    """The videos of `feature_paths(split_dir)`, each checked as
+    `read_features` checks it, read into one float32 buffer: each video's
+    T x d features are a view of it, so the split's frames are held once,
+    and videos of one width join without a copy (`joined_features`).
+    Whether a width suits a model is `check_features`' test."""
+    return _read_files(feature_paths(split_dir))
 
 
 def joined_features(seqs: list[FeatureSequence]) -> np.ndarray:
@@ -315,3 +322,49 @@ def joined_features(seqs: list[FeatureSequence]) -> np.ndarray:
         ):
             return whole
     return np.concatenate([seq.features for seq in seqs])
+
+
+# -- a split's checked, labeled windows --
+
+
+def check_features(
+    seqs: Iterable[FeatureSequence], config: TransformerConfig, labeled: bool = False
+) -> list[FeatureSequence]:
+    """The videos as a list, once each fits a model of `config`.
+
+    Raises a ValueError naming the first video whose features are not
+    `config.input_dim` wide, that has fewer frames than the window, that
+    holds a non-finite value (checked FINITE_ROWS rows at a time) or, when
+    `labeled`, that has no labels."""
+    seqs = list(seqs)
+    for seq in seqs:
+        if seq.dim != config.input_dim:
+            problem = f"has {seq.dim}-dim features, the model takes {config.input_dim}"
+        elif seq.num_frames < config.window:
+            problem = f"has {seq.num_frames} frames, fewer than the window of {config.window}"
+        elif not all(
+            np.isfinite(seq.features[lo : lo + FINITE_ROWS]).all() for lo in range(0, seq.num_frames, FINITE_ROWS)
+        ):
+            problem = "has non-finite features"
+        elif labeled and seq.labels is None:
+            problem = "has no labels"
+        else:
+            continue
+        raise ValueError(f"video {seq.video_id!r} {problem}")
+    return seqs
+
+
+def windows_for_split(
+    seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int
+) -> tuple[SplitWindows, np.ndarray]:
+    """One split's windows, cut on demand from its features, and their
+    center-frame labels, once `check_features` passes."""
+    seqs = check_features(seqs, model_cfg, labeled=True)
+    w = model_cfg.window
+    starts, labels, offset = [], [], 0
+    for seq in seqs:
+        video_starts = window_starts(seq.num_frames, w, overlap)
+        labels.append(seq.labels.labels[video_starts + w // 2])
+        starts.append(video_starts + offset)
+        offset += seq.num_frames
+    return SplitWindows(joined_features(seqs), np.concatenate(starts), w), np.concatenate(labels)

@@ -1,13 +1,14 @@
 """Shared test oracles and fixtures: finite differences, pairwise AUC,
-per-tensor Adam, row-wise softmax, einsum attention, the (N, W, d) forward
-and backward, the training step that packed a dict of gradients into a
-whole-model Adam, loop versions of the per-frame kernels, whole-video
+per-tensor Adam, row-wise softmax, einsum attention, the scale-shift
+adapter, the (N, W, d) forward and backward, the training step that
+packed a dict of gradients into a whole-model Adam, loop versions of the per-frame kernels, whole-video
 predict, the row-by-row synth, configs."""
 
 from __future__ import annotations
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from fakeseg.injection import render_map
 from fakeseg.prng import derive_seed
 from fakeseg.synth import class_means
 from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PREDICT_BATCH
-from fakeseg.scale_shift import ScaleShift, scale_shift_backward, scale_shift_forward
 from fakeseg.transformer import (
     SequenceClassifier,
     _attention_activations,
@@ -215,6 +215,61 @@ def einsum_attention_backward(g, cache, grads, prefix):
         grads[prefix + "b" + name] = dbz
         dh += dhi
     return dh
+
+
+# -- the scale-shift adapter: y[i, j] = gamma[j] * x[i, j] + beta[j] --
+#
+# The classifier head computes this map inline from its parameter views;
+# these are the reference it is tested against (the float64 reference model
+# below, and acceptance criterion 3's gradient check).
+
+
+@dataclass
+class ScaleShift:
+    """Per-channel scale (gamma) and shift (beta) vectors."""
+
+    gamma: np.ndarray
+    beta: np.ndarray
+
+    def __post_init__(self):
+        if self.gamma.ndim != 1 or self.gamma.shape != self.beta.shape:
+            raise ValueError("gamma and beta must be 1-D vectors of equal length")
+        if not (np.isfinite(self.gamma).all() and np.isfinite(self.beta).all()):
+            raise ValueError("scale/shift parameters must be finite")
+
+    @property
+    def dim(self) -> int:
+        return int(self.gamma.size)
+
+    @classmethod
+    def identity(cls, dim: int, dtype=np.float64) -> "ScaleShift":
+        return cls(gamma=np.ones(dim, dtype=dtype), beta=np.zeros(dim, dtype=dtype))
+
+
+def scale_shift_forward(x: np.ndarray, params: ScaleShift) -> np.ndarray:
+    """Elementwise y = gamma * x + beta, broadcast over leading axes."""
+    if x.shape[-1] != params.dim:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match adapter dim {params.dim}")
+    return params.gamma * x + params.beta
+
+
+def scale_shift_backward(
+    x: np.ndarray, params: ScaleShift, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of the modulation: returns (grad_x, grad_gamma, grad_beta).
+
+    grad_x = gamma * g; grad_gamma[j] = sum_i x[i, j] * g[i, j];
+    grad_beta[j] = sum_i g[i, j], summing over all leading axes.
+    """
+    if x.shape != grad_out.shape:
+        raise ValueError("x and grad_out must have equal shapes")
+    if x.shape[-1] != params.dim:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match adapter dim {params.dim}")
+    lead = tuple(range(x.ndim - 1))
+    grad_x = params.gamma * grad_out
+    grad_gamma = (x * grad_out).sum(axis=lead)
+    grad_beta = grad_out.sum(axis=lead)
+    return grad_x, grad_gamma, grad_beta
 
 
 # -- the transformer with a 3-D (N, W, d) residual stream --

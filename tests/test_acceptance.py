@@ -12,7 +12,6 @@ from scipy.stats import spearmanr
 
 from fakeseg import (
     BaselineParams,
-    ScaleShift,
     ScoreMap,
     SegmentationMap,
     SegmentPlan,
@@ -29,15 +28,13 @@ from fakeseg import (
     plan_one_segment,
     plan_two_segments,
     render_map,
-    scale_shift_backward,
-    scale_shift_forward,
     smooth,
     smooth_scores,
 )
 from fakeseg.harness import run_experiment, sweep_segment_lengths
 from fakeseg.harness.config import parse_experiment_config
 from fakeseg.injection import ONE_SEGMENT_MIN_FRAMES, TWO_SEGMENT_MIN_FRAMES
-from helpers import fd_gradcheck, micro_config_dict, pairwise_auc
+from helpers import ScaleShift, fd_gradcheck, micro_config_dict, pairwise_auc, scale_shift_backward, scale_shift_forward
 
 REPO = Path(__file__).parent.parent
 

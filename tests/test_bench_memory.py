@@ -4,6 +4,7 @@ quickstart step: every field it records is filled."""
 
 import hashlib
 import importlib.util
+import statistics
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "memory.py"
@@ -19,7 +20,8 @@ def _memory_bench():
 def test_memory_bench_runs_at_a_thousand_frames():
     memory = _memory_bench()
     result = memory.measure(rss_frames=(1000,), time_frames=1000, repeats=3, train_videos=(4, 260),
-                            clips=(4, 300), pairs=2, sweep_widths=(8, 16), paper_widths=(16, 2, 8, 32))
+                            clips=(4, 300), pairs=2, sweep_widths=(8, 16), paper_widths=(16, 2, 8, 32),
+                            rss_repeats=2)
     synth = result["synth_rss_mb"]["1000"]
     want = memory.synth_video(*memory._synth_args(1000)).features
     assert want.shape == (1000, 16) and synth["features_sha256"] == hashlib.sha256(want.tobytes()).hexdigest()
@@ -28,8 +30,12 @@ def test_memory_bench_runs_at_a_thousand_frames():
     trained = result["train_rss_mb"]
     paper = result["paper_scale"]
     for child in (synth, rss, trained, paper):  # a fresh process's peak, its size after the imports, the rise
-        assert 0 < child["import_mb"] <= child["peak_mb"]
-        assert child["rise_mb"] == child["peak_mb"] - child["import_mb"]
+        assert child["repeats"] == len(child["runs"]) == 2
+        for run in child["runs"]:
+            assert 0 < run["import_mb"] <= run["peak_mb"]
+            assert run["rise_mb"] == run["peak_mb"] - run["import_mb"]
+        for key in ("peak_mb", "import_mb", "rise_mb"):  # each number is the median of the repeats
+            assert child[key] == statistics.median(run[key] for run in child["runs"]) and child["iqr"][key] >= 0
     assert (trained["train_videos"], trained["val_videos"], trained["frames"]) == (4, 1, 260)
     assert 0 <= trained["fit_rise_mb"] <= trained["rise_mb"] and len(trained["model_sha256"]) == 64
     assert (paper["input_dim"], paper["num_heads"], paper["head_dim"], paper["ff_hidden"]) == (16, 2, 8, 32)
@@ -69,7 +75,8 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert all(row["one_thread_ms"] > 0 and row["two_threads_ms"] > 0 for row in sweep["widths"])
     assert sweep["in_use"] == memory.transformer.BLAS_SERIAL_MACS
     env = result["environment"]
-    assert env["python"] and env["numpy"] and env["revision"]
+    assert env["python"] and env["numpy"] and env["revision"] and isinstance(env["dirty"], bool)
+    assert env["src_sha256"] == memory.src_sha256() and len(env["src_sha256"]) == 64
     assert set(env["openblas"]) == {"kernel", "threads"}
     # a desk-scale forward runs on one thread wherever the thread count can be set
     assert env["openblas"]["threads"] in (1, "unknown")
@@ -81,3 +88,17 @@ def test_memory_bench_numbers_its_file_one_past_the_highest(tmp_path):
     for name in ("BENCH_1.json", "BENCH_12.json", "BENCH_x.json", "BENCH_3.json.bak"):
         (tmp_path / name).touch()
     assert memory.next_bench_path(tmp_path).name == "BENCH_13.json"
+
+
+def test_the_source_digest_names_the_files_and_their_bytes_not_bytecode(tmp_path):
+    memory = _memory_bench()
+    (tmp_path / "harness").mkdir()
+    (tmp_path / "a.py").write_bytes(b"x = 1\n")
+    (tmp_path / "harness" / "b.py").write_bytes(b"y = 2\n")
+    want = hashlib.sha256(b"a.py\0x = 1\nharness/b.py\0y = 2\n").hexdigest()
+    assert memory.src_sha256(tmp_path) == want
+    (tmp_path / "__pycache__").mkdir()
+    (tmp_path / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    assert memory.src_sha256(tmp_path) == want
+    (tmp_path / "a.py").write_bytes(b"x = 2\n")
+    assert memory.src_sha256(tmp_path) != want

@@ -37,10 +37,10 @@ from fakeseg import (
 )
 from fakeseg.harness import StageError, VideoEval, evaluate_maps, run_experiment, sweep_segment_lengths, sweep_window_grid
 from fakeseg.harness.config import parse_experiment_config
-from fakeseg.harness.experiment import fit, windows_for_split
+from fakeseg.harness.experiment import fit
 from fakeseg.injection import read_plans
 from fakeseg.training import TrainingDivergedError
-from fakeseg.windowing import load_split_features
+from fakeseg.windowing import load_split_features, windows_for_split
 from helpers import micro_config_dict
 
 

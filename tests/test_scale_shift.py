@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fakeseg import ScaleShift, scale_shift_backward, scale_shift_forward
+from helpers import ScaleShift, scale_shift_backward, scale_shift_forward
 
 
 def test_identity_initialization_is_exact():

@@ -19,8 +19,8 @@ from fakeseg import (
     predict_video,
     train,
 )
-from fakeseg.training import PREDICT_BATCH, FlatAdam, check_features
-from fakeseg.windowing import window_starts
+from fakeseg.training import PREDICT_BATCH, FlatAdam
+from fakeseg.windowing import check_features, window_starts
 from helpers import PackedAdamReference, adam_reference_step, loss_and_grads_dict_reference, predict_video_reference
 
 CFG = TransformerConfig(

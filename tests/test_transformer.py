@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fakeseg import (
@@ -480,10 +480,16 @@ def layout_cases(draw, widths):
     )
     n = draw(st.sampled_from([1, 7, 64, 256]))
     seed = draw(st.integers(0, 2**32 - 1))
+    return layout_case(cfg, dtype, n, seed, draw(st.booleans()))
+
+
+def layout_case(cfg, dtype, n, seed, train):
+    """The case `layout_cases` draws from these values: the model initialized
+    from `seed`, and n windows and their targets from a generator seeded alike."""
     rng = np.random.default_rng(seed)
     model = SequenceClassifier.initialize(cfg, seed=seed % 1000).astype(dtype)
-    x = rng.standard_normal((n, cfg.window, d)).astype(dtype)
-    return model, x, rng.integers(0, 2, n), draw(st.booleans()), seed
+    x = rng.standard_normal((n, cfg.window, cfg.input_dim)).astype(dtype)
+    return model, x, rng.integers(0, 2, n), train, seed
 
 
 def _layout_pairs(case):
@@ -534,6 +540,10 @@ def any_widths(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(case=layout_cases(any_widths()))
+# found with --hypothesis-seed 189 under OPENBLAS_CORETYPE=Zen, where block0.ff.w1's
+# gradient misses the oracle's by 3.9e-5 against a bound of 3.6e-5
+@example(case=layout_case(TransformerConfig(input_dim=4, window=1, num_blocks=2, num_heads=1, head_dim=12,
+                                            ff_hidden=12, mlp_hidden=(1,), dropout=0.0), np.float32, 64, 1, False))
 def test_2d_layout_matches_the_3d_reference_at_any_width(case):
     """At other widths OpenBLAS may block a folded product differently from
     the per-window ones, so the layouts agree to rounding. (From d = 4: layer

@@ -1,3 +1,4 @@
+import io
 import pickle
 import struct
 
@@ -376,6 +377,43 @@ def test_a_file_cut_after_its_header_was_checked_is_named(tmp_path, monkeypatch)
     monkeypatch.setattr(windowing, "_read_header", check_then_cut)
     with pytest.raises(ValueError, match=r"v1\.feat: truncated feature file: read 112 of its 10x3 features' 120 bytes"):
         load_split_features(tmp_path)
+
+
+def test_a_file_that_grew_after_the_split_was_sized_is_named(tmp_path, monkeypatch):
+    """The buffer is sized from the files before each is opened; a file
+    rewritten longer in between must not spill into the next video's rows."""
+    _write_split(tmp_path, [10, 10])
+    check_header = windowing._read_header
+
+    def grow_then_check(fh, path):
+        if path.name == "v0.feat":
+            write_features(path, FeatureSequence("v0", np.ones((12, 3), np.float32)))
+        return check_header(fh, path)
+
+    monkeypatch.setattr(windowing, "_read_header", grow_then_check)
+    with pytest.raises(ValueError, match=r"v0\.feat: the file changed size while it was read"):
+        load_split_features(tmp_path)
+
+
+def test_rows_are_read_whole_when_each_read_returns_part_of_them(tmp_path, monkeypatch):
+    """One read returns at most about 2 GiB on Linux; a short read is not the end of the rows."""
+
+    class ShortReads(io.FileIO):
+        def readinto(self, b):
+            return super().readinto(memoryview(b).cast("B")[:7])
+
+    written = _write_split(tmp_path, [10, 3])
+    monkeypatch.setattr(windowing, "open", lambda path, mode, buffering: ShortReads(path, mode), raising=False)
+    seqs = load_split_features(tmp_path)
+    assert [seq.features.tobytes() for seq in seqs] == [seq.features.tobytes() for seq in written]
+
+
+def test_read_features_takes_one_file_not_a_directory(tmp_path):
+    _write_split(tmp_path / "split", [6])
+    with pytest.raises(IsADirectoryError):
+        read_features(tmp_path / "split")
+    (seq,) = load_split_features(tmp_path / "split")
+    assert seq.features.tobytes() == read_features(tmp_path / "split" / "v0.feat").features.tobytes()
 
 
 def test_an_empty_split_is_an_error(tmp_path):
