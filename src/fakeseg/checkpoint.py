@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .transformer import SequenceClassifier, TransformerConfig
+from .transformer import SequenceClassifier, TransformerConfig, config_kwargs
 
 CHECKPOINT_MAGIC = b"TFKM"
 CHECKPOINT_VERSION = 1
@@ -72,7 +72,7 @@ def load_checkpoint(path: str | Path) -> SequenceClassifier:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     blob = take(config_len, "config")
     try:
-        config = TransformerConfig.from_dict(json.loads(blob.decode("utf-8")))
+        config = TransformerConfig(**config_kwargs(TransformerConfig, json.loads(blob.decode("utf-8")), "model"))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: invalid model config: {exc}") from exc
     model = SequenceClassifier.zeros(config, np.float32)

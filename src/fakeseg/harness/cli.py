@@ -57,9 +57,12 @@ def _reading(path: str | Path):
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _probability(text: str) -> float:
@@ -73,6 +76,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value
 
 
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-lengths", parents=[config], help="IoU/AUC across injected segment lengths")
     p.add_argument("--model", required=True)
     p.add_argument("--lengths", type=_int_list, required=True, help="comma-separated frame counts")
-    p.add_argument("--num-videos", type=int, default=20)
+    p.add_argument("--num-videos", type=_positive_int, default=20)
     p.add_argument("--video-length", type=int, default=600)
     p.add_argument("--out", required=True, help="table path prefix")
     p.set_defaults(func=_cmd_sweep_lengths)

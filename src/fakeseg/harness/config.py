@@ -3,20 +3,19 @@
 Four sections: ``dataset`` (plan mode, seeds, video counts and lengths, or
 an external feature directory), ``model`` (architecture), ``train``
 (optimization), ``eval`` (smoothing offset, threshold, window overlap).
-Unknown keys anywhere are rejected.
+Unknown keys anywhere are rejected. Every section is read by
+`fakeseg.transformer.config_kwargs`, as is a checkpoint's model config.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..synth import SynthConfig
 from ..training import TrainConfig
-from ..transformer import TransformerConfig
+from ..transformer import TransformerConfig, config_kwargs
 from ..windowing import FRAME_MODES
 
 
@@ -102,35 +101,13 @@ class ExperimentConfig:
 _SECTIONS = ("dataset", "model", "train", "eval")
 
 
-def _check_ints(cls, data: dict, section: str) -> None:
-    """ConfigError naming `section.key` for a value of an integer field of
-    `cls` that is not an int, or a list entry of a tuple[int, ...] field
-    that is not; a bool is not an int here."""
-    hints = typing.get_type_hints(cls)
-    for key, value in data.items():
-        hint = hints.get(key)
-        if hint == int | None and value is None:
-            continue
-        if hint == tuple[int, ...] and isinstance(value, list):
-            values, what = value, "an integer list"
-        elif hint in (int, int | None):
-            values, what = [value], "an integer"
-        else:
-            continue
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-            raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
-
-
-def _build_section(cls, data: dict, section: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-    _check_ints(cls, data, section)
+def _build_section(cls, data, section: str):
     try:
-        return cls(**data)
+        kwargs = config_kwargs(cls, data, section)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    try:
+        return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -146,14 +123,10 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
 
     dataset = _build_section(DatasetConfig, data.get("dataset", {}), "dataset")
 
-    model_data = dict(data.get("model", {}))
-    if "input_dim" not in model_data:
-        model_data["input_dim"] = dataset.feature_dim
-    _check_ints(TransformerConfig, model_data, "model")
-    try:
-        model = TransformerConfig.from_dict(model_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section 'model': {exc}") from exc
+    model_data = data.get("model", {})
+    if isinstance(model_data, dict):
+        model_data = {"input_dim": dataset.feature_dim, **model_data}
+    model = _build_section(TransformerConfig, model_data, "model")
     if dataset.features_dir is None and model.input_dim != dataset.feature_dim:
         raise ConfigError(
             f"model.input_dim ({model.input_dim}) must equal dataset.feature_dim "

@@ -33,6 +33,7 @@ import numpy as np
 
 from .prng import stream_for
 from .segmap import SegmentationMap
+from .transformer import is_integer
 
 SEGMENT_LENGTH_MENU = (125, 150, 175)
 ONE_SEGMENT_MIN_FRAMES = 250
@@ -152,10 +153,14 @@ def render_map(plan: SegmentPlan, length: int) -> SegmentationMap:
 def dataset_stats(plans: Iterable[SegmentPlan], videos: Sequence[VideoSpec]) -> DatasetStats:
     """Mean fake-frame ratio per mode and mean video length.
 
-    Every plan must reference a video in `videos`; plans are bucketed by
-    their segment count (1 or 2).
+    Every plan must reference a video in `videos`, whose ids must differ;
+    plans are bucketed by their segment count (1 or 2).
     """
-    lengths = {v.id: v.length_frames for v in videos}
+    lengths: dict[str, int] = {}
+    for v in videos:
+        if v.id in lengths:
+            raise ValueError(f"repeated video id {v.id!r}")
+        lengths[v.id] = v.length_frames
     if not lengths:
         raise ValueError("no videos given")
     ratios: dict[int, list[float]] = {1: [], 2: []}
@@ -178,10 +183,21 @@ def dataset_stats(plans: Iterable[SegmentPlan], videos: Sequence[VideoSpec]) -> 
 
 
 def _read_video_lines(path: str | Path) -> list[tuple[VideoSpec, dict]]:
-    """Each non-blank line's JSON object, with the VideoSpec of its id and length."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    objs = [json.loads(line) for line in lines if line.strip()]
-    return [(VideoSpec(id=obj["id"], length_frames=int(obj["length"])), obj) for obj in objs]
+    """Each non-blank line's JSON object, with the VideoSpec of its id and
+    length; ValueError naming the line for a length that is not an integer
+    or an id an earlier line has."""
+    records, seen = [], set()
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        if not line.strip():
+            continue
+        obj = json.loads(line)
+        if not is_integer(obj["length"]):
+            raise ValueError(f"line {number}: length must be an integer, got {obj['length']!r}")
+        if obj["id"] in seen:
+            raise ValueError(f"line {number}: repeated video id {obj['id']!r}")
+        seen.add(obj["id"])
+        records.append((VideoSpec(id=obj["id"], length_frames=obj["length"]), obj))
+    return records
 
 
 def read_videos(path: str | Path) -> list[VideoSpec]:
@@ -202,7 +218,11 @@ def write_plans(path: str | Path, records: Iterable[tuple[VideoSpec, SegmentPlan
 
 
 def read_plans(path: str | Path) -> list[tuple[VideoSpec, SegmentPlan]]:
-    return [
-        (video, SegmentPlan(video.id, tuple((int(s), int(l)) for s, l in obj["segments"])))
-        for video, obj in _read_video_lines(path)
-    ]
+    records = []
+    for video, obj in _read_video_lines(path):
+        segments = obj["segments"]
+        if not all(isinstance(seg, list) and len(seg) == 2 and all(map(is_integer, seg)) for seg in segments):
+            raise ValueError(f"video {video.id!r}: segments must be [start, length] integer pairs, "
+                             f"got {segments!r}")
+        records.append((video, SegmentPlan(video.id, tuple(map(tuple, segments)))))
+    return records

@@ -136,8 +136,10 @@ class ScoreMap:
     @classmethod
     def from_json(cls, text: str) -> "ScoreMap":
         data = json.loads(text)
-        if not isinstance(data, dict) or "scores" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("scores"), list):
             raise ValueError('score JSON must be an object with a "scores" array')
+        if not set(map(type, data["scores"])) <= {int, float}:
+            raise ValueError('score JSON "scores" must hold numbers only')
         return cls(data["scores"])
 
 

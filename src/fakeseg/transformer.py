@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
@@ -172,16 +173,37 @@ class TransformerConfig:
     def ff_dim(self) -> int:
         return self.ff_hidden if self.ff_hidden is not None else 4 * self.input_dim
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TransformerConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "mlp_hidden" in kwargs:
-            kwargs["mlp_hidden"] = tuple(kwargs["mlp_hidden"])
-        return cls(**kwargs)
+
+def is_integer(value: Any) -> bool:
+    """Whether a JSON value is an integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def config_kwargs(cls, data: Any, section: str) -> dict[str, Any]:
+    """The keyword arguments of config dataclass `cls` from `data`, the JSON
+    value of `section`, with lists made tuples.
+
+    Raises ValueError for a value that is not an object, an unknown key, or
+    a value of an `int` or `int | None` field, or an entry of a
+    `tuple[int, ...]` field, that is not an integer. Every other check is
+    the dataclass's own.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"section {section!r} must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+    kwargs = dict(data)
+    for key, value in data.items():
+        hint = hints[key]
+        if hint == tuple[int, ...]:
+            if not (isinstance(value, list) and all(map(is_integer, value))):
+                raise ValueError(f"{section}.{key} must be an integer list, got {value!r}")
+            kwargs[key] = tuple(value)
+        elif hint in (int, int | None) and not (is_integer(value) or value is None and hint != int):
+            raise ValueError(f"{section}.{key} must be an integer, got {value!r}")
+    return kwargs
 
 
 def param_layout(config: TransformerConfig) -> dict[str, tuple[int, ...]]:

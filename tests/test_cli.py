@@ -265,6 +265,67 @@ def test_cli_inputs_name_their_file(tmp_path, monkeypatch, capsys, case):
     assert f"error: ValueError: {bad}: {detail}" in capsys.readouterr().err
 
 
+_READ_AS_WRITTEN = {  # files to write, command, the file it must name, what is wrong with it
+    "plan-repeated-id": ({"c.json": "{}", "v.jsonl": '{"id": "a", "length": 300}\n{"id": "a", "length": 320}\n'},
+                         "plan --config c.json --videos v.jsonl --out p.jsonl --stats s.json", "v.jsonl",
+                         "line 2: repeated video id 'a'"),
+    "plan-float-length": ({"c.json": "{}", "v.jsonl": '{"id": "a", "length": 300.7}\n'},
+                          "plan --config c.json --videos v.jsonl --out p.jsonl", "v.jsonl",
+                          "line 1: length must be an integer, got 300.7"),
+    "synth-repeated-id": ({"c.json": "{}", "p.jsonl": '{"id": "a", "length": 300, "segments": [[10, 125]]}\n' * 2},
+                          "synth --config c.json --plans p.jsonl --out-dir f", "p.jsonl",
+                          "line 2: repeated video id 'a'"),
+    "synth-float-segment": ({"c.json": "{}", "p.jsonl": '{"id": "a", "length": 300, "segments": [[10.9, 125]]}\n'},
+                            "synth --config c.json --plans p.jsonl --out-dir f", "p.jsonl",
+                            "video 'a': segments must be [start, length] integer pairs"),
+    "eval-bool-score": ({"c.json": "{}", "gt/a.map": "RF\n", "scores/a.scores.json": '{"scores": [0.5, true]}'},
+                        _EVAL, "scores/a.scores.json", 'score JSON "scores" must hold numbers only'),
+    "smooth-string-scores": ({"in.json": '{"scores": ["0.5", "1e-1"]}'},
+                             "smooth --threshold 0.5 --input in.json --output out.map", "in.json",
+                             'score JSON "scores" must hold numbers only'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_AS_WRITTEN))
+def test_cli_reads_videos_plans_and_scores_as_written(tmp_path, monkeypatch, capsys, case):
+    files, command, bad, detail = _READ_AS_WRITTEN[case]
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 3
+    assert f"error: ValueError: {bad}: {detail}" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()) == sorted(files)
+
+
+def test_run_rejects_a_model_section_that_is_not_an_object(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**micro_config_dict(), "model": [1]}))
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 2
+    assert "config error: section 'model' must be an object" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["sweep-lengths", "--lengths", ",", "--model", "m.tfkm"], "--lengths"),
+     (["sweep-lengths", "--lengths", "25", "--num-videos", "0", "--model", "m.tfkm"], "--num-videos"),
+     (["sweep-lengths", "--lengths", "25", "--num-videos", "-1", "--model", "m.tfkm"], "--num-videos"),
+     (["sweep-window", "--windows", "", "--overlaps", "0", "--run-dir", "r"], "--windows"),
+     (["sweep-window", "--windows", "5", "--overlaps", " , ", "--run-dir", "r"], "--overlaps")],
+    ids=["no-lengths", "zero-videos", "negative-videos", "no-windows", "no-overlaps"],
+)
+def test_a_sweep_with_nothing_to_sweep_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    (tmp_path / "c.json").write_text(json.dumps(micro_config_dict()))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", "c.json", "--out", "table"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("setting", [{"temporal_rho": 1.5}, {"noise_std": 0}], ids=["rho", "noise"])
 def test_run_rejects_invalid_synth_settings_before_writing(tmp_path, capsys, setting):
     config = _write_config(tmp_path, dataset=setting)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
 
+from fakeseg import SequenceClassifier, load_checkpoint, save_checkpoint
 from fakeseg.harness import ConfigError, load_experiment_config
 from fakeseg.harness.config import parse_experiment_config
 from fakeseg.windowing import FRAME_MODES
@@ -125,3 +127,34 @@ def test_integer_settings_still_load():
     cfg = parse_experiment_config(micro_config_dict(model={"ff_hidden": None, "mlp_hidden": [8, 4]}))
     assert cfg.model.ff_hidden is None and cfg.model.mlp_hidden == (8, 4)
     assert parse_experiment_config(micro_config_dict(dataset={"seed": 2**40})).dataset.seed == 2**40
+
+
+@pytest.mark.parametrize("model", [[1], "x", None], ids=repr)
+def test_a_model_section_that_is_not_an_object_is_a_config_error(model):
+    with pytest.raises(ConfigError, match="^section 'model' must be an object$"):
+        parse_experiment_config({**micro_config_dict(), "model": model})
+
+
+def _checkpoint_storing(path: Path, **changes) -> Path:
+    """A checkpoint of the micro config's model whose stored config has `changes`."""
+    model = SequenceClassifier.initialize(parse_experiment_config(micro_config_dict()).model, seed=0)
+    save_checkpoint(path, model)
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<I", raw[8:12])
+    blob = json.dumps({**json.loads(raw[12 : 12 + size]), **changes}).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + size :])
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("num_blocks", True), ("num_heads", 1.0), ("mlp_hidden", [8.0]), ("window", "5"),
+     ("ff_hidden", False), ("mlp_hidden", 8)],
+    ids=repr,
+)
+def test_a_bad_model_value_fails_the_config_and_the_checkpoint_alike(tmp_path, key, value):
+    message = rf"model\.{key} must be an integer"
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(micro_config_dict(model={key: value}))
+    with pytest.raises(ValueError, match=rf"bad\.tfkm: invalid model config: {message}"):
+        load_checkpoint(_checkpoint_storing(tmp_path / "bad.tfkm", **{key: value}))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -231,3 +232,38 @@ def test_video_file_round_trip(tmp_path):
     path = tmp_path / "videos.jsonl"
     path.write_text('{"id": "a", "length": 600}\n\n{"id": "b", "length": 700}\n')
     assert read_videos(path) == videos
+
+
+@pytest.mark.parametrize("length", [300.7, True, "320"], ids=repr)
+def test_video_and_plan_files_take_an_integer_length_only(tmp_path, length):
+    got = re.escape(repr(length))
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text(f'{{"id": "a", "length": 600}}\n{{"id": "b", "length": {json.dumps(length)}}}\n')
+    with pytest.raises(ValueError, match=f"^line 2: length must be an integer, got {got}$"):
+        read_videos(videos)
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(f'{{"id": "b", "length": {json.dumps(length)}, "segments": [[10, 125]]}}\n')
+    with pytest.raises(ValueError, match=f"^line 1: length must be an integer, got {got}$"):
+        read_plans(plans)
+
+
+@pytest.mark.parametrize("segments", [[[10.9, 125]], [[10, 125.0]], [[True, 125]], [["10", 125]], [[10]], [10, 125]],
+                         ids=repr)
+def test_plan_files_take_integer_segment_bounds_only(tmp_path, segments):
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(json.dumps({"id": "a", "length": 600, "segments": segments}) + "\n")
+    with pytest.raises(ValueError, match=r"^video 'a': segments must be \[start, length\] integer pairs"):
+        read_plans(plans)
+
+
+def test_a_repeated_video_id_is_rejected(tmp_path):
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text('{"id": "a", "length": 600}\n\n{"id": "b", "length": 600}\n{"id": "a", "length": 700}\n')
+    with pytest.raises(ValueError, match="^line 4: repeated video id 'a'$"):
+        read_videos(videos)
+    plans = tmp_path / "plans.jsonl"
+    write_plans(plans, [(VideoSpec("a", 600), SegmentPlan("a", ((0, 125),)))] * 2)
+    with pytest.raises(ValueError, match="^line 2: repeated video id 'a'$"):
+        read_plans(plans)
+    with pytest.raises(ValueError, match="^repeated video id 'a'$"):
+        dataset_stats([SegmentPlan("a", ((0, 50),))], [VideoSpec("a", 100), VideoSpec("a", 200)])

@@ -108,6 +108,14 @@ def test_score_json_round_trip():
     assert np.array_equal(back.scores, s.scores)
 
 
+def test_score_json_holds_numbers_only():
+    for text in ('{"scores": [0.5, true]}', '{"scores": ["0.5", "1e-1"]}', '{"scores": [0.5, null]}',
+                 '{"scores": [[0.5]]}', '{"scores": 0.5}', '{"scores": "0.5"}'):
+        with pytest.raises(ValueError, match="^score JSON"):
+            ScoreMap.from_json(text)
+    assert ScoreMap.from_json('{"scores": [0, 1, 0.5]}').scores.tolist() == [0.0, 1.0, 0.5]
+
+
 def test_segments_of_examples():
     assert segments_of(SegmentationMap.from_text("RRRR\n")) == []
     assert segments_of(SegmentationMap.from_text("RRFFFRR\n")) == [(2, 3)]

@@ -34,6 +34,7 @@ from fakeseg.transformer import (
     _layer_norm_forward,
     _layer_norm_output,
     _softmax,
+    config_kwargs,
     cross_entropy,
     forward,
     forward_with_cache,
@@ -252,7 +253,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransformerConfig(input_dim=8, mlp_hidden=(0,))
     with pytest.raises(ValueError, match="unknown"):
-        TransformerConfig.from_dict({"input_dim": 8, "bogus": 1})
+        config_kwargs(TransformerConfig, {"input_dim": 8, "bogus": 1}, "model")
     assert TransformerConfig(input_dim=8, ff_hidden=None).ff_dim == 32
 
 
