@@ -87,7 +87,8 @@ predict do not depend on trained weights. It records:
                       the measured sources (`src_sha256`: every file under
                       src/fakeseg but bytecode caches, by relative path and
                       bytes in sorted order), the OpenBLAS kernel and the
-                      thread count a quickstart forward runs with; both
+                      thread count a quickstart forward runs with, read
+                      inside it (the count after it is the caller's); both
                       timings and score bytes depend on the kernel.
 
 The result goes to BENCH_<n>.json at the repository root, n one past the
@@ -423,14 +424,22 @@ def _openblas_call(lib, symbol: str, restype, *args):
 
 def openblas() -> dict:
     """The kernel of numpy's bundled OpenBLAS and the thread count that a
-    quickstart forward runs with, or "unknown"."""
+    quickstart forward runs with, read inside it (as its last softmax runs),
+    or "unknown"."""
     model, _ = _quickstart_model()
-    forward_with_cache(model, np.zeros((FORWARD_BATCH, model.config.window, model.config.input_dim), np.float32))
     lib = _openblas_lib()
-    return {
-        "kernel": _openblas_call(lib, "scipy_openblas_get_corename64_", ctypes.c_char_p),
-        "threads": _openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int),
-    }
+    seen, softmax = [], transformer._softmax
+
+    def probe(z):
+        seen.append(_openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int))
+        return softmax(z)
+
+    transformer._softmax = probe
+    try:
+        forward_with_cache(model, np.zeros((FORWARD_BATCH, model.config.window, model.config.input_dim), np.float32))
+    finally:
+        transformer._softmax = softmax
+    return {"kernel": _openblas_call(lib, "scipy_openblas_get_corename64_", ctypes.c_char_p), "threads": seen[-1]}
 
 
 def _quartiles(times: list[float]) -> dict:

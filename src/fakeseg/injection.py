@@ -184,13 +184,15 @@ def dataset_stats(plans: Iterable[SegmentPlan], videos: Sequence[VideoSpec]) -> 
 
 def _read_video_lines(path: str | Path) -> list[tuple[VideoSpec, dict]]:
     """Each non-blank line's JSON object, with the VideoSpec of its id and
-    length; ValueError naming the line for a length that is not an integer
-    or an id an earlier line has."""
+    length; ValueError naming the line for an id that is not a non-empty
+    string, a length that is not an integer, or an id an earlier line has."""
     records, seen = [], set()
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
         obj = json.loads(line)
+        if not (isinstance(obj["id"], str) and obj["id"]):
+            raise ValueError(f"line {number}: id must be a non-empty string, got {obj['id']!r}")
         if not is_integer(obj["length"]):
             raise ValueError(f"line {number}: length must be an integer, got {obj['length']!r}")
         if obj["id"] in seen:

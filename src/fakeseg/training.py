@@ -8,13 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .segmap import ScoreMap
-from .transformer import (
-    SequenceClassifier,
-    blas_threads_kept,
-    cross_entropy,
-    forward_with_cache,
-    loss_and_grads,
-)
+from .transformer import SequenceClassifier, cross_entropy, forward_with_cache, loss_and_grads
 from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, check_features, frames_from_windows, window_starts
 from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
 
@@ -88,7 +82,6 @@ class TrainHistory:
     stopped_early: bool
 
 
-@blas_threads_kept()
 def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndarray, batch_size: int = 256):
     """Mean cross-entropy and accuracy in inference mode, over indexable
     windows `x` (an (N, W, d) array or a `SplitWindows`)."""
@@ -159,7 +152,6 @@ class FlatAdam:
             np.subtract(p, s2, out=p)
 
 
-@blas_threads_kept()
 def train(
     model: SequenceClassifier,
     train_set: tuple[np.ndarray | SplitWindows, np.ndarray],
@@ -238,7 +230,6 @@ def train(
     return model, TrainHistory(tuple(history), best_epoch=best_epoch, stopped_early=stopped_early)
 
 
-@blas_threads_kept()
 def predict_video(
     model: SequenceClassifier,
     seq: FeatureSequence,

@@ -24,9 +24,9 @@ H * head_dim context is mapped back to d by the output projection.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import typing
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -76,10 +76,9 @@ def _openblas_threads(library: str):
 
 
 _OPENBLAS = _openblas_threads(np._core._multiarray_umath.__file__) if hasattr(np, "_core") else None
-_blas_limit = _OPENBLAS[0]() if _OPENBLAS else 1  # the most threads a forward may use
 
 # A forward whose largest GEMM has at most this many multiply-adds runs on
-# one OpenBLAS thread, and larger ones on `_blas_limit`. Where the boundary
+# one OpenBLAS thread, and larger ones on the caller's. Where the boundary
 # lies is known only roughly: every desk-scale forward (the quickstart's
 # batch-256 `evaluate` forward is 1.3M) gained nothing from a second thread,
 # and paper-scale ones (billions) do. bench/memory.py's forward sweep
@@ -95,26 +94,30 @@ def _use_blas_threads(n: int) -> None:
         _OPENBLAS[1](n)
 
 
-@contextmanager
-def blas_threads_kept():
-    """Put the process's OpenBLAS thread count back as it was on exit, for
-    the forwards inside set it (see `forward_with_cache`)."""
-    before = _OPENBLAS[0]() if _OPENBLAS else None
-    try:
-        yield
-    finally:
-        if before is not None:
+def limit_blas_threads(n: int) -> None:
+    """Run this process's BLAS calls on at most n OpenBLAS threads for good
+    (forwards never raise the count), as a worker sharing the cores does."""
+    _use_blas_threads(n)
+
+
+def _blas_threads_by_size(fn):
+    """Run `fn(model, batch, ...)` on one OpenBLAS thread when the batch's
+    largest GEMM has at most BLAS_SERIAL_MACS multiply-adds, and give the
+    caller's count back on return; a larger batch runs on the caller's."""
+
+    @functools.wraps(fn)
+    def run(model, batch, *args, **kwargs):
+        cfg = model.config
+        if _OPENBLAS is None or batch.size * max(cfg.num_heads * cfg.head_dim, cfg.ff_dim) > BLAS_SERIAL_MACS:
+            return fn(model, batch, *args, **kwargs)
+        before = _OPENBLAS[0]()
+        _use_blas_threads(1)
+        try:
+            return fn(model, batch, *args, **kwargs)
+        finally:
             _use_blas_threads(before)
 
-
-def limit_blas_threads(n: int) -> None:
-    """Let no later forward in this process use more than n BLAS threads.
-
-    This sets the whole process's OpenBLAS thread count, for good: it is
-    meant for a worker process that shares the cores with others."""
-    global _blas_limit
-    _blas_limit = min(_blas_limit, n)
-    _use_blas_threads(_blas_limit)
+    return run
 
 
 # Windows per pass of the attention's K^T, scores and context products.
@@ -179,14 +182,23 @@ def is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_FIELD_TYPES = {  # a config field's type -> (whether a JSON value is one, what the error calls it)
+    int: (is_integer, "an integer"),
+    float: (lambda v: is_integer(v) or isinstance(v, float), "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def config_kwargs(cls, data: Any, section: str) -> dict[str, Any]:
     """The keyword arguments of config dataclass `cls` from `data`, the JSON
     value of `section`, with lists made tuples.
 
     Raises ValueError for a value that is not an object, an unknown key, or
-    a value of an `int` or `int | None` field, or an entry of a
-    `tuple[int, ...]` field, that is not an integer. Every other check is
-    the dataclass's own.
+    a value that is not of its field's type: an integer for `int` (not a
+    bool), a number for `float` (not a bool), a bool for `bool`, a string
+    for `str`, an integer list for `tuple[int, ...]`, and None as well where
+    the field is `... | None`. Every other check is the dataclass's own.
     """
     if not isinstance(data, dict):
         raise ValueError(f"section {section!r} must be an object")
@@ -201,8 +213,11 @@ def config_kwargs(cls, data: Any, section: str) -> dict[str, Any]:
             if not (isinstance(value, list) and all(map(is_integer, value))):
                 raise ValueError(f"{section}.{key} must be an integer list, got {value!r}")
             kwargs[key] = tuple(value)
-        elif hint in (int, int | None) and not (is_integer(value) or value is None and hint != int):
-            raise ValueError(f"{section}.{key} must be an integer, got {value!r}")
+            continue
+        optional = type(None) in typing.get_args(hint)
+        check, kind = _FIELD_TYPES[typing.get_args(hint)[0] if optional else hint]
+        if not (check(value) or optional and value is None):
+            raise ValueError(f"{section}.{key} must be {kind}, got {value!r}")
     return kwargs
 
 
@@ -505,6 +520,7 @@ def _attention_backward(g, cache, grads, prefix):
     return dh.reshape(g.shape)
 
 
+@_blas_threads_by_size
 def forward_with_cache(
     model: SequenceClassifier,
     batch: np.ndarray,
@@ -515,11 +531,8 @@ def forward_with_cache(
     """Run the network; returns (logits, probs, cache for the backward pass).
 
     With `keep_cache=False` (no backward follows) activations are freed once
-    read and the cache is None; the arithmetic is the same.
-
-    It sets the process's OpenBLAS thread count for itself and the backward
-    that follows: 1 up to BLAS_SERIAL_MACS, else `_blas_limit`. `train`,
-    `evaluate` and `predict_video` put the count back when they return."""
+    read and the cache is None; the arithmetic is the same. A batch up to
+    BLAS_SERIAL_MACS runs on one OpenBLAS thread (`_blas_threads_by_size`)."""
     cfg = model.config
     p = model.params
     if batch.ndim != 3 or batch.shape[1] != cfg.window or batch.shape[2] != cfg.input_dim:
@@ -535,8 +548,6 @@ def forward_with_cache(
 
     dtype = model.dtype
     n, w, d = batch.shape
-    widest = max(cfg.num_heads * cfg.head_dim, cfg.ff_dim)
-    _use_blas_threads(1 if n * w * d * widest <= BLAS_SERIAL_MACS else _blas_limit)
     x = batch.astype(dtype, copy=False)  # never written in place
     if cfg.use_positional:
         x = x + p["pos_embed"]
@@ -614,6 +625,7 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> float:
     return float((log_z - picked).mean())
 
 
+@_blas_threads_by_size
 def loss_and_grads(
     model: SequenceClassifier,
     batch: np.ndarray,

@@ -272,6 +272,9 @@ _READ_AS_WRITTEN = {  # files to write, command, the file it must name, what is 
     "plan-float-length": ({"c.json": "{}", "v.jsonl": '{"id": "a", "length": 300.7}\n'},
                           "plan --config c.json --videos v.jsonl --out p.jsonl", "v.jsonl",
                           "line 1: length must be an integer, got 300.7"),
+    "plan-integer-id": ({"c.json": "{}", "v.jsonl": '{"id": "5", "length": 300}\n{"id": 5, "length": 320}\n'},
+                        "plan --config c.json --videos v.jsonl --out p.jsonl", "v.jsonl",
+                        "line 2: id must be a non-empty string, got 5"),
     "synth-repeated-id": ({"c.json": "{}", "p.jsonl": '{"id": "a", "length": 300, "segments": [[10, 125]]}\n' * 2},
                           "synth --config c.json --plans p.jsonl --out-dir f", "p.jsonl",
                           "line 2: repeated video id 'a'"),

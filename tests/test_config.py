@@ -129,6 +129,38 @@ def test_integer_settings_still_load():
     assert parse_experiment_config(micro_config_dict(dataset={"seed": 2**40})).dataset.seed == 2**40
 
 
+_MISTYPED = [  # section, key, value, what the error asks for
+    ("train", "learning_rate", True, "a number"), ("train", "learning_rate", "1e-3", "a number"),
+    ("dataset", "separation", False, "a number"), ("eval", "threshold", None, "a number"),
+    ("model", "dropout", False, "a number"), ("model", "dropout", "0.1", "a number"),
+    ("model", "use_positional", 2, "true or false"), ("model", "use_scale_shift_head", "true", "true or false"),
+    ("model", "use_positional", None, "true or false"),
+    ("dataset", "mode", 1, "a string"), ("dataset", "features_dir", 3, "a string"),
+    ("eval", "frame_mode", None, "a string"), ("eval", "frame_mode", ["mean"], "a string"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, kind", _MISTYPED, ids=repr)
+def test_a_float_bool_or_str_setting_of_another_type_is_a_config_error(section, key, value, kind):
+    message = rf"^{section}\.{key} must be {kind}, got "
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(micro_config_dict(**{section: {key: value}}))
+
+
+@pytest.mark.parametrize("section, key, value, kind", [m for m in _MISTYPED if m[0] == "model"], ids=repr)
+def test_a_checkpoint_storing_a_float_or_bool_of_another_type_is_refused(tmp_path, section, key, value, kind):
+    with pytest.raises(ValueError, match=rf"bad\.tfkm: invalid model config: model\.{key} must be {kind}, got "):
+        load_checkpoint(_checkpoint_storing(tmp_path / "bad.tfkm", **{key: value}))
+
+
+def test_number_bool_and_str_settings_still_load(tmp_path):
+    cfg = parse_experiment_config(micro_config_dict(train={"learning_rate": 1}, model={"dropout": 0},
+                                                    eval={"threshold": 1}, dataset={"features_dir": None}))
+    assert (cfg.train.learning_rate, cfg.model.dropout, cfg.eval.threshold, cfg.dataset.features_dir) == (1, 0, 1, None)
+    model = load_checkpoint(_checkpoint_storing(tmp_path / "ok.tfkm", dropout=0, use_positional=False))
+    assert (model.config.dropout, model.config.use_positional) == (0, False)
+
+
 @pytest.mark.parametrize("model", [[1], "x", None], ids=repr)
 def test_a_model_section_that_is_not_an_object_is_a_config_error(model):
     with pytest.raises(ConfigError, match="^section 'model' must be an object$"):

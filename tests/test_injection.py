@@ -256,6 +256,19 @@ def test_plan_files_take_integer_segment_bounds_only(tmp_path, segments):
         read_plans(plans)
 
 
+@pytest.mark.parametrize("video_id", [5, "", None, ["a"]], ids=repr)
+def test_video_and_plan_files_take_a_non_empty_string_id_only(tmp_path, video_id):
+    got = re.escape(repr(video_id))
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text(f'{{"id": "5", "length": 600}}\n{{"id": {json.dumps(video_id)}, "length": 600}}\n')
+    with pytest.raises(ValueError, match=f"^line 2: id must be a non-empty string, got {got}$"):
+        read_videos(videos)
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(json.dumps({"id": video_id, "length": 600, "segments": [[10, 125]]}) + "\n")
+    with pytest.raises(ValueError, match=f"^line 1: id must be a non-empty string, got {got}$"):
+        read_plans(plans)
+
+
 def test_a_repeated_video_id_is_rejected(tmp_path):
     videos = tmp_path / "videos.jsonl"
     videos.write_text('{"id": "a", "length": 600}\n\n{"id": "b", "length": 600}\n{"id": "a", "length": 700}\n')

@@ -844,21 +844,38 @@ def test_batch_256_forwards_without_a_cache_reuse_their_heap_pages():
 # -- the BLAS thread count --
 
 
-def _blas_threads():
-    return transformer._OPENBLAS[0]()
-
-
-def test_a_forward_picks_its_blas_threads_by_its_largest_gemm():
-    if transformer._OPENBLAS is None:
+@pytest.fixture
+def blas_sets(monkeypatch):
+    """The real OpenBLAS (getter, setter), and the list of every count
+    fakeseg sets from here on; the process's count is put back after."""
+    real = transformer._OPENBLAS
+    if real is None:
         pytest.skip("numpy's BLAS has no scipy_openblas thread symbols")
+    counts, before = [], real[0]()
+
+    def put(n):
+        counts.append(n)
+        real[1](n)
+
+    monkeypatch.setattr(transformer, "_OPENBLAS", (real[0], put))
+    yield real, counts
+    real[1](before)
+
+
+def test_a_forward_picks_its_blas_threads_by_its_largest_gemm(blas_sets):
+    """Up to BLAS_SERIAL_MACS it runs on one thread and sets the caller's 2
+    back; above, it runs on the caller's count and sets none."""
+    real, counts = blas_sets
     rng = np.random.default_rng(0)
     small = SequenceClassifier.initialize(TransformerConfig(input_dim=16, num_heads=4, head_dim=16, ff_hidden=64))
     wide_cfg = TransformerConfig(input_dim=128, num_blocks=1, num_heads=4, head_dim=128, ff_hidden=512)
     wide = SequenceClassifier.initialize(wide_cfg)
     rows = transformer.BLAS_SERIAL_MACS // (wide_cfg.window * 128 * 512)
-    for model, n, want in ((small, 256, 1), (wide, rows, 1), (wide, rows + 1, transformer._blas_limit), (small, 1, 1)):
+    for model, n, want in ((small, 256, [1, 2]), (wide, rows, [1, 2]), (wide, rows + 1, []), (small, 1, [1, 2])):
+        real[1](2)
+        counts.clear()
         forward(model, rng.standard_normal((n, 5, model.config.input_dim), dtype=np.float32))
-        assert _blas_threads() == want, (model.config.input_dim, n)
+        assert counts == want and real[0]() == 2, (model.config.input_dim, n)
 
 
 def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
@@ -867,44 +884,71 @@ def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
     assert transformer._openblas_threads(ctypes.util.find_library("c")) is None
     assert transformer._openblas_threads(str(ROOT / "no-such-library.so")) is None
     real = transformer._OPENBLAS
+    before = real[0]() if real is not None else None
     if real is not None:
         real[1](2)
+    seen, softmax = [], transformer._softmax
+
+    def probe(z):  # the count in force as each softmax of a forward runs
+        seen.append(real[0]() if real is not None else None)
+        return softmax(z)
+
+    monkeypatch.setattr(transformer, "_softmax", probe)
     monkeypatch.setattr(transformer, "_OPENBLAS", None)
     model = SequenceClassifier.initialize(TransformerConfig(input_dim=4, num_heads=1, head_dim=4))
     x = np.random.default_rng(1).standard_normal((3, 5, 4), dtype=np.float32)
     want = forward(model, x)
-    transformer.limit_blas_threads(transformer._blas_limit)
+    transformer.limit_blas_threads(1)
     assert forward(model, x).tobytes() == want.tobytes()
+    assert seen and set(seen) == {2 if real is not None else None}
     if real is not None:
         assert real[0]() == 2
+        real[1](before)
 
 
-def test_train_evaluate_and_predict_put_the_blas_threads_back(monkeypatch):
+def _thread_model_and_data():
+    model = SequenceClassifier.initialize(TransformerConfig(input_dim=4, num_heads=1, head_dim=4))
+    rng = np.random.default_rng(2)
+    return model, rng.standard_normal((12, 5, 4), dtype=np.float32), np.arange(12) % 2, rng
+
+
+def test_a_bare_forward_and_step_give_the_callers_blas_threads_back(blas_sets):
+    """Each runs on one thread and leaves the caller's count, 2 or 1, as it
+    was; a batch above BLAS_SERIAL_MACS under a count of 1 stays on 1."""
+    real, counts = blas_sets
+    model, x, y, rng = _thread_model_and_data()
+    calls = {"forward": lambda: forward(model, x), "loss_and_grads": lambda: loss_and_grads(model, x, y)}
+    for start in (2, 1):
+        for name, call in calls.items():
+            real[1](start)
+            counts.clear()
+            call()
+            assert counts[0] == 1 and real[0]() == start, (name, start, counts)
+    wide = SequenceClassifier.initialize(TransformerConfig(input_dim=128, num_blocks=1, num_heads=4, head_dim=128))
+    big = rng.standard_normal((transformer.BLAS_SERIAL_MACS // (5 * 128 * 512) + 1, 5, 128), dtype=np.float32)
+    real[1](1)
+    counts.clear()
+    forward(wide, big)
+    loss_and_grads(wide, big, np.arange(len(big)) % 2)
+    assert counts == [] and real[0]() == 1
+
+
+def test_train_evaluate_and_predict_put_the_blas_threads_back(blas_sets):
     """Their forwards run on one thread; the caller's count is theirs again after."""
     from fakeseg.training import TrainConfig, evaluate, predict_video, train
     from fakeseg.windowing import FeatureSequence
 
-    real = transformer._OPENBLAS
-    if real is None:
-        pytest.skip("numpy's BLAS has no scipy_openblas thread symbols")
-    counts = []
-
-    def put(n):
-        counts.append(n)
-        real[1](n)
-
-    monkeypatch.setattr(transformer, "_OPENBLAS", (real[0], put))
-    model = SequenceClassifier.initialize(TransformerConfig(input_dim=4, num_heads=1, head_dim=4))
-    rng = np.random.default_rng(2)
-    x, y = rng.standard_normal((12, 5, 4), dtype=np.float32), np.arange(12) % 2
+    real, counts = blas_sets
+    model, x, y, rng = _thread_model_and_data()
     seq = FeatureSequence("v", rng.standard_normal((40, 4), dtype=np.float32))
     calls = {
         "train": lambda: train(model, (x, y), (x, y), TrainConfig(batch_size=4, max_epochs=1)),
         "evaluate": lambda: evaluate(model, x, y),
         "predict_video": lambda: predict_video(model, seq, 4),
     }
-    for name, call in calls.items():
-        real[1](2)
-        counts.clear()
-        call()
-        assert counts[0] == 1 and counts[-1] == 2 and real[0]() == 2, (name, counts)
+    for start in (2, 1):
+        for name, call in calls.items():
+            real[1](start)
+            counts.clear()
+            call()
+            assert counts[0] == 1 and counts[-1] == start and real[0]() == start, (name, start, counts)
