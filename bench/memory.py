@@ -43,6 +43,13 @@ predict do not depend on trained weights. It records:
                       3072, batch 64. With the parameter bytes, the peak's
                       ratio to them (imports included), and the SHA-256 of
                       the parameters after the step.
+  paper_step_s        wall time of that step (as in paper_scale) in a fresh
+                      process: one cold step, then PAPER_STEPS warm ones on
+                      the same batch, the generator drawing on; the warm
+                      steps' median and IQR, each step's seconds and rise of
+                      `ru_minflt` (minor page faults), and the SHA-256 of the
+                      parameters after the last step. It runs on the
+                      process's OpenBLAS thread count.
   forward_peak_mib    tracemalloc peak of one warm batch-256 forward, with
                       and without the cache.
   step_peak_mib       tracemalloc peak of one warm batch-64 training step of
@@ -144,7 +151,9 @@ SWEEP_WIDTHS = (16, 32, 64, 128, 192, 256, 384, 512, 768)
 SWEEP_BATCH = 64
 SERIAL_GAIN = 0.2  # a second thread that saves less than this share of the time is not worth its risk
 PAPER_WIDTHS = (768, 8, 512, 3072)  # input_dim, heads, head_dim, feed-forward of the paper's block
+PAPER_KEYS = ("input_dim", "num_heads", "head_dim", "ff_hidden")
 PAPER_BATCH = 64
+PAPER_STEPS = 5  # warm steps timed after the cold one in paper_step_s
 STEP_BATCH = 64
 
 
@@ -228,17 +237,37 @@ def _train_step(model, adam, batch, targets, rng) -> None:
     adam.step()  # with `grads` still bound, as in `train`
 
 
-def _paper_step_child(input_dim: int, heads: int, head_dim: int, ff_hidden: int) -> None:
-    import_mb = _rss_mb()
+def _paper_step_args(input_dim: int, heads: int, head_dim: int, ff_hidden: int) -> tuple:
+    """`_train_step`'s arguments for a 1-block model of these widths at its
+    seed-0 initialisation and a PAPER_BATCH batch drawn from seed 0."""
     cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
     model = SequenceClassifier.initialize(cfg, seed=0)
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((PAPER_BATCH, cfg.window, input_dim), dtype=np.float32)
-    _train_step(model, FlatAdam(model, 1e-4), batch, np.arange(PAPER_BATCH) % 2, rng)
+    return model, FlatAdam(model, 1e-4), batch, np.arange(PAPER_BATCH) % 2, rng
+
+
+def _paper_step_child(*widths: int) -> None:
+    import_mb = _rss_mb()
+    model, *rest = _paper_step_args(*widths)
+    _train_step(model, *rest)
     peak = _peak(import_mb)
     param_mb = model.flat.nbytes / 2**20
     digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
     print(json.dumps({**peak, "param_mb": param_mb, "ratio": peak["peak_mb"] / param_mb, "params_sha256": digest}))
+
+
+def _paper_time_child(*widths: int) -> None:
+    model, *rest = _paper_step_args(*widths)
+    seconds, faults = [], []
+    for _ in range(1 + PAPER_STEPS):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = perf_counter()
+        _train_step(model, *rest)
+        seconds.append(perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    digest = hashlib.sha256(model.flat.tobytes()).hexdigest()
+    print(json.dumps({"seconds": seconds, "faults": faults, "params_sha256": digest}))
 
 
 def _child(*args: str) -> str:
@@ -292,9 +321,18 @@ def train_rss(videos: int, frames: int, repeats: int) -> dict:
 def paper_scale(widths, repeats: int) -> dict:
     """Peak RSS of a fresh process that takes one training step of a 1-block
     model of `widths` (input_dim, heads, head_dim, feed-forward)."""
-    keys = ("input_dim", "num_heads", "head_dim", "ff_hidden")
     result = _children(repeats, "paper-step", *map(str, widths))
-    return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": PAPER_BATCH, **result}
+    return {**dict(zip(PAPER_KEYS, widths)), "num_blocks": 1, "batch": PAPER_BATCH, **result}
+
+
+def paper_step_time(widths) -> dict:
+    """One cold and PAPER_STEPS warm training steps of a 1-block model of
+    `widths` in a fresh process: the warm steps' median and IQR, each
+    step's seconds and minor faults, and the parameters' SHA-256 after."""
+    run = json.loads(_child("paper-time", *map(str, widths)))
+    return {**dict(zip(PAPER_KEYS, widths)), "num_blocks": 1, "batch": PAPER_BATCH, "steps": PAPER_STEPS,
+            **_quartiles(run["seconds"][1:]), "cold_s": run["seconds"][0], "warm_s": run["seconds"][1:],
+            "cold_faults": run["faults"][0], "warm_faults": run["faults"][1:], "params_sha256": run["params_sha256"]}
 
 
 def _traced(call):
@@ -370,8 +408,7 @@ def paper_forward(widths) -> dict:
     input_dim, heads, head_dim, ff_hidden = widths
     cfg = TransformerConfig(input_dim=input_dim, num_blocks=1, num_heads=heads, head_dim=head_dim, ff_hidden=ff_hidden)
     peak, logits = _forward_peak(SequenceClassifier.initialize(cfg, seed=0), keep_cache=False)
-    keys = ("input_dim", "num_heads", "head_dim", "ff_hidden")
-    return {**dict(zip(keys, widths)), "num_blocks": 1, "batch": FORWARD_BATCH, "no_cache_mib": peak,
+    return {**dict(zip(PAPER_KEYS, widths)), "num_blocks": 1, "batch": FORWARD_BATCH, "no_cache_mib": peak,
             "logits_sha256": hashlib.sha256(logits.tobytes()).hexdigest()}
 
 
@@ -615,6 +652,7 @@ def measure(
         "predict_rss_mb": {str(t): predict_rss(t, rss_repeats) for t in rss_frames},
         "train_rss_mb": train_rss(*train_videos, rss_repeats),
         "paper_scale": paper_scale(paper_widths, rss_repeats),
+        "paper_step_s": paper_step_time(paper_widths),
         "forward_peak_mib": {"batch": FORWARD_BATCH, **forward_peaks()},
         "step_peak_mib": {"batch": STEP_BATCH, **step_peaks()},
         "cache_kib": cache_size(),
@@ -661,5 +699,7 @@ if __name__ == "__main__":
         _fit_child(sys.argv[2])
     elif sys.argv[1:2] == ["paper-step"]:
         _paper_step_child(*map(int, sys.argv[2:6]))
+    elif sys.argv[1:2] == ["paper-time"]:
+        _paper_time_child(*map(int, sys.argv[2:6]))
     else:
         main()

@@ -7,6 +7,7 @@ Relative --run-dir paths resolve under $FAKESEG_RUN_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,13 +56,15 @@ def _reading(path: str | Path):
         raise ValueError(f"{path}: {detail}") from exc
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str, least: int) -> list[int]:
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    if min(values) < least:
+        raise argparse.ArgumentTypeError(f"each must be >= {least}, got {text!r}")
     return values
 
 
@@ -270,16 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-lengths", parents=[config], help="IoU/AUC across injected segment lengths")
     p.add_argument("--model", required=True)
-    p.add_argument("--lengths", type=_int_list, required=True, help="comma-separated frame counts")
+    p.add_argument(
+        "--lengths", type=functools.partial(_int_list, least=1), required=True, help="comma-separated frame counts"
+    )
     p.add_argument("--num-videos", type=_positive_int, default=20)
-    p.add_argument("--video-length", type=int, default=600)
+    p.add_argument("--video-length", type=_positive_int, default=600)
     p.add_argument("--out", required=True, help="table path prefix")
     p.set_defaults(func=_cmd_sweep_lengths)
 
     p = sub.add_parser("sweep-window", parents=[config], help="train and score a window/overlap grid")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--windows", type=_int_list, required=True)
-    p.add_argument("--overlaps", type=_int_list, required=True)
+    p.add_argument("--windows", type=functools.partial(_int_list, least=1), required=True)
+    p.add_argument("--overlaps", type=functools.partial(_int_list, least=0), required=True)
     p.add_argument("--out", required=True, help="table path prefix")
     p.set_defaults(func=_cmd_sweep_window)
 

@@ -444,7 +444,12 @@ def sweep_window_grid(
     `materialize_features`). Cells with overlap >= window are emitted with
     status "skipped". Valid cells report frame-level IoU (unsmoothed) and
     AUC on the test split; the default geometry (window 5, overlap 4) is flagged.
+    Raises ValueError, before writing anything, for a window < 1 or an overlap < 0.
     """
+    window_sizes, overlaps = list(window_sizes), list(overlaps)
+    bad = [f"window {w}" for w in window_sizes if w < 1] + [f"overlap {o}" for o in overlaps if o < 0]
+    if bad:
+        raise ValueError(f"sweep windows must be >= 1 and overlaps >= 0, got {', '.join(bad)}")
     run_dir = Path(run_dir)
     features_root = run_dir / "features"
     if cfg.dataset.features_dir is not None or not (features_root / "train").exists():

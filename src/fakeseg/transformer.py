@@ -326,27 +326,13 @@ def _linear_forward(x, w, b):
     return out, (x, w)
 
 
-# OpenBLAS's small-matrix kernels read a C-contiguous w^T 2-5x faster than
-# the transposed view (64 -> 16 at batch 64: 32 -> 9 us), and sum the same
-# bits from either when the linear's output (the contraction) is at most
-# this many bytes wide and a window has two rows or more (SkylakeX: every
-# fan-in from 1 to 69 and nine more to 3,072). Wider outputs, one-row
-# windows (a vector-matrix product) and the head keep the view: there the
-# copy changes bits.
-WT_COPY_BYTES = 64
-
-
-def _linear_backward(g, cache, dw, db, window=None):
+def _linear_backward(g, cache, dw, db):
     """dx for 2-D rows g, with the weight and bias gradients written into dw
-    and db. With a window, dx is one product per window: OpenBLAS rounds one
-    folded product differently at some shapes (w of (16, 64))."""
+    and db: each is one product over all the rows."""
     x, w = cache
     np.matmul(x.T, g, out=dw)
     np.add.reduce(g, axis=0, out=db)
-    if window is None:
-        return g @ w.T
-    wt = w.T.copy() if window > 1 and w.shape[1] * w.itemsize <= WT_COPY_BYTES else w.T
-    return (g.reshape(-1, window, g.shape[-1]) @ wt).reshape(-1, w.shape[0])
+    return g @ w.T
 
 
 def _mean_last(x):
@@ -495,7 +481,7 @@ def _attention_backward(g, cache, grads, prefix):
     hd = q.shape[-1]
     co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
     del ctx
-    dctx = _linear_backward(g.reshape(n * w, -1), co, grads[prefix + "wo"], grads[prefix + "bo"], w)
+    dctx = _linear_backward(g.reshape(n * w, -1), co, grads[prefix + "wo"], grads[prefix + "bo"])
     del co
     dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
@@ -506,7 +492,7 @@ def _attention_backward(g, cache, grads, prefix):
         merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
         del dz
         c = (h2, params[prefix + "w" + name])
-        return _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name], w)
+        return _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name])
 
     dh_v = d_input(dv, "v")  # dV goes first, then dQ, then dK ...
     del dv
@@ -678,11 +664,11 @@ def loss_and_grads(
         c_ln1, c_attn, keep_attn, c_ln2, c_ff2, keep_ff = block_caches.pop()
 
         g_ff = g if keep_ff is None else g * _dropout_mask(keep_ff, cfg.dropout, g.dtype)
-        da1 = _linear_backward(g_ff, c_ff2, grads[pre + "ff.w2"], grads[pre + "ff.b2"], cfg.window)
+        da1 = _linear_backward(g_ff, c_ff2, grads[pre + "ff.w2"], grads[pre + "ff.b2"])
         da1 *= c_ff2[0] > 0  # ReLU: the cached activation is positive where its input was
         del g_ff, keep_ff, c_ff2
         c_ff1 = (_layer_norm_output(c_ln2, p[pre + "ln2.bias"]), p[pre + "ff.w1"])
-        dh2 = _linear_backward(da1, c_ff1, grads[pre + "ff.w1"], grads[pre + "ff.b1"], cfg.window)
+        dh2 = _linear_backward(da1, c_ff1, grads[pre + "ff.w1"], grads[pre + "ff.b1"])
         del da1, c_ff1
         dx = _layer_norm_backward(dh2, c_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"])
         del dh2, c_ln2

@@ -165,9 +165,10 @@ def _linear_reference(x, w, b):
 
 def _linear_reference_backward(g, cache):
     x, w = cache
-    dx = g @ w.T
-    dw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    db = g.reshape(-1, g.shape[-1]).sum(axis=0)
+    rows = g.reshape(-1, g.shape[-1])
+    dx = (rows @ w.T).reshape(g.shape[:-1] + (w.shape[0],))  # one product over all the rows
+    dw = x.reshape(-1, x.shape[-1]).T @ rows
+    db = rows.sum(axis=0)
     return dx, dw, db
 
 
@@ -277,7 +278,8 @@ def scale_shift_backward(
 # The library's forward keeps a 2-D (N * W, d) stream and takes K^T straight
 # from its projection; these are the earlier bodies it replaced: every linear
 # is `x @ w + b` on (N, W, .) arrays, K is split into heads and transposed
-# inside the score product, and the context is merged back by a copy.
+# inside the score product, and the context is merged back by a copy. Each
+# input gradient is one product over the flattened rows, as the library's is.
 
 
 def _attention_reference_forward(h, params, prefix, config):
@@ -452,13 +454,13 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
 #
 # The library writes each gradient straight into a flat buffer (Adam's own),
 # frees each block's cache once the backward has read it, runs Adam a chunk
-# at a time on chunk-sized scratch, and reads K and some w^T contiguous in
-# the backward; these are the bodies it replaced: the backward returns a
-# dict of new arrays with the whole cache live and reads K^T and every w^T
-# transposed, and Adam copies the dict into its buffer and updates on
-# model-sized scratch. Each layer norm's output (the attention's and ff.w1's
-# input) and each float dropout mask are made here from the cache's x-hat
-# and booleans by the plain expressions, not by the library's routines.
+# at a time on chunk-sized scratch, and reads K contiguous in the backward;
+# these are the bodies it replaced: the backward returns a dict of new
+# arrays with the whole cache live and reads K^T transposed, and Adam
+# copies the dict into its buffer and updates on model-sized scratch. Each
+# layer norm's output (the attention's and ff.w1's input) and each float
+# dropout mask are made here from the cache's x-hat and booleans by the
+# plain expressions, not by the library's routines.
 
 
 def _layer_norm_reference_backward(g, cache):
@@ -476,15 +478,14 @@ def _layer_norm_output_reference(cache, bias):
     return gain * xhat + bias
 
 
-def _linear_dict_backward(g, cache, window=None):
+def _linear_dict_backward(g, cache):
     x, w = cache
-    rows = g if window is None else g.reshape(-1, window, g.shape[-1])
-    return (rows @ w.T).reshape(-1, w.shape[0]), x.T @ g, g.sum(axis=0)
+    return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
 def _attention_dict_backward(g, h2, cache, grads, prefix):
     """The attention backward of input h2 as it read a cache of Q, K^T, V
-    and the context: K^T contiguous and read transposed, every w^T a view.
+    and the context: K^T contiguous and read transposed.
     Those activations are made again here by the library's own products."""
     _, probs, params = cache
     n, nh, w, _ = probs.shape
@@ -492,7 +493,7 @@ def _attention_dict_backward(g, h2, cache, grads, prefix):
     kt, hd = np.ascontiguousarray(k.swapaxes(-1, -2)), q.shape[-1]
     scale = 1.0 / math.sqrt(hd)
     co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
-    dctx, grads[prefix + "wo"], grads[prefix + "bo"] = _linear_dict_backward(g.reshape(n * w, -1), co, w)
+    dctx, grads[prefix + "wo"], grads[prefix + "bo"] = _linear_dict_backward(g.reshape(n * w, -1), co)
     dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
     dv = probs.swapaxes(-1, -2) @ dctx
@@ -503,7 +504,7 @@ def _attention_dict_backward(g, h2, cache, grads, prefix):
     for dz, name in ((dq, "q"), (dk, "k"), (dv, "v")):
         merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
         c = (h2, params[prefix + "w" + name])
-        dhi, grads[prefix + "w" + name], grads[prefix + "b" + name] = _linear_dict_backward(merged, c, w)
+        dhi, grads[prefix + "w" + name], grads[prefix + "b" + name] = _linear_dict_backward(merged, c)
         dh = dhi if dh is None else np.add(dh, dhi, out=dh)
     return dh.reshape(g.shape)
 
@@ -540,10 +541,10 @@ def loss_and_grads_dict_reference(model, batch, targets, train=False, rng=None):
         c_ln1, c_attn, keep_attn, c_ln2, c_ff2, keep_ff = block_caches[b]
 
         g_ff = g * _dropout_mask_from(keep_ff, cfg.dropout, model.dtype) if keep_ff is not None else g
-        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_dict_backward(g_ff, c_ff2, cfg.window)
+        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_dict_backward(g_ff, c_ff2)
         da1 *= c_ff2[0] > 0
         c_ff1 = (_layer_norm_output_reference(c_ln2, model.params[pre + "ln2.bias"]), model.params[pre + "ff.w1"])
-        dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_dict_backward(da1, c_ff1, cfg.window)
+        dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_dict_backward(da1, c_ff1)
         dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_reference_backward(dh2, c_ln2)
         dx += g
         g = dx

@@ -1,6 +1,7 @@
 """bench/memory.py end to end at 1,000 frames, a 4-video train split, 4
-clips, two narrow widths, a narrow paper-scale step and forward, and the
-quickstart step: every field it records is filled."""
+clips, two narrow widths, a narrow paper-scale step (its peak and its
+time) and forward, and the quickstart step: every field it records is
+filled."""
 
 import hashlib
 import importlib.util
@@ -42,6 +43,16 @@ def test_memory_bench_runs_at_a_thousand_frames():
     assert (paper["num_blocks"], paper["batch"]) == (1, 64)
     assert 0 < paper["param_mb"] < paper["peak_mb"] and paper["ratio"] == paper["peak_mb"] / paper["param_mb"]
     assert len(paper["params_sha256"]) == 64
+    step = result["paper_step_s"]  # one cold and PAPER_STEPS warm steps of the same model in a fresh process
+    assert (step["input_dim"], step["num_heads"], step["head_dim"], step["ff_hidden"]) == (16, 2, 8, 32)
+    assert (step["num_blocks"], step["batch"], step["steps"]) == (1, 64, memory.PAPER_STEPS)
+    assert len(step["warm_s"]) == len(step["warm_faults"]) == memory.PAPER_STEPS and step["cold_s"] > 0
+    assert step["median"] == statistics.median(step["warm_s"]) and step["iqr"] >= 0
+    assert all(t > 0 for t in step["warm_s"]) and all(f >= 0 for f in [step["cold_faults"], *step["warm_faults"]])
+    model, adam, batch, targets, rng = memory._paper_step_args(16, 2, 8, 32)
+    for _ in range(1 + memory.PAPER_STEPS):
+        memory._train_step(model, adam, batch, targets, rng)
+    assert step["params_sha256"] == hashlib.sha256(model.flat.tobytes()).hexdigest()
     peaks = result["forward_peak_mib"]
     assert 0 < peaks["no_cache"] < peaks["cached"]
     step = result["step_peak_mib"]

@@ -316,8 +316,15 @@ def test_run_rejects_a_model_section_that_is_not_an_object(tmp_path, capsys):
      (["sweep-lengths", "--lengths", "25", "--num-videos", "0", "--model", "m.tfkm"], "--num-videos"),
      (["sweep-lengths", "--lengths", "25", "--num-videos", "-1", "--model", "m.tfkm"], "--num-videos"),
      (["sweep-window", "--windows", "", "--overlaps", "0", "--run-dir", "r"], "--windows"),
-     (["sweep-window", "--windows", "5", "--overlaps", " , ", "--run-dir", "r"], "--overlaps")],
-    ids=["no-lengths", "zero-videos", "negative-videos", "no-windows", "no-overlaps"],
+     (["sweep-window", "--windows", "5", "--overlaps", " , ", "--run-dir", "r"], "--overlaps"),
+     (["sweep-window", "--windows", "0", "--overlaps", "0", "--run-dir", "r"], "--windows"),
+     (["sweep-window", "--windows", "5,-2", "--overlaps", "4", "--run-dir", "r"], "--windows"),
+     (["sweep-window", "--windows", "5", "--overlaps", "-1", "--run-dir", "r"], "--overlaps"),
+     (["sweep-lengths", "--lengths", "0", "--model", "m.tfkm"], "--lengths"),
+     (["sweep-lengths", "--lengths", "25", "--video-length", "-5", "--model", "m.tfkm"], "--video-length"),
+     (["sweep-lengths", "--lengths", "25", "--video-length", "0", "--model", "m.tfkm"], "--video-length")],
+    ids=["no-lengths", "zero-videos", "negative-videos", "no-windows", "no-overlaps", "zero-window",
+         "negative-window", "negative-overlap", "zero-length", "negative-video-length", "zero-video-length"],
 )
 def test_a_sweep_with_nothing_to_sweep_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
     (tmp_path / "c.json").write_text(json.dumps(micro_config_dict()))

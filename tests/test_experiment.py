@@ -180,10 +180,11 @@ def test_sweep_segment_lengths(micro_run):
 
 def test_sweep_window_grid(micro_run):
     cfg, run_dir, _ = micro_run
-    rows = sweep_window_grid(cfg, run_dir, window_sizes=[3, 5], overlaps=[2, 4])
-    assert len(rows) == 4
+    rows = sweep_window_grid(cfg, run_dir, window_sizes=[2, 3, 5], overlaps=[2, 4])
+    assert len(rows) == 6
     by_cell = {(r["window"], r["overlap"]): r for r in rows}
-    assert by_cell[(3, 4)]["status"] == "skipped"  # overlap >= window
+    for cell in ((2, 2), (2, 4), (3, 4)):  # overlap >= window
+        assert by_cell[cell]["status"] == "skipped"
     assert by_cell[(5, 4)]["status"] == "ok"
     assert by_cell[(5, 4)]["default"] is True
     assert by_cell[(3, 2)]["default"] is False
@@ -255,6 +256,14 @@ def test_sweep_window_grid_fresh_run_dir_holds_features_only(micro_run, tmp_path
     rows = sweep_window_grid(cfg, fresh, window_sizes=[5], overlaps=[4])
     assert sorted(p.name for p in fresh.iterdir()) == ["features", "plans"]
     assert rows == sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4])
+
+
+@pytest.mark.parametrize("windows, overlaps, named", [([0, 5], [4], "window 0"), ([5], [4, -1], "overlap -1")])
+def test_sweep_window_grid_refuses_an_invalid_size_before_writing(micro_run, tmp_path, windows, overlaps, named):
+    cfg, _, _ = micro_run
+    with pytest.raises(ValueError, match=named):
+        sweep_window_grid(cfg, tmp_path / "fresh", window_sizes=windows, overlaps=overlaps)
+    assert not (tmp_path / "fresh").exists()
 
 
 def _metric_means(model, seqs, overlap, ev):

@@ -687,6 +687,33 @@ def test_a_dropout_step_with_boolean_masks_matches_the_float_mask_reference(dtyp
     _assert_within_rounding(pairs + [(name, grads[name], ref_grads[name]) for name in ref_grads], dtype)
 
 
+# the tests above that compare bytes: with each other, or with an oracle
+BYTE_FOR_BYTE = ("every_element or row_wise_reference or bit_for_bit or same_bytes or bytes_of_one_pass"
+                 " or forwards_bytes or float_mask_reference")
+_CORENAME = """
+import ctypes, numpy
+name = ctypes.CDLL(numpy._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+name.restype = ctypes.c_char_p
+print(name().decode(), end="")
+"""
+
+
+@pytest.mark.skipif(transformer._OPENBLAS is None, reason="numpy's BLAS is not the bundled OpenBLAS")
+def test_the_byte_comparisons_hold_under_the_sandybridge_kernel():
+    """OpenBLAS picks its kernel by CPU, and each kernel may round a product
+    its own way. The byte comparisons of this file hold under SkylakeX and
+    SandyBridge, so they run again in a fresh process under SandyBridge."""
+    env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=str(ROOT / "src"))
+    core = subprocess.run([sys.executable, "-c", _CORENAME], capture_output=True, text=True, env=env, check=True)
+    if core.stdout.lower() != "sandybridge":  # OpenBLAS names it Sandybridge
+        pytest.skip(f"OpenBLAS runs {core.stdout!r} when asked for SandyBridge on this CPU")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", BYTE_FOR_BYTE],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0 and " passed" in proc.stdout, proc.stdout[-3000:]
+
+
 def _traced_peak(call) -> int:
     """Bytes allocated at the peak of one call of call(), warm."""
     call()
