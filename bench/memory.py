@@ -569,16 +569,16 @@ def predict_busy_time(frames: int, pairs: int) -> dict:
 @contextmanager
 def _fixed_blas_threads(lib, n: int):
     """Run forwards on n OpenBLAS threads, with fakeseg's own policy set aside."""
-    policy = getattr(transformer, "_use_blas_threads", None)
+    policy = getattr(transformer, "limit_blas_threads", None)
     before = _openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int)
     if policy is not None:
-        transformer._use_blas_threads = lambda _: None
+        transformer.limit_blas_threads = lambda _: None
     _openblas_call(lib, "scipy_openblas_set_num_threads64_", None, n)
     try:
         yield
     finally:
         if policy is not None:
-            transformer._use_blas_threads = policy
+            transformer.limit_blas_threads = policy
         if before != "unknown":
             _openblas_call(lib, "scipy_openblas_set_num_threads64_", None, before)
 

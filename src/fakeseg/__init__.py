@@ -46,7 +46,6 @@ from .transformer import (
 from .windowing import (
     FeatureSequence,
     SplitWindows,
-    WindowBatch,
     frames_from_windows,
     make_windows,
     read_features,

@@ -16,13 +16,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from ..checkpoint import load_checkpoint, save_checkpoint
-from ..injection import dataset_stats, read_plans, read_videos, write_plans
+from ..injection import PLANNERS, dataset_stats, read_plans, read_videos, write_plans
 from ..segmap import ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth, smooth_scores
 from ..windowing import load_split_features
 from .config import ConfigError, load_experiment_config
 from .experiment import (
-    PLANNERS,
     EvalReport,
     StageError,
     evaluate_maps,
@@ -34,7 +33,7 @@ from .experiment import (
     synth_features,
     write_json,
 )
-from .report import write_report_files, write_rows
+from .report import _fmt, write_report_files, write_rows
 
 
 def _resolve_run_dir(raw: str) -> Path:
@@ -214,7 +213,7 @@ def _cmd_run(args) -> int:
     print(
         f"run complete: {len(report.per_video)} test videos, "
         f"IoU {agg['iou_raw']:.4f} -> {agg['iou_smoothed']:.4f} after smoothing, "
-        f"AUC {agg['auc']:.4f}"
+        f"AUC {_fmt(agg['auc'], 6).strip()}"
     )
     print(f"artifacts in {run_dir}")
     return 0

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..injection import MIN_FRAMES, PLANNERS
 from ..synth import SynthConfig
 from ..training import TrainConfig
 from ..transformer import TransformerConfig, config_kwargs
@@ -48,8 +49,8 @@ class DatasetConfig:
     features_dir: str | None = None
 
     def __post_init__(self):
-        if self.mode not in ("one", "two"):
-            raise ConfigError(f"dataset.mode must be 'one' or 'two', got {self.mode!r}")
+        if self.mode not in PLANNERS:
+            raise ConfigError(f"dataset.mode must be {' or '.join(map(repr, PLANNERS))}, got {self.mode!r}")
         if self.features_dir is None:
             for name in ("num_train_videos", "num_val_videos", "num_test_videos"):
                 if getattr(self, name) < 1:
@@ -58,10 +59,9 @@ class DatasetConfig:
                 raise ConfigError("dataset.num_real_test_videos must be >= 0")
             if not (1 <= self.min_length <= self.max_length):
                 raise ConfigError("dataset lengths must satisfy 1 <= min_length <= max_length")
-            floor = 250 if self.mode == "one" else 500
-            if self.min_length < floor:
+            if self.min_length < MIN_FRAMES[self.mode]:
                 raise ConfigError(
-                    f"dataset.min_length must be >= {floor} for mode {self.mode!r} "
+                    f"dataset.min_length must be >= {MIN_FRAMES[self.mode]} for mode {self.mode!r} "
                     f"so planned segments fit"
                 )
         self.synth  # noqa: B018 - SynthConfig raises ValueError for invalid settings

@@ -32,14 +32,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ..checkpoint import save_checkpoint
-from ..injection import (
-    SegmentPlan,
-    VideoSpec,
-    plan_fixed_segment,
-    plan_one_segment,
-    plan_two_segments,
-    write_plans,
-)
+from ..injection import PLANNERS, SegmentPlan, VideoSpec, plan_fixed_segment, write_plans
 from ..metrics import BaselineParams, expected_iou_baseline, frame_accuracy, frame_auc, iou, video_score
 from ..prng import stream_for
 from ..segmap import ScoreMap, SegmentationMap
@@ -53,7 +46,6 @@ from .config import EvalConfig, ExperimentConfig
 
 SPLITS = ("train", "val", "test")
 ASSUMED_FPS = 25.0  # frame<->seconds conversion used in sweep reports
-PLANNERS = {"one": plan_one_segment, "two": plan_two_segments}  # dataset mode -> planner
 
 
 class StageError(RuntimeError):

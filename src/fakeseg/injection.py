@@ -121,6 +121,11 @@ def plan_two_segments(video: VideoSpec, rng_seed: int) -> SegmentPlan:
             return SegmentPlan(video.id, ((s1, l1), (s2, l2)))
 
 
+# dataset mode -> its planner, and the fewest frames that planner takes
+PLANNERS = {"one": plan_one_segment, "two": plan_two_segments}
+MIN_FRAMES = {"one": ONE_SEGMENT_MIN_FRAMES, "two": TWO_SEGMENT_MIN_FRAMES}
+
+
 def plan_fixed_segment(video: VideoSpec, length: int, rng_seed: int) -> SegmentPlan:
     """Plan one segment of an exact length, placed uniformly at random.
 

@@ -9,8 +9,7 @@ import numpy as np
 
 from .segmap import ScoreMap
 from .transformer import SequenceClassifier, cross_entropy, forward_with_cache, loss_and_grads
-from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, check_features, frames_from_windows, window_starts
-from .windowing import make_windows  # noqa: F401 - a trace hook of the frozen perfbench/tracing.py
+from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, check_features, frames_from_windows, make_windows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -242,12 +241,10 @@ def predict_video(
     FRAME_MODES or a video the model cannot take raises a ValueError first."""
     if mode not in FRAME_MODES:
         raise ValueError(f"unknown projection mode {mode!r}")
-    cfg = model.config
-    check_features([seq], cfg)
-    w = cfg.window
-    windows = SplitWindows(seq.features, window_starts(seq.num_frames, w, overlap), w)
+    check_features([seq], model.config)
+    windows = make_windows(seq, model.config.window, overlap)
     scores = np.empty(len(windows))
     for lo in range(0, len(windows), PREDICT_BATCH):
         _, probs, _ = forward_with_cache(model, windows[lo : lo + PREDICT_BATCH], keep_cache=False)
         scores[lo : lo + PREDICT_BATCH] = probs[:, 1]
-    return frames_from_windows(scores, windows.starts, w, seq.num_frames, mode=mode)
+    return frames_from_windows(scores, windows.starts, windows.window, seq.num_frames, mode=mode)

@@ -88,16 +88,12 @@ _OPENBLAS = _openblas_threads(np._core._multiarray_umath.__file__) if hasattr(np
 BLAS_SERIAL_MACS = 20_971_520
 
 
-def _use_blas_threads(n: int) -> None:
-    """Run later BLAS calls on n OpenBLAS threads; a no-op without the symbols."""
+def limit_blas_threads(n: int) -> None:
+    """Run later BLAS calls on n OpenBLAS threads; a no-op without the
+    symbols. Forwards and steps never raise the count, so a worker sharing
+    the cores that sets 1 keeps 1."""
     if _OPENBLAS is not None:
         _OPENBLAS[1](n)
-
-
-def limit_blas_threads(n: int) -> None:
-    """Run this process's BLAS calls on at most n OpenBLAS threads for good
-    (forwards never raise the count), as a worker sharing the cores does."""
-    _use_blas_threads(n)
 
 
 def _blas_threads_by_size(fn):
@@ -111,11 +107,11 @@ def _blas_threads_by_size(fn):
         if _OPENBLAS is None or batch.size * max(cfg.num_heads * cfg.head_dim, cfg.ff_dim) > BLAS_SERIAL_MACS:
             return fn(model, batch, *args, **kwargs)
         before = _OPENBLAS[0]()
-        _use_blas_threads(1)
+        limit_blas_threads(1)
         try:
             return fn(model, batch, *args, **kwargs)
         finally:
-            _use_blas_threads(before)
+            limit_blas_threads(before)
 
     return run
 

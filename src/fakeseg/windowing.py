@@ -59,15 +59,6 @@ class FeatureSequence:
         return int(self.features.shape[1])
 
 
-@dataclass(frozen=True)
-class WindowBatch:
-    """Stacked windows of one video: N x W x d features plus window starts."""
-
-    windows: np.ndarray
-    window_starts: np.ndarray
-    window_labels: np.ndarray | None = None  # center-frame label per window
-
-
 def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
     """Start indices for sliding windows over `num_frames` frames.
 
@@ -88,20 +79,16 @@ def window_starts(num_frames: int, window: int, overlap: int) -> np.ndarray:
     return starts
 
 
-def window_view(features: np.ndarray, window: int) -> np.ndarray:
-    """The read-only (T - window + 1, window, d) view of every window of T x d `features`."""
-    return np.lib.stride_tricks.sliding_window_view(features, (window, features.shape[1]))[:, 0]
-
-
 @dataclass(frozen=True)
 class SplitWindows:
-    """The windows of a split's videos, cut when they are indexed.
+    """The windows of one video (`make_windows`) or of a split's videos
+    (`windows_for_split`), cut when they are indexed.
 
     `features` holds the videos' frames one after another, `starts` the
     row of `features` at which each window begins (no window crosses a
     video), and `window` the frames per window. Indexing with an index
-    array or a slice gathers those windows, C-contiguous, from
-    `window_view`, so only the batch in use is ever materialized.
+    array or a slice gathers those windows, C-contiguous, from `views`,
+    so only the batch in use is ever materialized.
     """
 
     features: np.ndarray
@@ -116,27 +103,19 @@ class SplitWindows:
 
     @functools.cached_property
     def views(self) -> np.ndarray:
-        """`window_view` of the features, built once: building it costs
-        several times what gathering a training batch from it does."""
-        return window_view(self.features, self.window)
+        """The read-only (F - window + 1, window, d) view of every window of
+        the features, built once: building it costs several times what
+        gathering a training batch from it does."""
+        return np.lib.stride_tricks.sliding_window_view(self.features, (self.window, self.features.shape[1]))[:, 0]
 
 
-def make_windows(seq: FeatureSequence, window: int, overlap: int) -> WindowBatch:
-    """Cut one video's features into overlapping windows.
-
-    The label of a window is the label of its center frame
-    (start + window // 2) when the sequence carries labels.
-    """
+def make_windows(seq: FeatureSequence, window: int, overlap: int) -> SplitWindows:
+    """One video's overlapping windows (see `window_starts`), cut when indexed."""
     if window > seq.num_frames:
         raise ValueError(
             f"video {seq.video_id!r} has {seq.num_frames} frames, fewer than the window of {window}"
         )
-    starts = window_starts(seq.num_frames, window, overlap)
-    windows = SplitWindows(seq.features, starts, window)[:]
-    labels = None
-    if seq.labels is not None:
-        labels = seq.labels.labels[starts + window // 2].copy()
-    return WindowBatch(windows=windows, window_starts=starts, window_labels=labels)
+    return SplitWindows(seq.features, window_starts(seq.num_frames, window, overlap), window)
 
 
 def frames_from_windows(
@@ -363,7 +342,7 @@ def windows_for_split(
     w = model_cfg.window
     starts, labels, offset = [], [], 0
     for seq in seqs:
-        video_starts = window_starts(seq.num_frames, w, overlap)
+        video_starts = make_windows(seq, w, overlap).starts
         labels.append(seq.labels.labels[video_starts + w // 2])
         starts.append(video_starts + offset)
         offset += seq.num_frames

@@ -681,13 +681,14 @@ def predict_video_reference(model, seq, overlap: int, mode: str) -> np.ndarray:
     """Frame scores with every window of the video made at once, forwarded
     PREDICT_BATCH at a time with the cache kept, and projected window by window."""
     w = model.config.window
-    batch = make_windows(seq, w, overlap)
-    n = batch.windows.shape[0]
+    cut = make_windows(seq, w, overlap)
+    windows = cut[:]
+    n = windows.shape[0]
     scores = np.empty(n)
     for lo in range(0, n, PREDICT_BATCH):
-        _, probs, _ = forward_with_cache(model, batch.windows[lo : lo + PREDICT_BATCH])
+        _, probs, _ = forward_with_cache(model, windows[lo : lo + PREDICT_BATCH])
         scores[lo : lo + PREDICT_BATCH] = probs[:, 1]
-    return frames_from_windows_reference(scores, batch.window_starts, w, seq.num_frames, mode)
+    return frames_from_windows_reference(scores, cut.starts, w, seq.num_frames, mode)
 
 
 def midranks_reference(values: np.ndarray) -> np.ndarray:

@@ -462,6 +462,25 @@ def test_run_names_a_bad_video_in_features_dir_before_training(tmp_path, capsys,
     assert [p.name for p in run_dir.iterdir()] == ["config.json"]
 
 
+def test_run_finishes_when_the_test_split_has_no_frame_auc(tmp_path, capsys):
+    """All-Real test videos leave the aggregate AUC undefined: the run
+    still exits 0 and prints it as `n/a`, as report.txt shows it."""
+    feats = tmp_path / "feats"
+    for name in ("train", "val", "test"):
+        (feats / name).mkdir(parents=True)
+        for i in range(2):
+            clip = _clip(f"{name}{i}")
+            if name == "test":
+                clip = FeatureSequence(clip.video_id, clip.features, SegmentationMap(np.zeros(clip.num_frames, bool)))
+            write_features(feats / name / f"{name}{i}.feat", clip)
+    config = _write_config(tmp_path, dataset={"features_dir": str(feats)})
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 0
+    assert ", AUC n/a\n" in capsys.readouterr().out
+    assert json.loads((run_dir / "report.json").read_text())["aggregate"]["auc"] is None
+    assert "n/a" in (run_dir / "report.txt").read_text()
+
+
 _SETTING_FLAGS = {"--mode", "--seed", "--dim", "--separation", "--temporal-rho", "--noise-std",
                   "--overlap", "--frame-mode", "--k", "--threshold"}
 

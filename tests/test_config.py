@@ -9,6 +9,7 @@ import pytest
 from fakeseg import SequenceClassifier, load_checkpoint, save_checkpoint
 from fakeseg.harness import ConfigError, load_experiment_config
 from fakeseg.harness.config import parse_experiment_config
+from fakeseg.injection import ONE_SEGMENT_MIN_FRAMES, TWO_SEGMENT_MIN_FRAMES
 from fakeseg.windowing import FRAME_MODES
 from helpers import micro_config_dict
 
@@ -46,7 +47,7 @@ def test_unknown_section_key_rejected():
 
 
 def test_invalid_values_rejected():
-    with pytest.raises(ConfigError, match="mode"):
+    with pytest.raises(ConfigError, match="dataset.mode must be 'one' or 'two', got 'three'"):
         parse_experiment_config(micro_config_dict(dataset={"mode": "three"}))
     with pytest.raises(ConfigError, match="train"):
         parse_experiment_config(micro_config_dict(train={"learning_rate": -1}))
@@ -54,6 +55,14 @@ def test_invalid_values_rejected():
         parse_experiment_config(micro_config_dict(eval={"overlap": 5}))
     with pytest.raises(ConfigError, match="input_dim"):
         parse_experiment_config(micro_config_dict(model={"input_dim": 99}))
+
+
+@pytest.mark.parametrize("mode, floor", [("one", ONE_SEGMENT_MIN_FRAMES), ("two", TWO_SEGMENT_MIN_FRAMES)])
+def test_dataset_min_length_is_the_planners_floor(mode, floor):
+    lengths = {"mode": mode, "max_length": floor + 50}
+    assert parse_experiment_config(micro_config_dict(dataset={**lengths, "min_length": floor})).dataset.mode == mode
+    with pytest.raises(ConfigError, match=f"dataset.min_length must be >= {floor} for mode '{mode}' so planned"):
+        parse_experiment_config(micro_config_dict(dataset={**lengths, "min_length": floor - 1}))
 
 
 def test_eval_frame_mode_is_one_of_the_projections():

@@ -364,9 +364,11 @@ def _labeled_videos(lengths, dim=3, dtype=np.float32, order="C"):
 
 
 def _materialized(seqs, window, overlap):
-    """The oracle: every video's `make_windows`, concatenated."""
-    batches = [make_windows(seq, window, overlap) for seq in seqs]
-    return np.concatenate([b.windows for b in batches]), np.concatenate([b.window_labels for b in batches])
+    """The oracle: every video's `make_windows` materialized, concatenated,
+    and each window's center-frame label."""
+    cuts = [make_windows(seq, window, overlap) for seq in seqs]
+    labels = [seq.labels.labels[cut.starts + window // 2] for seq, cut in zip(seqs, cuts)]
+    return np.concatenate([cut[:] for cut in cuts]), np.concatenate(labels)
 
 
 @pytest.mark.parametrize("overlap", [4, 2, 0])
@@ -379,7 +381,7 @@ def test_split_windows_cut_what_make_windows_materializes(overlap, dtype, order)
     np.testing.assert_array_equal(labels, want_labels)
     assert labels.dtype == want_labels.dtype
     # the first and last window of every video, the whole split, a shuffle, slices and empty picks
-    ends = np.cumsum([len(make_windows(seq, 5, overlap).window_starts) for seq in seqs])
+    ends = np.cumsum([len(make_windows(seq, 5, overlap)) for seq in seqs])
     boundary = np.unique(np.concatenate([ends - 1, ends[:-1], [0]]))
     picks = [boundary, np.arange(len(want)), np.random.default_rng(0).permutation(len(want)),
              slice(0, 3), slice(len(want) - 2, len(want) + 64), slice(1, None, 3), slice(4, 4),

@@ -180,6 +180,22 @@ def _video(vid, frames=12, dim=CFG.input_dim, fill=0.0, labeled=True):
     return FeatureSequence(vid, np.full((frames, dim), fill, dtype=np.float32), labels)
 
 
+def test_predict_video_cuts_each_video_once_through_make_windows(monkeypatch):
+    """Predict cuts through the module's `make_windows`, so a wrapper of that
+    name (a tracer's span) sees every video's cut, once."""
+    calls, cut = [], fakeseg.training.make_windows
+
+    def counted(seq, window, overlap):
+        calls.append((seq.video_id, window, overlap))
+        return cut(seq, window, overlap)
+
+    monkeypatch.setattr(fakeseg.training, "make_windows", counted)
+    model = SequenceClassifier.initialize(CFG, seed=0)
+    for vid, frames in (("a", CFG.window), ("b", 12), ("c", 300)):
+        predict_video(model, _video(vid, frames=frames, labeled=False), overlap=2)
+    assert calls == [("a", CFG.window, 2), ("b", CFG.window, 2), ("c", CFG.window, 2)]
+
+
 @pytest.mark.parametrize(
     "bad, labeled, message",
     [

@@ -8,10 +8,12 @@ import pytest
 from fakeseg import (
     FeatureSequence,
     SegmentationMap,
+    TransformerConfig,
     frames_from_windows,
     make_windows,
     read_features,
     window_starts,
+    windows_for_split,
     write_features,
 )
 from fakeseg import windowing
@@ -89,29 +91,34 @@ def test_window_content_matches_slices():
     # C-ordered, Fortran-ordered and column-strided features all give C-contiguous windows
     for feats in (np.ascontiguousarray(wide[:, :4]), np.asfortranarray(wide[:, :4]), wide[:, ::2]):
         seq = FeatureSequence("v", feats)
-        batch = make_windows(seq, 5, 2)
-        assert batch.windows.flags.c_contiguous and batch.windows.shape == (len(batch.window_starts), 5, 4)
-        for row, s in zip(batch.windows, batch.window_starts):
+        cut = make_windows(seq, 5, 2)
+        windows = cut[:]
+        assert windows.flags.c_contiguous and windows.shape == (len(cut.starts), 5, 4)
+        for row, s in zip(windows, cut.starts):
             assert np.array_equal(row, seq.features[s : s + 5])
+
+
+def _window_labels(seq, window, overlap):
+    """The center-frame labels `windows_for_split` gives the video's windows."""
+    cfg = TransformerConfig(input_dim=seq.dim, window=window)
+    return windows_for_split([seq], cfg, overlap)[1]
 
 
 def test_center_frame_labels():
     labels = [0, 0, 0, 1, 1, 1, 1, 0, 0, 0]
     seq = _seq(10, labels=labels)
-    batch = make_windows(seq, 5, 4)
-    expected = [labels[s + 2] for s in batch.window_starts]
-    assert batch.window_labels.tolist() == expected
+    expected = [labels[s + 2] for s in window_starts(10, 5, 4)]
+    assert _window_labels(seq, 5, 4).tolist() == expected
 
 
 def test_constant_labels_make_constant_window_labels():
     seq = _seq(9, labels=[1] * 9)
-    batch = make_windows(seq, 4, 1)
-    assert set(batch.window_labels.tolist()) == {1}
+    assert set(_window_labels(seq, 4, 1).tolist()) == {1}
 
 
 def test_unlabeled_sequence_has_no_window_labels():
-    batch = make_windows(_seq(8), 3, 0)
-    assert batch.window_labels is None
+    with pytest.raises(ValueError, match=r"video 'v' has no labels"):
+        _window_labels(_seq(8), 3, 0)
 
 
 def test_video_shorter_than_the_window_is_named():
