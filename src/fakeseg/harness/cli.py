@@ -74,17 +74,13 @@ def _probability(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+def _int_at_least(text: str, least: int) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
     return value
 
 
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("smooth", help="majority-vote smooth a map or scores file")
-    p.add_argument("--k", type=_non_negative_int, default=7)
+    p.add_argument("--k", type=functools.partial(_int_at_least, least=0), default=7)
     p.add_argument(
         "--threshold",
         type=_probability,
@@ -275,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lengths", type=functools.partial(_int_list, least=1), required=True, help="comma-separated frame counts"
     )
-    p.add_argument("--num-videos", type=_positive_int, default=20)
-    p.add_argument("--video-length", type=_positive_int, default=600)
+    p.add_argument("--num-videos", type=functools.partial(_int_at_least, least=1), default=20)
+    p.add_argument("--video-length", type=functools.partial(_int_at_least, least=1), default=600)
     p.add_argument("--out", required=True, help="table path prefix")
     p.set_defaults(func=_cmd_sweep_lengths)
 

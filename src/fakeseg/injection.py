@@ -142,15 +142,21 @@ def plan_fixed_segment(video: VideoSpec, length: int, rng_seed: int) -> SegmentP
     return SegmentPlan(video.id, ((start, length),))
 
 
-def render_map(plan: SegmentPlan, length: int) -> SegmentationMap:
-    """Render a plan to a per-frame map: Fake inside segments, Real elsewhere."""
-    labels = np.zeros(length, dtype=np.uint8)
+def _check_fits(plan: SegmentPlan, length: int) -> None:
+    """Raise a ValueError naming the plan's video if a segment runs past its `length` frames."""
     for start, seg_len in plan.segments:
         if start + seg_len > length:
             raise ValueError(
                 f"segment ({start}, {seg_len}) exceeds video length {length} in plan "
                 f"for {plan.video_id!r}"
             )
+
+
+def render_map(plan: SegmentPlan, length: int) -> SegmentationMap:
+    """Render a plan to a per-frame map: Fake inside segments, Real elsewhere."""
+    _check_fits(plan, length)
+    labels = np.zeros(length, dtype=np.uint8)
+    for start, seg_len in plan.segments:
         labels[start : start + seg_len] = 1
     return SegmentationMap(labels)
 
@@ -187,15 +193,24 @@ def dataset_stats(plans: Iterable[SegmentPlan], videos: Sequence[VideoSpec]) -> 
 # -- file formats --
 
 
-def _read_video_lines(path: str | Path) -> list[tuple[VideoSpec, dict]]:
-    """Each non-blank line's JSON object, with the VideoSpec of its id and
-    length; ValueError naming the line for an id that is not a non-empty
-    string, a length that is not an integer, or an id an earlier line has."""
+def _read_video_lines(path: str | Path) -> list[tuple[int, VideoSpec, dict]]:
+    """Each non-blank line's number and JSON object, with the VideoSpec of its
+    id and length; ValueError naming the line for a line that is not a JSON
+    object, an id or length missing, an id that is not a non-empty string, a
+    length that is not an integer, or an id an earlier line has."""
     records, seen = [], set()
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}: invalid JSON: {exc.msg} at column {exc.colno}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {number}: expected a JSON object, got {obj!r}")
+        for key in ("id", "length"):
+            if key not in obj:
+                raise ValueError(f"line {number}: missing key {key!r}")
         if not (isinstance(obj["id"], str) and obj["id"]):
             raise ValueError(f"line {number}: id must be a non-empty string, got {obj['id']!r}")
         if not is_integer(obj["length"]):
@@ -203,12 +218,12 @@ def _read_video_lines(path: str | Path) -> list[tuple[VideoSpec, dict]]:
         if obj["id"] in seen:
             raise ValueError(f"line {number}: repeated video id {obj['id']!r}")
         seen.add(obj["id"])
-        records.append((VideoSpec(id=obj["id"], length_frames=obj["length"]), obj))
+        records.append((number, VideoSpec(id=obj["id"], length_frames=obj["length"]), obj))
     return records
 
 
 def read_videos(path: str | Path) -> list[VideoSpec]:
-    return [video for video, _ in _read_video_lines(path)]
+    return [video for _, video, _ in _read_video_lines(path)]
 
 
 def write_plans(path: str | Path, records: Iterable[tuple[VideoSpec, SegmentPlan]]) -> None:
@@ -225,11 +240,21 @@ def write_plans(path: str | Path, records: Iterable[tuple[VideoSpec, SegmentPlan
 
 
 def read_plans(path: str | Path) -> list[tuple[VideoSpec, SegmentPlan]]:
+    """Each line's video and plan. ValueError naming the line as
+    `_read_video_lines` does and for segments missing or not a list, and
+    naming the video for a segment that is not an integer pair or that runs
+    past the video's end."""
     records = []
-    for video, obj in _read_video_lines(path):
+    for number, video, obj in _read_video_lines(path):
+        if "segments" not in obj:
+            raise ValueError(f"line {number}: missing key 'segments'")
         segments = obj["segments"]
+        if not isinstance(segments, list):
+            raise ValueError(f"line {number}: segments must be a list, got {segments!r}")
         if not all(isinstance(seg, list) and len(seg) == 2 and all(map(is_integer, seg)) for seg in segments):
             raise ValueError(f"video {video.id!r}: segments must be [start, length] integer pairs, "
                              f"got {segments!r}")
-        records.append((video, SegmentPlan(video.id, tuple(map(tuple, segments)))))
+        plan = SegmentPlan(video.id, tuple(map(tuple, segments)))
+        _check_fits(plan, video.length_frames)
+        records.append((video, plan))
     return records

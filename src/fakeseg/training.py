@@ -83,7 +83,9 @@ class TrainHistory:
 
 def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndarray, batch_size: int = 256):
     """Mean cross-entropy and accuracy in inference mode, over indexable
-    windows `x` (an (N, W, d) array or a `SplitWindows`)."""
+    windows `x` (an (N, W, d) array or a `SplitWindows`); ValueError for no windows."""
+    if len(x) == 0:
+        raise ValueError("no windows to evaluate")
     total_loss = 0.0
     correct = 0
     for lo in range(0, len(x), batch_size):

@@ -116,11 +116,12 @@ def _blas_threads_by_size(fn):
     return run
 
 
-# Windows per pass of the attention's K^T, scores and context products.
-# Each product is one BLAS call per window (and head) whatever the chunk,
-# so the bytes hold at any value; without a cache, K^T and the context are
-# held one chunk at a time. The quickstart model's batch-128 predict
-# forward makes two chunks.
+# Windows per pass of the forward attention's K^T, scores and context
+# products; the backward's rebuild makes them over the whole batch. Each
+# product is one BLAS call per window (and head) whatever the chunk, so the
+# bytes hold at any value, and the forward holds K^T and the context one
+# chunk at a time. The quickstart model's batch-128 predict forward makes
+# two chunks.
 WINDOW_CHUNK = 64
 
 # Full-size reference settings are 8 blocks, 8 heads, head dimension 512
@@ -396,84 +397,76 @@ def _dropout_mask(keep, rate, dtype):
     return np.divide(keep, dtype.type(1.0 - rate), dtype=dtype)
 
 
-def _attention_activations(h2, params, prefix, heads, window, probs=None):
-    """Q, K, V and the context of attention over windows of `window` rows
-    of the (N * W, d) input h2, WINDOW_CHUNK windows at a time. The forward
-    and the backward's rebuild share these per-window and per-(window,
-    head) products, so both get the same bytes; K^T is projected a chunk
-    at a time (`wk.T @ h` per window).
+def _projected(h2, params, prefix, name, shape):
+    """Q or V (`name`) of the (N * W, d) input h2 as (N, W, H, hd): one
+    GEMM, the bias added in place."""
+    z, _ = _linear_forward(h2, params[prefix + "w" + name], params[prefix + "b" + name])
+    return z.reshape(shape)
 
-    Without `probs` (the forward) each K^T chunk goes into the scores and
-    each context chunk back into V's (N, W, H, hd) buffer: returns that
-    buffer and the probabilities. With them (the rebuild) returns Q, a
-    contiguous K and V, each (N, H, W, hd), and the (N, W, H, hd) context."""
-    rebuild = probs is not None
-    w, nh = window, heads
-    hd = params[prefix + "wq"].shape[1] // nh
+
+def _keys_t(h_t, params, prefix, out=None):
+    """K^T of the (d, W) windows h_t, (windows, H * hd, W): one `wk.T @ h`
+    per window, the bias added as one contiguous block."""
+    kt = np.matmul(params[prefix + "wk"].T, h_t, out=out)
+    kt += np.repeat(params[prefix + "bk"], h_t.shape[-1]).reshape(-1, h_t.shape[-1])  # bk[:, None]
+    return kt
+
+
+def _attention_forward(h, params, prefix, config):
+    """Self-attention over windows of config.window rows; h is (N, W, d) or
+    (N * W, d) and the output has h's shape. K^T, the scores and the context
+    are made WINDOW_CHUNK windows at a time, each context chunk written back
+    into V's (N, W, H, hd) buffer. The cache is the (N, H, W, W)
+    probabilities: from them and the input the backward makes Q, K, V and
+    the context again."""
+    h2 = h.reshape(-1, h.shape[-1])
+    w, nh, hd = config.window, config.num_heads, config.head_dim
     n = h2.shape[0] // w
     chunks = [(lo, min(lo + WINDOW_CHUNK, n)) for lo in range(0, n, WINDOW_CHUNK)]
-    q, _ = _linear_forward(h2, params[prefix + "wq"], params[prefix + "bq"])
-    q = q.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)  # (N, H, W, hd)
-    wk = params[prefix + "wk"]
-    bk = np.repeat(params[prefix + "bk"], w).reshape(nh * hd, w)  # bk[:, None] as one contiguous block
+    q = _projected(h2, params, prefix, "q", (n, w, nh, hd)).transpose(0, 2, 1, 3)  # (N, H, W, hd)
     h_t = h2.reshape(n, w, -1).transpose(0, 2, 1)  # each window's (d, W) view
     kt = np.empty((min(WINDOW_CHUNK, n), nh * hd, w), h2.dtype)
-    if rebuild:
-        k = np.empty((n, nh, w, hd), h2.dtype)  # the layout dq = dscores @ K reads fastest
-    else:
-        scores = np.empty((n, nh, w, w), h2.dtype)
+    scores = np.empty((n, nh, w, w), h2.dtype)
     for lo, hi in chunks:
-        kt_c = kt[: hi - lo]
-        np.matmul(wk.T, h_t[lo:hi], out=kt_c)
-        kt_c += bk
-        kt_c = kt_c.reshape(-1, nh, hd, w)
-        if rebuild:
-            k[lo:hi] = kt_c.swapaxes(-1, -2)
-        else:
-            np.matmul(q[lo:hi], kt_c, out=scores[lo:hi])
-    del kt, kt_c
-    if not rebuild:
-        del q
-        scores *= 1.0 / math.sqrt(hd)
-        probs = _softmax(scores)
-        del scores  # V is projected only now: Q, K^T, the scores and V are never all live
-    v, _ = _linear_forward(h2, params[prefix + "wv"], params[prefix + "bv"])
-    v = v.reshape(n, w, nh, hd)  # the layout the output projection reads
-    ctx = np.empty((n if rebuild else min(WINDOW_CHUNK, n), w, nh, hd), h2.dtype)
+        kt_c = _keys_t(h_t[lo:hi], params, prefix, kt[: hi - lo])
+        np.matmul(q[lo:hi], kt_c.reshape(-1, nh, hd, w), out=scores[lo:hi])
+    del q, kt, kt_c
+    scores *= 1.0 / math.sqrt(hd)
+    probs = _softmax(scores)
+    del scores  # V is projected only now: Q, K^T, the scores and V are never all live
+    v = _projected(h2, params, prefix, "v", (n, w, nh, hd))  # the layout the output projection reads
+    ctx = np.empty((min(WINDOW_CHUNK, n), w, nh, hd), h2.dtype)
     for lo, hi in chunks:
-        ctx_c = ctx[lo:hi] if rebuild else ctx[: hi - lo]
-        np.matmul(probs[lo:hi], v[lo:hi].transpose(0, 2, 1, 3), out=ctx_c.transpose(0, 2, 1, 3))
-        if not rebuild:
-            v[lo:hi] = ctx_c  # these windows of V are read
-    if rebuild:
-        return q, k, v.transpose(0, 2, 1, 3), ctx
-    return v, probs
+        np.matmul(probs[lo:hi], v[lo:hi].transpose(0, 2, 1, 3), out=ctx[: hi - lo].transpose(0, 2, 1, 3))
+        v[lo:hi] = ctx[: hi - lo]  # these windows of V are read
+    del ctx
+    out, _ = _linear_forward(v.reshape(h2.shape[0], -1), params[prefix + "wo"], params[prefix + "bo"])
+    return out.reshape(h.shape), probs
 
 
-def _attention_forward(h, params, prefix, config, keep_cache=True):
-    """Self-attention over windows of config.window rows; h is (N, W, d) or
-    (N * W, d) and the output has h's shape.
-
-    The cache is the input, the probabilities and the parameter views, from
-    which the backward makes Q, K, V and the context again; without
-    `keep_cache` it is None."""
-    h2 = h.reshape(-1, h.shape[-1])
-    ctx, probs = _attention_activations(h2, params, prefix, config.num_heads, config.window)
-    cache = [h2, probs, params] if keep_cache else None
-    del probs
-    out, _ = _linear_forward(ctx.reshape(h2.shape[0], -1), params[prefix + "wo"], params[prefix + "bo"])
-    return out.reshape(h.shape), cache
-
-
-def _attention_backward(g, cache, grads, prefix):
-    """d(input) of attention; writes the weight and bias gradients into the
-    views of `grads`. Q, K, V and the context are made again from the
-    cached input and probabilities, by the forward's own products. It
-    empties the `cache` list, so that each activation is freed once read."""
-    h2, probs, params = cache
-    cache.clear()
+def _attention_rebuild(h2, probs, params, prefix):
+    """Q, a contiguous K and V, each (N, H, W, hd), and the (N, W, H, hd)
+    context of attention over the (N * W, d) input h2 with probabilities
+    `probs`, each over the whole batch by the forward's own per-window and
+    per-(window, head) products, so in the forward's bytes."""
     n, nh, w, _ = probs.shape
-    q, k, v, ctx = _attention_activations(h2, params, prefix, nh, w, probs)
+    shape = (n, w, nh, params[prefix + "wq"].shape[1] // nh)
+    q = _projected(h2, params, prefix, "q", shape).transpose(0, 2, 1, 3)
+    kt = _keys_t(h2.reshape(n, w, -1).transpose(0, 2, 1), params, prefix)
+    k = np.ascontiguousarray(kt.reshape(n, nh, -1, w).swapaxes(-1, -2))  # the layout dq = dscores @ K reads fastest
+    del kt
+    v = _projected(h2, params, prefix, "v", shape).transpose(0, 2, 1, 3)
+    ctx = np.empty(shape, h2.dtype)
+    np.matmul(probs, v, out=ctx.transpose(0, 2, 1, 3))
+    return q, k, v, ctx
+
+
+def _attention_backward(g, h2, probs, params, grads, prefix):
+    """d(input) of attention over the (N * W, d) input h2, from its cached
+    probabilities; writes the weight and bias gradients into the views of
+    `grads`. Q, K, V and the context are made again by `_attention_rebuild`."""
+    n, nh, w, _ = probs.shape
+    q, k, v, ctx = _attention_rebuild(h2, probs, params, prefix)
     hd = q.shape[-1]
     co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
     del ctx
@@ -493,7 +486,7 @@ def _attention_backward(g, cache, grads, prefix):
     dh_v = d_input(dv, "v")  # dV goes first, then dQ, then dK ...
     del dv
     dscores = probs * (dprobs - _reduce_rows(np.add, dprobs * probs))
-    del probs, dprobs
+    del dprobs
     scale = 1.0 / math.sqrt(hd)
     dh = d_input((dscores @ k) * scale, "q")
     del k
@@ -546,10 +539,8 @@ def forward_with_cache(
     for b in range(cfg.num_blocks):
         pre = f"block{b}."
         h, c_ln1 = kept(_layer_norm_forward(x, p[pre + "ln1.gain"], p[pre + "ln1.bias"]))
-        branch, c_attn = _attention_forward(h, p, pre + "attn.", cfg, keep_cache)
+        branch, c_attn = kept(_attention_forward(h, p, pre + "attn.", cfg))  # its input is made again from c_ln1
         del h
-        if keep_cache:
-            c_attn[0] = None  # the layer norm's output, made again from c_ln1 by the backward
         if drop:
             branch *= _dropout_mask(keep[2 * b], cfg.dropout, dtype)
         branch += x
@@ -672,9 +663,9 @@ def loss_and_grads(
         g = dx
 
         g_attn = g if keep_attn is None else g * _dropout_mask(keep_attn, cfg.dropout, g.dtype)
-        c_attn[0] = _layer_norm_output(c_ln1, p[pre + "ln1.bias"])
-        dh = _attention_backward(g_attn, c_attn, grads, pre + "attn.")
-        del g_attn, keep_attn
+        h = _layer_norm_output(c_ln1, p[pre + "ln1.bias"])
+        dh = _attention_backward(g_attn, h, c_attn, p, grads, pre + "attn.")
+        del g_attn, keep_attn, h, c_attn
         dx = _layer_norm_backward(dh, c_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"])
         del dh, c_ln1
         dx += g  # residual around attention

@@ -337,8 +337,10 @@ def windows_for_split(
     seqs: Iterable[FeatureSequence], model_cfg: TransformerConfig, overlap: int
 ) -> tuple[SplitWindows, np.ndarray]:
     """One split's windows, cut on demand from its features, and their
-    center-frame labels, once `check_features` passes."""
+    center-frame labels, once `check_features` passes; ValueError for no videos."""
     seqs = check_features(seqs, model_cfg, labeled=True)
+    if not seqs:
+        raise ValueError("no videos to cut windows from")
     w = model_cfg.window
     starts, labels, offset = [], [], 0
     for seq in seqs:

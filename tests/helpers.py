@@ -18,7 +18,7 @@ from fakeseg.synth import class_means
 from fakeseg.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PREDICT_BATCH
 from fakeseg.transformer import (
     SequenceClassifier,
-    _attention_activations,
+    _attention_rebuild,
     _layer_norm_forward,
     _mean_last,
     _reduce_rows,
@@ -483,13 +483,12 @@ def _linear_dict_backward(g, cache):
     return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
-def _attention_dict_backward(g, h2, cache, grads, prefix):
+def _attention_dict_backward(g, h2, probs, params, grads, prefix):
     """The attention backward of input h2 as it read a cache of Q, K^T, V
     and the context: K^T contiguous and read transposed.
     Those activations are made again here by the library's own products."""
-    _, probs, params = cache
     n, nh, w, _ = probs.shape
-    q, k, v, ctx = _attention_activations(h2, params, prefix, nh, w, probs)
+    q, k, v, ctx = _attention_rebuild(h2, probs, params, prefix)
     kt, hd = np.ascontiguousarray(k.swapaxes(-1, -2)), q.shape[-1]
     scale = 1.0 / math.sqrt(hd)
     co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
@@ -551,7 +550,7 @@ def loss_and_grads_dict_reference(model, batch, targets, train=False, rng=None):
 
         g_attn = g * _dropout_mask_from(keep_attn, cfg.dropout, model.dtype) if keep_attn is not None else g
         h = _layer_norm_output_reference(c_ln1, model.params[pre + "ln1.bias"])
-        dh = _attention_dict_backward(g_attn, h, c_attn, grads, pre + "attn.")
+        dh = _attention_dict_backward(g_attn, h, c_attn, model.params, grads, pre + "attn.")
         dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_reference_backward(dh, c_ln1)
         dx += g
         g = dx

@@ -243,10 +243,10 @@ _BAD_INPUTS = {  # files to write, command, the file it must name, what is wrong
                  _EVAL, "gt/a.map", "invalid characters"),
     "plan-videos": ({"c.json": "{}", "v.jsonl": '{"id": "v0", "length": 300}\n{"id": "v1"}\n'},
                     "plan --config c.json --videos v.jsonl --out p.jsonl", "v.jsonl",
-                    "missing key 'length'"),
+                    "line 2: missing key 'length'"),
     "synth-plans": ({"c.json": "{}", "p.jsonl": '{"id": "v0", "length": 300}\n'},
                     "synth --config c.json --plans p.jsonl --out-dir f",
-                    "p.jsonl", "missing key 'segments'"),
+                    "p.jsonl", "line 1: missing key 'segments'"),
     "report": ({"r.json": '{"per_video": []}'}, "report --report r.json --out again", "r.json",
                "missing key 'aggregate'"),
     "report-json": ({"r.json": "{not json"}, "report --report r.json --out again", "r.json",
@@ -281,6 +281,10 @@ _READ_AS_WRITTEN = {  # files to write, command, the file it must name, what is 
     "synth-float-segment": ({"c.json": "{}", "p.jsonl": '{"id": "a", "length": 300, "segments": [[10.9, 125]]}\n'},
                             "synth --config c.json --plans p.jsonl --out-dir f", "p.jsonl",
                             "video 'a': segments must be [start, length] integer pairs"),
+    "synth-segment-past-the-end": ({"c.json": "{}", "p.jsonl": '{"id": "a", "length": 300, "segments": [[10, 125]]}\n'
+                                                            '{"id": "b", "length": 300, "segments": [[290, 50]]}\n'},
+                                   "synth --config c.json --plans p.jsonl --out-dir f", "p.jsonl",
+                                   "segment (290, 50) exceeds video length 300 in plan for 'b'"),
     "eval-bool-score": ({"c.json": "{}", "gt/a.map": "RF\n", "scores/a.scores.json": '{"scores": [0.5, true]}'},
                         _EVAL, "scores/a.scores.json", 'score JSON "scores" must hold numbers only'),
     "smooth-string-scores": ({"in.json": '{"scores": ["0.5", "1e-1"]}'},

@@ -256,6 +256,58 @@ def test_plan_files_take_integer_segment_bounds_only(tmp_path, segments):
         read_plans(plans)
 
 
+def test_a_plan_segment_past_the_end_of_its_video_names_the_video(tmp_path):
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"id": "a", "length": 300, "segments": [[10, 125]]}\n'
+                     '{"id": "b", "length": 300, "segments": [[290, 50]]}\n')
+    with pytest.raises(ValueError, match=r"^segment \(290, 50\) exceeds video length 300 in plan for 'b'$"):
+        read_plans(plans)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "5", '"a"', "null"])
+def test_a_line_that_is_not_an_object_is_named(tmp_path, line):
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text(f'{{"id": "a", "length": 600}}\n{line}\n')
+    with pytest.raises(ValueError, match=f"^line 2: expected a JSON object, got {re.escape(repr(json.loads(line)))}$"):
+        read_videos(videos)
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(f"{line}\n")
+    with pytest.raises(ValueError, match="^line 1: expected a JSON object"):
+        read_plans(plans)
+
+
+@pytest.mark.parametrize("obj, missing", [({"length": 600}, "'id'"), ({"id": "b"}, "'length'"), ({}, "'id'")],
+                         ids=["no-id", "no-length", "neither"])
+def test_a_line_without_an_id_or_a_length_is_named(tmp_path, obj, missing):
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text(f'{{"id": "a", "length": 600}}\n{json.dumps(obj)}\n')
+    with pytest.raises(ValueError, match=f"^line 2: missing key {missing}$"):
+        read_videos(videos)
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(json.dumps({**obj, "segments": [[10, 125]]}) + "\n")
+    with pytest.raises(ValueError, match=f"^line 1: missing key {missing}$"):
+        read_plans(plans)
+
+
+@pytest.mark.parametrize("segments, message", [({}, "missing key 'segments'"),
+                                               ({"segments": 5}, "segments must be a list, got 5"),
+                                               ({"segments": {"0": 10}}, "segments must be a list, got {'0': 10}")],
+                         ids=["missing", "number", "object"])
+def test_a_plan_line_without_a_segment_list_is_named(tmp_path, segments, message):
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"id": "a", "length": 600, "segments": [[10, 125]]}\n'
+                     + json.dumps({"id": "b", "length": 600, **segments}) + "\n")
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        read_plans(plans)
+
+
+def test_a_line_that_is_not_json_is_named(tmp_path):
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text('{"id": "a", "length": 600}\n\n{"id": "b", "length": 600,}\n')
+    with pytest.raises(ValueError, match="^line 3: invalid JSON: "):
+        read_videos(videos)
+
+
 @pytest.mark.parametrize("video_id", [5, "", None, ["a"]], ids=repr)
 def test_video_and_plan_files_take_a_non_empty_string_id_only(tmp_path, video_id):
     got = re.escape(repr(video_id))

@@ -115,6 +115,12 @@ def test_empty_split_is_rejected():
         train(SequenceClassifier.initialize(CFG, seed=0), (x, y), empty, TrainConfig())
 
 
+def test_evaluate_on_no_windows_is_an_error():
+    x, y = _separable_windows(10, CFG, seed=8)
+    with pytest.raises(ValueError, match="^no windows to evaluate$"):
+        evaluate(SequenceClassifier.initialize(CFG, seed=0), x[:0], y[:0])
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -28,9 +29,9 @@ from fakeseg.harness.config import load_experiment_config
 from fakeseg.transformer import (
     LN_EPS,
     WINDOW_CHUNK,
-    _attention_activations,
     _attention_backward,
     _attention_forward,
+    _attention_rebuild,
     _layer_norm_forward,
     _layer_norm_output,
     _softmax,
@@ -393,7 +394,7 @@ def test_matmul_attention_matches_einsum_oracle(dtype, n):
     # the backward writes into the views it is given; NaN shows one left unwritten
     grads = {k: np.full_like(p, np.nan) for k, p in model.params.items() if k.startswith("block0.attn.")}
     ref_grads = {}
-    dh = _attention_backward(g, cache, grads, "block0.attn.")
+    dh = _attention_backward(g, h.reshape(-1, cfg.input_dim), cache, model.params, grads, "block0.attn.")
     ref_dh = einsum_attention_backward(g, ref_cache, ref_grads, "block0.attn.")
     _assert_close_to_oracle(dh, ref_dh, dtype, "input gradient")
     assert set(grads) == set(ref_grads)
@@ -615,13 +616,9 @@ def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
     model, cfg, h = _chunk_edge_case(dtype, extra)
     n = len(h) // cfg.window
     want, *_, want_probs = _attention_in_one_pass(h, model.params, "block0.attn.", cfg)
-    out, cache = _attention_forward(h, model.params, "block0.attn.", cfg)
-    bare, none = _attention_forward(h, model.params, "block0.attn.", cfg, keep_cache=False)
-    assert none is None and out.tobytes() == want.tobytes() and bare.tobytes() == want.tobytes()
-    h2, probs, params = cache  # what the backward reads
-    assert h2 is h or h2.base is h
-    assert probs.shape == want_probs.shape and probs.tobytes() == want_probs.tobytes()
-    assert params is model.params
+    out, probs = _attention_forward(h, model.params, "block0.attn.", cfg)
+    assert out.tobytes() == want.tobytes()
+    assert probs.shape == want_probs.shape and probs.tobytes() == want_probs.tobytes()  # what the backward reads
     x = np.random.default_rng(n).standard_normal((n, cfg.window, cfg.input_dim)).astype(dtype)
     logits, probs, _ = forward_with_cache(model, x)
     bare_logits, bare_probs, _ = forward_with_cache(model, x, keep_cache=False)
@@ -633,8 +630,8 @@ def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
 def test_the_backward_rebuilds_q_k_v_and_the_context_with_the_forwards_bytes(dtype, extra):
     model, cfg, h = _chunk_edge_case(dtype, extra)
     _, want_q, want_kt, want_v, want_ctx, _ = _attention_in_one_pass(h, model.params, "block0.attn.", cfg)
-    _, (h2, probs, params) = _attention_forward(h, model.params, "block0.attn.", cfg)
-    q, k, v, ctx = _attention_activations(h2, params, "block0.attn.", cfg.num_heads, cfg.window, probs)
+    _, probs = _attention_forward(h, model.params, "block0.attn.", cfg)
+    q, k, v, ctx = _attention_rebuild(h, probs, model.params, "block0.attn.")
     assert k.flags.c_contiguous and ctx.flags.c_contiguous
     for name, got, want in (("Q", q, want_q), ("K^T", k.swapaxes(-1, -2), want_kt), ("V", v, want_v),
                             ("context", ctx, want_ctx)):
@@ -676,7 +673,8 @@ def test_a_dropout_step_with_boolean_masks_matches_the_float_mask_reference(dtyp
     masks = [mask for c in blocks for mask in (c[2], c[5])]
     assert all(m.dtype == bool and m.shape == (64 * cfg.window, cfg.input_dim) for m in masks)
     assert len({id(m.base) for m in masks}) == 1
-    assert all(c[1][0] is None for c in blocks)  # the attention's input is made again
+    # the attention's cache is its probabilities; its input is made again
+    assert all(c[1].shape == (64, cfg.num_heads, cfg.window, cfg.window) for c in blocks)
     loss, probs, grads = loss_and_grads(model, x, y, train=True, rng=np.random.default_rng(9))
     ref_loss, ref_probs, ref_grads = loss_and_grads_dict_reference(model, x, y, True, np.random.default_rng(9))
     assert loss == ref_loss and probs.tobytes() == ref_probs.tobytes()
@@ -702,16 +700,20 @@ print(name().decode(), end="")
 def test_the_byte_comparisons_hold_under_the_sandybridge_kernel():
     """OpenBLAS picks its kernel by CPU, and each kernel may round a product
     its own way. The byte comparisons of this file hold under SkylakeX and
-    SandyBridge, so they run again in a fresh process under SandyBridge."""
+    SandyBridge, so they run again in a fresh process under SandyBridge,
+    every one that the filter collects under the default kernel."""
     env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=str(ROOT / "src"))
     core = subprocess.run([sys.executable, "-c", _CORENAME], capture_output=True, text=True, env=env, check=True)
     if core.stdout.lower() != "sandybridge":  # OpenBLAS names it Sandybridge
         pytest.skip(f"OpenBLAS runs {core.stdout!r} when asked for SandyBridge on this CPU")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", BYTE_FOR_BYTE],
-        capture_output=True, text=True, env=env, cwd=ROOT,
-    )
-    assert proc.returncode == 0 and " passed" in proc.stdout, proc.stdout[-3000:]
+    pytest_k = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", BYTE_FOR_BYTE]
+    default = {key: value for key, value in env.items() if key != "OPENBLAS_CORETYPE"}
+    collected = subprocess.run(pytest_k + ["--collect-only"], capture_output=True, text=True, env=default, cwd=ROOT)
+    count = re.search(r"^(\d+)/\d+ tests collected", collected.stdout, re.MULTILINE)
+    assert collected.returncode == 0 and count, collected.stdout[-3000:]
+    proc = subprocess.run(pytest_k, capture_output=True, text=True, env=env, cwd=ROOT)
+    ran = re.search(r"^(\d+) passed, \d+ deselected in ", proc.stdout, re.MULTILINE)  # none skipped or failed
+    assert proc.returncode == 0 and ran and ran[1] == count[1], (count[1], proc.stdout[-3000:])
 
 
 def _traced_peak(call) -> int:

@@ -8,6 +8,7 @@ import pytest
 from fakeseg import (
     FeatureSequence,
     SegmentationMap,
+    TrainConfig,
     TransformerConfig,
     frames_from_windows,
     make_windows,
@@ -17,6 +18,7 @@ from fakeseg import (
     write_features,
 )
 from fakeseg import windowing
+from fakeseg.harness.experiment import fit
 from fakeseg.windowing import FEATURE_MAGIC, FEATURE_VERSION, joined_features, label_path_for, load_split_features
 
 
@@ -426,3 +428,12 @@ def test_read_features_takes_one_file_not_a_directory(tmp_path):
 def test_an_empty_split_is_an_error(tmp_path):
     with pytest.raises(FileNotFoundError, match="no .feat files"):
         load_split_features(tmp_path)
+
+
+def test_no_videos_to_window_is_an_error():
+    cfg = TransformerConfig(input_dim=3, window=5, num_blocks=1, num_heads=1, head_dim=2)
+    with pytest.raises(ValueError, match="^no videos to cut windows from$"):
+        windows_for_split([], cfg, overlap=4)
+    val = [_seq(20, labels=np.arange(20) % 2)]
+    with pytest.raises(ValueError, match="^no videos to cut windows from$"):
+        fit(cfg, TrainConfig(max_epochs=1), [], val, overlap=4)
