@@ -197,7 +197,7 @@ def _read_video_lines(path: str | Path) -> list[tuple[int, VideoSpec, dict]]:
     """Each non-blank line's number and JSON object, with the VideoSpec of its
     id and length; ValueError naming the line for a line that is not a JSON
     object, an id or length missing, an id that is not a non-empty string, a
-    length that is not an integer, or an id an earlier line has."""
+    length that is not a positive integer, or an id an earlier line has."""
     records, seen = [], set()
     for number, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if not line.strip():
@@ -218,7 +218,11 @@ def _read_video_lines(path: str | Path) -> list[tuple[int, VideoSpec, dict]]:
         if obj["id"] in seen:
             raise ValueError(f"line {number}: repeated video id {obj['id']!r}")
         seen.add(obj["id"])
-        records.append((number, VideoSpec(id=obj["id"], length_frames=obj["length"]), obj))
+        try:
+            video = VideoSpec(id=obj["id"], length_frames=obj["length"])
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        records.append((number, video, obj))
     return records
 
 
@@ -242,8 +246,9 @@ def write_plans(path: str | Path, records: Iterable[tuple[VideoSpec, SegmentPlan
 def read_plans(path: str | Path) -> list[tuple[VideoSpec, SegmentPlan]]:
     """Each line's video and plan. ValueError naming the line as
     `_read_video_lines` does and for segments missing or not a list, and
-    naming the video for a segment that is not an integer pair or that runs
-    past the video's end."""
+    naming the video for a segment that is not an integer pair, is empty or
+    negative, overlaps or precedes the one before it, or runs past the
+    video's end."""
     records = []
     for number, video, obj in _read_video_lines(path):
         if "segments" not in obj:
@@ -254,7 +259,10 @@ def read_plans(path: str | Path) -> list[tuple[VideoSpec, SegmentPlan]]:
         if not all(isinstance(seg, list) and len(seg) == 2 and all(map(is_integer, seg)) for seg in segments):
             raise ValueError(f"video {video.id!r}: segments must be [start, length] integer pairs, "
                              f"got {segments!r}")
-        plan = SegmentPlan(video.id, tuple(map(tuple, segments)))
+        try:
+            plan = SegmentPlan(video.id, tuple(map(tuple, segments)))
+        except ValueError as exc:
+            raise ValueError(f"video {video.id!r}: {exc}") from None
         _check_fits(plan, video.length_frames)
         records.append((video, plan))
     return records

@@ -26,18 +26,6 @@ class FrameLabel(IntEnum):
     REAL = 0
     FAKE = 1
 
-    @property
-    def char(self) -> str:
-        return "F" if self is FrameLabel.FAKE else "R"
-
-    @classmethod
-    def from_char(cls, c: str) -> "FrameLabel":
-        if c == "R":
-            return cls.REAL
-        if c == "F":
-            return cls.FAKE
-        raise ValueError(f"invalid frame label character {c!r} (expected 'R' or 'F')")
-
 
 class SegmentationMap:
     """Immutable per-frame Real/Fake labeling of one video.

@@ -308,7 +308,7 @@ class SequenceClassifier:
         return SequenceClassifier(self.config, self.flat.astype(dtype))
 
 
-# -- primitives (forward returns a cache consumed by the matching backward) --
+# -- primitives: a cache holds activations only, and each backward reads its weights by name --
 #
 # Activations are laid out for the products that read them: the residual
 # stream is one (N * W, d) array, so each linear is one GEMM with its bias
@@ -320,13 +320,12 @@ class SequenceClassifier:
 def _linear_forward(x, w, b):
     out = x @ w
     out += b
-    return out, (x, w)
+    return out
 
 
-def _linear_backward(g, cache, dw, db):
-    """dx for 2-D rows g, with the weight and bias gradients written into dw
-    and db: each is one product over all the rows."""
-    x, w = cache
+def _linear_backward(g, x, w, dw, db):
+    """dx for 2-D rows g of the linear x @ w + b, with the gradients of w
+    and b written into dw and db: each is one product over all the rows."""
     np.matmul(x.T, g, out=dw)
     np.add.reduce(g, axis=0, out=db)
     return g @ w.T
@@ -343,20 +342,20 @@ def _layer_norm_forward(x, gain, bias):
     var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xc *= inv  # x-hat, in the centered buffer
-    return _layer_norm_output((xc, inv, gain), bias), (xc, inv, gain)
+    return _layer_norm_output((xc, inv), gain, bias), (xc, inv)
 
 
-def _layer_norm_output(cache, bias):
-    """gain * xhat + bias from a layer norm's cache: the backward makes the output again in its bytes."""
-    out = cache[2] * cache[0]
+def _layer_norm_output(cache, gain, bias):
+    """gain * xhat + bias from a layer norm's (xhat, inv) cache: the backward makes the output again in its bytes."""
+    out = gain * cache[0]
     out += bias
     return out
 
 
-def _layer_norm_backward(g, cache, dgain, dbias):
+def _layer_norm_backward(g, cache, gain, dgain, dbias):
     """dx for 2-D rows g, with the gain and bias gradients written into
     dgain and dbias."""
-    xhat, inv, gain = cache
+    xhat, inv = cache
     np.add.reduce(g * xhat, axis=0, out=dgain)
     np.add.reduce(g, axis=0, out=dbias)
     dxhat = g * gain
@@ -400,8 +399,7 @@ def _dropout_mask(keep, rate, dtype):
 def _projected(h2, params, prefix, name, shape):
     """Q or V (`name`) of the (N * W, d) input h2 as (N, W, H, hd): one
     GEMM, the bias added in place."""
-    z, _ = _linear_forward(h2, params[prefix + "w" + name], params[prefix + "b" + name])
-    return z.reshape(shape)
+    return _linear_forward(h2, params[prefix + "w" + name], params[prefix + "b" + name]).reshape(shape)
 
 
 def _keys_t(h_t, params, prefix, out=None):
@@ -440,7 +438,7 @@ def _attention_forward(h, params, prefix, config):
         np.matmul(probs[lo:hi], v[lo:hi].transpose(0, 2, 1, 3), out=ctx[: hi - lo].transpose(0, 2, 1, 3))
         v[lo:hi] = ctx[: hi - lo]  # these windows of V are read
     del ctx
-    out, _ = _linear_forward(v.reshape(h2.shape[0], -1), params[prefix + "wo"], params[prefix + "bo"])
+    out = _linear_forward(v.reshape(h2.shape[0], -1), params[prefix + "wo"], params[prefix + "bo"])
     return out.reshape(h.shape), probs
 
 
@@ -468,10 +466,9 @@ def _attention_backward(g, h2, probs, params, grads, prefix):
     n, nh, w, _ = probs.shape
     q, k, v, ctx = _attention_rebuild(h2, probs, params, prefix)
     hd = q.shape[-1]
-    co = (ctx.reshape(n * w, nh * hd), params[prefix + "wo"])
+    dctx = _linear_backward(g.reshape(n * w, -1), ctx.reshape(n * w, nh * hd), params[prefix + "wo"],
+                            grads[prefix + "wo"], grads[prefix + "bo"])
     del ctx
-    dctx = _linear_backward(g.reshape(n * w, -1), co, grads[prefix + "wo"], grads[prefix + "bo"])
-    del co
     dctx = dctx.reshape(n, w, nh, hd).transpose(0, 2, 1, 3)
     dprobs = dctx @ v.swapaxes(-1, -2)
     dv = probs.swapaxes(-1, -2) @ dctx
@@ -480,8 +477,8 @@ def _attention_backward(g, h2, probs, params, grads, prefix):
     def d_input(dz, name):  # d(input) through one projection, dz freed once read
         merged = dz.transpose(0, 2, 1, 3).reshape(n * w, nh * hd)
         del dz
-        c = (h2, params[prefix + "w" + name])
-        return _linear_backward(merged, c, grads[prefix + "w" + name], grads[prefix + "b" + name])
+        return _linear_backward(merged, h2, params[prefix + "w" + name], grads[prefix + "w" + name],
+                                grads[prefix + "b" + name])
 
     dh_v = d_input(dv, "v")  # dV goes first, then dQ, then dK ...
     del dv
@@ -547,9 +544,10 @@ def forward_with_cache(
         x = branch  # each residual add writes into its branch, which becomes the stream: the old one is freed
 
         h, c_ln2 = kept(_layer_norm_forward(x, p[pre + "ln2.gain"], p[pre + "ln2.bias"]))
-        z1 = _linear_forward(h, p[pre + "ff.w1"], p[pre + "ff.b1"])[0]  # its input is made again from c_ln2 too
+        z1 = _linear_forward(h, p[pre + "ff.w1"], p[pre + "ff.b1"])  # its input is made again from c_ln2 too
         del h
-        branch, c_ff2 = kept(_linear_forward(np.maximum(z1, 0, out=z1), p[pre + "ff.w2"], p[pre + "ff.b2"]))
+        np.maximum(z1, 0, out=z1)
+        branch, c_ff2 = kept((_linear_forward(z1, p[pre + "ff.w2"], p[pre + "ff.b2"]), z1))  # ff.w2's input
         del z1
         if drop:
             branch *= _dropout_mask(keep[2 * b + 1], cfg.dropout, dtype)
@@ -567,15 +565,14 @@ def forward_with_cache(
     head_caches = []
     n_layers = len(cfg.mlp_hidden) + 1
     for i in range(n_layers):
-        z, c_lin = _linear_forward(z, p[f"head.layer{i}.w"], p[f"head.layer{i}.b"])
+        z_in, z = z, _linear_forward(z, p[f"head.layer{i}.w"], p[f"head.layer{i}.b"])
         z_ss = None  # the scale-shift adapter's input
         if cfg.use_scale_shift_head:
             z_ss, z = z, p[f"head.layer{i}.scale"] * z + p[f"head.layer{i}.shift"]
-        z_pre = z
         if i < n_layers - 1:
-            z = np.maximum(z, 0)
+            np.maximum(z, 0, out=z)
         if keep_cache:
-            head_caches.append((c_lin, z_ss, z_pre))
+            head_caches.append((z_in, z_ss))
     return z, _softmax(z), (block_caches, c_final, head_caches, n) if keep_cache else None
 
 
@@ -617,7 +614,7 @@ def loss_and_grads(
     targets = np.asarray(targets)
     if targets.shape != (batch.shape[0],):
         raise ValueError("targets must be a vector with one class index per window")
-    cfg = model.config
+    cfg, p = model.config, model.params
     grads = (SequenceClassifier(cfg, np.empty_like(model.flat)) if out is None else out).params
     logits, probs, cache = forward_with_cache(model, batch, train=train, rng=rng)
     loss = cross_entropy(logits, targets)
@@ -630,43 +627,43 @@ def loss_and_grads(
 
     last = len(head_caches) - 1
     for i in range(last, -1, -1):
-        c_lin, z_ss, z_pre = head_caches.pop()
+        z_in, z_ss = head_caches[i]
         if i < last:
-            g = g * (z_pre > 0)
+            g = g * (head_caches[i + 1][0] > 0)  # ReLU: the layer above's input is positive where its own was
         if z_ss is not None:
             np.add.reduce(z_ss * g, axis=0, out=grads[f"head.layer{i}.scale"])
             np.add.reduce(g, axis=0, out=grads[f"head.layer{i}.shift"])
-            g = model.params[f"head.layer{i}.scale"] * g
-        g = _linear_backward(g, c_lin, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"])
+            g = p[f"head.layer{i}.scale"] * g
+        g = _linear_backward(g, z_in, p[f"head.layer{i}.w"], grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"])
+    del head_caches
 
     # un-pool: distribute the pooled gradient evenly over window positions
     g = np.repeat(g, cfg.window, axis=0)
     g /= cfg.window
-    g = _layer_norm_backward(g, c_final, grads["final_norm.gain"], grads["final_norm.bias"])
+    g = _layer_norm_backward(g, c_final, p["final_norm.gain"], grads["final_norm.gain"], grads["final_norm.bias"])
     del c_final
 
-    p = model.params
     for b in range(cfg.num_blocks - 1, -1, -1):
         pre = f"block{b}."
         c_ln1, c_attn, keep_attn, c_ln2, c_ff2, keep_ff = block_caches.pop()
 
         g_ff = g if keep_ff is None else g * _dropout_mask(keep_ff, cfg.dropout, g.dtype)
-        da1 = _linear_backward(g_ff, c_ff2, grads[pre + "ff.w2"], grads[pre + "ff.b2"])
-        da1 *= c_ff2[0] > 0  # ReLU: the cached activation is positive where its input was
+        da1 = _linear_backward(g_ff, c_ff2, p[pre + "ff.w2"], grads[pre + "ff.w2"], grads[pre + "ff.b2"])
+        da1 *= c_ff2 > 0  # ReLU: the cached activation is positive where its input was
         del g_ff, keep_ff, c_ff2
-        c_ff1 = (_layer_norm_output(c_ln2, p[pre + "ln2.bias"]), p[pre + "ff.w1"])
-        dh2 = _linear_backward(da1, c_ff1, grads[pre + "ff.w1"], grads[pre + "ff.b1"])
-        del da1, c_ff1
-        dx = _layer_norm_backward(dh2, c_ln2, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"])
+        h = _layer_norm_output(c_ln2, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+        dh2 = _linear_backward(da1, h, p[pre + "ff.w1"], grads[pre + "ff.w1"], grads[pre + "ff.b1"])
+        del da1, h
+        dx = _layer_norm_backward(dh2, c_ln2, p[pre + "ln2.gain"], grads[pre + "ln2.gain"], grads[pre + "ln2.bias"])
         del dh2, c_ln2
         dx += g  # residual around the feed-forward sublayer
         g = dx
 
         g_attn = g if keep_attn is None else g * _dropout_mask(keep_attn, cfg.dropout, g.dtype)
-        h = _layer_norm_output(c_ln1, p[pre + "ln1.bias"])
+        h = _layer_norm_output(c_ln1, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
         dh = _attention_backward(g_attn, h, c_attn, p, grads, pre + "attn.")
         del g_attn, keep_attn, h, c_attn
-        dx = _layer_norm_backward(dh, c_ln1, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"])
+        dx = _layer_norm_backward(dh, c_ln1, p[pre + "ln1.gain"], grads[pre + "ln1.gain"], grads[pre + "ln1.bias"])
         del dh, c_ln1
         dx += g  # residual around attention
         g = dx

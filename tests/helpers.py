@@ -160,7 +160,8 @@ def softmax_reference(z):
 
 
 def _linear_reference(x, w, b):
-    return x @ w + b, (x, w)
+    rows = x.reshape(-1, x.shape[-1]) @ w  # one product over all the rows
+    return rows.reshape(x.shape[:-1] + (w.shape[1],)) + b, (x, w)
 
 
 def _linear_reference_backward(g, cache):
@@ -279,7 +280,8 @@ def scale_shift_backward(
 # from its projection; these are the earlier bodies it replaced: every linear
 # is `x @ w + b` on (N, W, .) arrays, K is split into heads and transposed
 # inside the score product, and the context is merged back by a copy. Each
-# input gradient is one product over the flattened rows, as the library's is.
+# linear and each input gradient is one product over the flattened rows, as
+# the library's is.
 
 
 def _attention_reference_forward(h, params, prefix, config):
@@ -417,7 +419,7 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
         grads[f"head.layer{i}.b"] = db
 
     g = np.repeat(g[:, None, :], cfg.window, axis=1) / cfg.window
-    g, dgain, dbias = _layer_norm_reference_backward(g, c_final)
+    g, dgain, dbias = _layer_norm_reference_backward(g, c_final, model.params["final_norm.gain"])
     grads["final_norm.gain"] = dgain
     grads["final_norm.bias"] = dbias
 
@@ -433,14 +435,14 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
         dh2, dw1, db1 = _linear_reference_backward(dz1, c_ff1)
         grads[pre + "ff.w1"] = dw1
         grads[pre + "ff.b1"] = db1
-        dx, dgain2, dbias2 = _layer_norm_reference_backward(dh2, c_ln2)
+        dx, dgain2, dbias2 = _layer_norm_reference_backward(dh2, c_ln2, model.params[pre + "ln2.gain"])
         grads[pre + "ln2.gain"] = dgain2
         grads[pre + "ln2.bias"] = dbias2
         g = g + dx
 
         g_attn = g * m_attn if m_attn is not None else g
         dh = _attention_reference_backward(g_attn, c_attn, grads, pre + "attn.")
-        dx, dgain1, dbias1 = _layer_norm_reference_backward(dh, c_ln1)
+        dx, dgain1, dbias1 = _layer_norm_reference_backward(dh, c_ln1, model.params[pre + "ln1.gain"])
         grads[pre + "ln1.gain"] = dgain1
         grads[pre + "ln1.bias"] = dbias1
         g = g + dx
@@ -463,8 +465,8 @@ def loss_and_grads_reference(model, batch, targets, train=False, rng=None):
 # plain expressions, not by the library's routines.
 
 
-def _layer_norm_reference_backward(g, cache):
-    xhat, inv, gain = cache
+def _layer_norm_reference_backward(g, cache, gain):
+    xhat, inv = cache
     lead = tuple(range(g.ndim - 1))
     dgain = (g * xhat).sum(axis=lead)
     dbias = g.sum(axis=lead)
@@ -473,9 +475,8 @@ def _layer_norm_reference_backward(g, cache):
     return dx, dgain, dbias
 
 
-def _layer_norm_output_reference(cache, bias):
-    xhat, _, gain = cache
-    return gain * xhat + bias
+def _layer_norm_output_reference(cache, gain, bias):
+    return gain * cache[0] + bias
 
 
 def _linear_dict_backward(g, cache):
@@ -522,36 +523,41 @@ def loss_and_grads_dict_reference(model, batch, targets, train=False, rng=None):
     g[np.arange(n), targets] -= 1
     g /= n
 
+    p = model.params
     for i in range(len(head_caches) - 1, -1, -1):
-        c_lin, z_ss, z_pre = head_caches[i]
+        z_in, z_ss = head_caches[i]
         if i < len(head_caches) - 1:
-            g = g * (z_pre > 0)
+            g = g * (head_caches[i + 1][0] > 0)
         if z_ss is not None:
             grads[f"head.layer{i}.scale"] = (z_ss * g).sum(axis=0)
             grads[f"head.layer{i}.shift"] = g.sum(axis=0)
-            g = model.params[f"head.layer{i}.scale"] * g
+            g = p[f"head.layer{i}.scale"] * g
+        c_lin = (z_in, p[f"head.layer{i}.w"])
         g, grads[f"head.layer{i}.w"], grads[f"head.layer{i}.b"] = _linear_dict_backward(g, c_lin)
 
     g = np.repeat(g, cfg.window, axis=0) / cfg.window
-    g, grads["final_norm.gain"], grads["final_norm.bias"] = _layer_norm_reference_backward(g, c_final)
+    g, grads["final_norm.gain"], grads["final_norm.bias"] = _layer_norm_reference_backward(
+        g, c_final, p["final_norm.gain"])
 
     for b in range(cfg.num_blocks - 1, -1, -1):
         pre = f"block{b}."
         c_ln1, c_attn, keep_attn, c_ln2, c_ff2, keep_ff = block_caches[b]
 
         g_ff = g * _dropout_mask_from(keep_ff, cfg.dropout, model.dtype) if keep_ff is not None else g
-        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_dict_backward(g_ff, c_ff2)
-        da1 *= c_ff2[0] > 0
-        c_ff1 = (_layer_norm_output_reference(c_ln2, model.params[pre + "ln2.bias"]), model.params[pre + "ff.w1"])
+        da1, grads[pre + "ff.w2"], grads[pre + "ff.b2"] = _linear_dict_backward(g_ff, (c_ff2, p[pre + "ff.w2"]))
+        da1 *= c_ff2 > 0
+        c_ff1 = (_layer_norm_output_reference(c_ln2, p[pre + "ln2.gain"], p[pre + "ln2.bias"]), p[pre + "ff.w1"])
         dh2, grads[pre + "ff.w1"], grads[pre + "ff.b1"] = _linear_dict_backward(da1, c_ff1)
-        dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_reference_backward(dh2, c_ln2)
+        dx, grads[pre + "ln2.gain"], grads[pre + "ln2.bias"] = _layer_norm_reference_backward(
+            dh2, c_ln2, p[pre + "ln2.gain"])
         dx += g
         g = dx
 
         g_attn = g * _dropout_mask_from(keep_attn, cfg.dropout, model.dtype) if keep_attn is not None else g
-        h = _layer_norm_output_reference(c_ln1, model.params[pre + "ln1.bias"])
-        dh = _attention_dict_backward(g_attn, h, c_attn, model.params, grads, pre + "attn.")
-        dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_reference_backward(dh, c_ln1)
+        h = _layer_norm_output_reference(c_ln1, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        dh = _attention_dict_backward(g_attn, h, c_attn, p, grads, pre + "attn.")
+        dx, grads[pre + "ln1.gain"], grads[pre + "ln1.bias"] = _layer_norm_reference_backward(
+            dh, c_ln1, p[pre + "ln1.gain"])
         dx += g
         g = dx
 

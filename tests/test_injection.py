@@ -247,6 +247,30 @@ def test_video_and_plan_files_take_an_integer_length_only(tmp_path, length):
         read_plans(plans)
 
 
+@pytest.mark.parametrize("length", [0, -5])
+def test_a_length_below_one_frame_names_its_line(tmp_path, length):
+    videos = tmp_path / "videos.jsonl"
+    videos.write_text(f'{{"id": "a", "length": 600}}\n{{"id": "b", "length": {length}}}\n')
+    with pytest.raises(ValueError, match="^line 2: length_frames must be positive$"):
+        read_videos(videos)
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text(f'{{"id": "b", "length": {length}, "segments": []}}\n')
+    with pytest.raises(ValueError, match="^line 1: length_frames must be positive$"):
+        read_plans(plans)
+
+
+@pytest.mark.parametrize("segments, message", [([[10, 0]], r"invalid segment \(10, 0\)"),
+                                               ([[-1, 5]], r"invalid segment \(-1, 5\)"),
+                                               ([[50, 20], [10, 5]], "segments must be sorted and non-overlapping")],
+                         ids=["empty", "negative-start", "unsorted"])
+def test_a_bad_plan_segment_names_the_video(tmp_path, segments, message):
+    plans = tmp_path / "plans.jsonl"
+    plans.write_text('{"id": "a", "length": 600, "segments": [[10, 125]]}\n'
+                     + json.dumps({"id": "b", "length": 600, "segments": segments}) + "\n")
+    with pytest.raises(ValueError, match=f"^video 'b': {message}$"):
+        read_plans(plans)
+
+
 @pytest.mark.parametrize("segments", [[[10.9, 125]], [[10, 125.0]], [[True, 125]], [["10", 125]], [[10]], [10, 125]],
                          ids=repr)
 def test_plan_files_take_integer_segment_bounds_only(tmp_path, segments):

@@ -10,11 +10,6 @@ from fakeseg.injection import SegmentPlan
 
 def test_frame_label_order_and_chars():
     assert FrameLabel.REAL < FrameLabel.FAKE
-    assert FrameLabel.REAL.char == "R"
-    assert FrameLabel.FAKE.char == "F"
-    assert FrameLabel.from_char("F") is FrameLabel.FAKE
-    with pytest.raises(ValueError):
-        FrameLabel.from_char("x")
 
 
 def test_map_validation():

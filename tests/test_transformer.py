@@ -177,6 +177,7 @@ def test_head_bias_gradient_closed_form():
     assert np.allclose(grads["head.layer1.b"], expected, atol=1e-12)
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("pos,scale_shift", [(False, False), (True, True)])
 def test_gradients_are_written_into_every_element_of_the_buffer(pos, scale_shift):
     """A buffer full of NaN comes back finite: every view is written on every
@@ -213,6 +214,23 @@ def test_a_step_holds_little_more_than_its_forward():
     out = SequenceClassifier(cfg, np.empty_like(model.flat))
     step_peak = _traced_peak(lambda: loss_and_grads(model, x, y, train=True, rng=rng, out=out))
     assert step_peak <= 800 << 10, step_peak / 1024
+
+
+def _arrays(obj):
+    """Every array reachable from obj through tuples and lists."""
+    if isinstance(obj, (tuple, list)):
+        return [a for o in obj for a in _arrays(o)]
+    return [obj] if isinstance(obj, np.ndarray) else []
+
+
+def test_a_training_cache_holds_activations_and_no_parameter():
+    """Each backward reads its weights and gains from `model.params` by
+    name, so no cached array is a view of the parameter buffer."""
+    cfg = dataclasses.replace(TINY, num_blocks=2)
+    model = SequenceClassifier.initialize(cfg, seed=4)
+    cache = forward_with_cache(model, _batch(cfg, n=6, dtype=np.float32), train=True, rng=np.random.default_rng(0))[2]
+    arrays = _arrays(cache)
+    assert arrays and [a.shape for a in arrays if np.shares_memory(a, model.flat)] == []
 
 
 def test_forward_input_validation():
@@ -443,6 +461,7 @@ def softmax_inputs(draw):
     return z.astype(dtype)
 
 
+@pytest.mark.byte_for_byte
 @settings(max_examples=300, deadline=None)
 @given(z=softmax_inputs())
 def test_softmax_matches_the_row_wise_reference(z):
@@ -516,18 +535,19 @@ def _assert_within_rounding(pairs, dtype):
         np.testing.assert_allclose(got, ref, rtol=0, atol=tol, err_msg=name)
 
 
+@pytest.mark.byte_for_byte
 @settings(max_examples=120, deadline=None)
 @given(case=layout_cases(st.sampled_from(SHIPPED_WIDTHS)))
 def test_2d_layout_matches_the_3d_reference_bit_for_bit(case):
     """At the shipped widths OpenBLAS sums every folded product in the order
-    of the per-window ones, so the bytes agree. Two cases take a different
-    OpenBLAS call and agree only to rounding: one frame per window (a
-    vector-matrix product per window against one matrix product), and
+    of the per-window ones, and both layouts take each linear as one product
+    over all the rows, so the bytes agree, one frame per window included.
+    One case takes a different OpenBLAS call and agrees only to rounding:
     float64 scores for W <= 4 at head_dim 16 (Q @ K^T from a contiguous K^T
     and from K read transposed use different small dgemm kernels)."""
     model, pairs = case[0], _layout_pairs(case)
     cfg = model.config
-    if cfg.window == 1 or (model.dtype == np.float64 and cfg.window <= 4 and cfg.head_dim >= 16):
+    if model.dtype == np.float64 and cfg.window <= 4 and cfg.head_dim >= 16:
         _assert_within_rounding(pairs, model.dtype)
         return
     for name, got, ref in pairs:
@@ -564,12 +584,14 @@ def _assert_bare_forward_matches(case):
 ANY_LAYOUT = st.one_of(layout_cases(st.sampled_from(SHIPPED_WIDTHS)), layout_cases(any_widths()))
 
 
+@pytest.mark.byte_for_byte
 @settings(max_examples=120, deadline=None)
 @given(case=ANY_LAYOUT)
 def test_forward_without_a_cache_gives_the_same_bytes_and_no_cache(case):
     _assert_bare_forward_matches(case)
 
 
+@pytest.mark.byte_for_byte
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=ANY_LAYOUT)
 def test_forward_without_a_cache_gives_the_same_bytes_in_chunks_of_two_windows(monkeypatch, case):
@@ -610,6 +632,7 @@ def _chunk_edge_case(dtype, extra):
     return model, cfg, np.random.default_rng(n).standard_normal((n * cfg.window, cfg.input_dim)).astype(dtype)
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("extra", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
 def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
@@ -625,6 +648,7 @@ def test_attention_in_window_chunks_gives_the_bytes_of_one_pass(dtype, extra):
     assert bare_logits.tobytes() == logits.tobytes() and bare_probs.tobytes() == probs.tobytes()
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("extra", list(CHUNK_EDGES.values()), ids=list(CHUNK_EDGES))
 def test_the_backward_rebuilds_q_k_v_and_the_context_with_the_forwards_bytes(dtype, extra):
@@ -638,6 +662,7 @@ def test_the_backward_rebuilds_q_k_v_and_the_context_with_the_forwards_bytes(dty
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("rows", [1, 5, 320, 1280])
 @pytest.mark.parametrize("d", [16, 768])
@@ -655,9 +680,10 @@ def test_the_backward_rebuilds_a_layer_norms_output_with_the_forwards_bytes(dtyp
     want = gain * xhat + bias
     assert cache[0].tobytes() == xhat.tobytes() and cache[1].tobytes() == inv.tobytes()
     assert out.dtype == dtype and out.tobytes() == want.tobytes()
-    assert _layer_norm_output(cache, bias).tobytes() == want.tobytes()
+    assert _layer_norm_output(cache, gain, bias).tobytes() == want.tobytes()
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_a_dropout_step_with_boolean_masks_matches_the_float_mask_reference(dtype):
     """Each block caches its two dropout masks as boolean views of the one
@@ -685,9 +711,6 @@ def test_a_dropout_step_with_boolean_masks_matches_the_float_mask_reference(dtyp
     _assert_within_rounding(pairs + [(name, grads[name], ref_grads[name]) for name in ref_grads], dtype)
 
 
-# the tests above that compare bytes: with each other, or with an oracle
-BYTE_FOR_BYTE = ("every_element or row_wise_reference or bit_for_bit or same_bytes or bytes_of_one_pass"
-                 " or forwards_bytes or float_mask_reference")
 _CORENAME = """
 import ctypes, numpy
 name = ctypes.CDLL(numpy._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
@@ -700,13 +723,14 @@ print(name().decode(), end="")
 def test_the_byte_comparisons_hold_under_the_sandybridge_kernel():
     """OpenBLAS picks its kernel by CPU, and each kernel may round a product
     its own way. The byte comparisons of this file hold under SkylakeX and
-    SandyBridge, so they run again in a fresh process under SandyBridge,
-    every one that the filter collects under the default kernel."""
+    SandyBridge, so they run again in a fresh process under SandyBridge:
+    every test marked `byte_for_byte` (each compares bytes, with another
+    path or with an oracle) that the default kernel collects."""
     env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=str(ROOT / "src"))
     core = subprocess.run([sys.executable, "-c", _CORENAME], capture_output=True, text=True, env=env, check=True)
     if core.stdout.lower() != "sandybridge":  # OpenBLAS names it Sandybridge
         pytest.skip(f"OpenBLAS runs {core.stdout!r} when asked for SandyBridge on this CPU")
-    pytest_k = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", BYTE_FOR_BYTE]
+    pytest_k = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-m", "byte_for_byte"]
     default = {key: value for key, value in env.items() if key != "OPENBLAS_CORETYPE"}
     collected = subprocess.run(pytest_k + ["--collect-only"], capture_output=True, text=True, env=default, cwd=ROOT)
     count = re.search(r"^(\d+)/\d+ tests collected", collected.stdout, re.MULTILINE)
@@ -907,6 +931,7 @@ def test_a_forward_picks_its_blas_threads_by_its_largest_gemm(blas_sets):
         assert counts == want and real[0]() == 2, (model.config.input_dim, n)
 
 
+@pytest.mark.byte_for_byte
 def test_the_blas_helper_does_nothing_without_the_symbols(monkeypatch):
     import ctypes.util
 
