@@ -33,9 +33,9 @@ import numpy as np
 
 from ..checkpoint import save_checkpoint
 from ..injection import PLANNERS, SegmentPlan, VideoSpec, plan_fixed_segment, write_plans
-from ..metrics import BaselineParams, expected_iou_baseline, frame_accuracy, frame_auc, iou, video_score
+from ..metrics import BaselineParams, expected_iou_baseline, frame_accuracy, frame_auc, iou, video_label, video_score
 from ..prng import stream_for
-from ..segmap import ScoreMap, SegmentationMap
+from ..segmap import FrameLabel, ScoreMap, SegmentationMap
 from ..smoothing import SmoothConfig, smooth_scores
 from ..synth import SynthConfig, synth_video
 from ..training import TrainConfig, TrainHistory, predict_video, train
@@ -217,8 +217,9 @@ def evaluate_maps(
 
     video_gt = np.array([r.video_is_fake for r in rows])
     vid_scores = np.array([r.video_score for r in rows])
+    video_pred = np.array([video_label(score_maps[r.video_id], threshold) for r in rows]) == FrameLabel.FAKE
     video_level: dict[str, float | None] = {
-        "accuracy": float(((vid_scores >= threshold) == video_gt).mean()),
+        "accuracy": float((video_pred == video_gt).mean()),
         "auc": None,
     }
     if 0 < video_gt.sum() < len(video_gt):
@@ -401,14 +402,16 @@ def sweep_segment_lengths(
     segment of exactly that length at a uniformly random feasible start.
     Lengths are in frames; the reported seconds assume 25 fps. A segment
     as long as the video leaves no Real frame, so its AUC is None.
+    Raises ValueError, before any cell, for a length < 1 or > `video_length`.
     """
+    lengths = list(lengths)
+    if any(length < 1 for length in lengths):
+        raise ValueError("segment lengths must be positive")
+    if max(lengths, default=0) > video_length:
+        raise ValueError(f"segment length {max(lengths)} exceeds video length {video_length}")
     synth_cfg, seed = cfg.dataset.synth, cfg.dataset.seed
     rows = []
     for length in lengths:
-        if length < 1:
-            raise ValueError("segment lengths must be positive")
-        if length > video_length:
-            raise ValueError(f"segment length {length} exceeds video length {video_length}")
         plans = (
             plan_fixed_segment(VideoSpec(f"len{length:05d}_{i:04d}", video_length), length, seed)
             for i in range(num_videos)

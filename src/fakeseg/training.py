@@ -14,11 +14,11 @@ from .windowing import FRAME_MODES, FeatureSequence, SplitWindows, check_feature
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Windows per forward in predict_video. Each forward has a fixed cost: against
-# 256, 128 windows halve the activations for a few percent more time, and 64
-# take 20-30% more. Batches of 64, 128 or 256 gave the same score bytes under
-# SkylakeX, Sandybridge and Prescott at every video length tried; under
-# Haswell and Zen the scores' bytes hold for this partition only.
+# Windows per cache-free forward, in evaluate and predict_video. Each forward
+# has a fixed cost: against 256, 128 windows halve the activations for a few
+# percent more time, and 64 take 20-30% more. Batches of 64, 128 or 256 gave
+# the same score bytes under SkylakeX, Sandybridge and Prescott at every video
+# length tried; under Haswell and Zen they hold for this partition only.
 PREDICT_BATCH = 128
 # Elements per pass of FlatAdam.step and of its gradient check. Every
 # desk-scale model fits in one (the quickstart model has 13,634), and at
@@ -81,15 +81,15 @@ class TrainHistory:
     stopped_early: bool
 
 
-def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndarray, batch_size: int = 256):
-    """Mean cross-entropy and accuracy in inference mode, over indexable
-    windows `x` (an (N, W, d) array or a `SplitWindows`); ValueError for no windows."""
+def evaluate(model: SequenceClassifier, x: np.ndarray | SplitWindows, y: np.ndarray):
+    """Mean cross-entropy and accuracy in inference mode, over indexable windows `x` (an
+    (N, W, d) array or a `SplitWindows`), PREDICT_BATCH per forward; ValueError for none."""
     if len(x) == 0:
         raise ValueError("no windows to evaluate")
     total_loss = 0.0
     correct = 0
-    for lo in range(0, len(x), batch_size):
-        xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
+    for lo in range(0, len(x), PREDICT_BATCH):
+        xb, yb = x[lo : lo + PREDICT_BATCH], y[lo : lo + PREDICT_BATCH]
         logits, probs, _ = forward_with_cache(model, xb, keep_cache=False)
         total_loss += cross_entropy(logits, yb) * len(xb)
         correct += int((probs.argmax(axis=1) == yb).sum())
@@ -204,7 +204,7 @@ def train(
             run_correct += int((probs.argmax(axis=1) == yb).sum())
             adam.step()
 
-        val_loss, val_acc = evaluate(model, x_val, y_val, cfg.batch_size)
+        val_loss, val_acc = evaluate(model, x_val, y_val)
         if not math.isfinite(val_loss):
             raise TrainingDivergedError("validation loss", epoch, adam.steps)
         history.append(

@@ -80,7 +80,7 @@ _OPENBLAS = _openblas_threads(np._core._multiarray_umath.__file__) if hasattr(np
 # A forward whose largest GEMM has at most this many multiply-adds runs on
 # one OpenBLAS thread, and larger ones on the caller's. Where the boundary
 # lies is known only roughly: every desk-scale forward (the quickstart's
-# batch-256 `evaluate` forward is 1.3M) gained nothing from a second thread,
+# batch-256 forward is 1.3M) gained nothing from a second thread,
 # and paper-scale ones (billions) do. bench/memory.py's forward sweep
 # (`blas_threads`) put the boundary anywhere from 21M to 189M from run to
 # run, so any value between desk and paper scale behaves the same. Next to

@@ -178,6 +178,23 @@ def test_sweep_segment_lengths(micro_run):
         sweep_segment_lengths(model, [600], cfg, num_videos=2, video_length=500)
 
 
+@pytest.mark.parametrize("lengths", [[100, 700], [100, 0]])
+def test_sweep_segment_lengths_checks_every_length_before_it_predicts(micro_run, monkeypatch, lengths):
+    from fakeseg.harness import experiment
+
+    cfg, run_dir, _ = micro_run
+    calls, predict = [], experiment.predict_video
+
+    def counted(model, seq, *args, **kwargs):
+        calls.append(seq.video_id)
+        return predict(model, seq, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "predict_video", counted)
+    with pytest.raises(ValueError, match="positive|exceeds"):
+        sweep_segment_lengths(load_checkpoint(run_dir / "model.tfkm"), lengths, cfg, num_videos=3, video_length=600)
+    assert calls == []
+
+
 def test_sweep_window_grid(micro_run):
     cfg, run_dir, _ = micro_run
     rows = sweep_window_grid(cfg, run_dir, window_sizes=[2, 3, 5], overlaps=[2, 4])

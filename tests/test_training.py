@@ -83,9 +83,29 @@ def test_training_restores_best_epoch_parameters():
     val_set = _separable_windows(20, CFG, seed=7)
     cfg = TrainConfig(batch_size=32, learning_rate=1e-3, max_epochs=8, early_stop_patience=2, seed=0)
     model, history = train(SequenceClassifier.initialize(CFG, seed=2), train_set, val_set, cfg)
-    val_loss, _ = evaluate(model, *val_set, batch_size=cfg.batch_size)
+    val_loss, _ = evaluate(model, *val_set)
     assert val_loss == min(e.val_loss for e in history.epochs)
     assert history.epochs[history.best_epoch - 1].val_loss == val_loss
+
+
+def test_validation_forwards_predict_batch_windows_at_a_time(monkeypatch):
+    """Each epoch validates in ceil(N / PREDICT_BATCH) cache-free forwards,
+    whatever the optimizer's batch."""
+    calls, forward = [], fakeseg.training.forward_with_cache
+
+    def counted(model, batch, **kwargs):
+        calls.append(len(batch))
+        return forward(model, batch, **kwargs)
+
+    monkeypatch.setattr(fakeseg.training, "forward_with_cache", counted)
+    val_set = _separable_windows(150, CFG, seed=7)
+    cfg = TrainConfig(max_epochs=2)
+    n = len(val_set[0])
+    assert n % PREDICT_BATCH and n % cfg.batch_size
+    train(SequenceClassifier.initialize(CFG, seed=2), _separable_windows(20, CFG, seed=6), val_set, cfg)
+    per_epoch = [min(PREDICT_BATCH, n - lo) for lo in range(0, n, PREDICT_BATCH)]
+    assert len(per_epoch) == math.ceil(n / PREDICT_BATCH)
+    assert calls == per_epoch * cfg.max_epochs
 
 
 def test_loss_decreases_over_first_five_epochs_for_ten_seeds():
@@ -142,6 +162,7 @@ def test_predict_video_constant_features_give_constant_scores():
     assert len(scores) == 12
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("mode", ["mean", "max", "center"])
 @pytest.mark.parametrize("num_windows", sorted({1, PREDICT_BATCH - 1, PREDICT_BATCH, PREDICT_BATCH + 1,
                                                 2 * PREDICT_BATCH + 1, 513}))
@@ -252,6 +273,7 @@ def test_history_serialization():
     assert {"epoch", "train_loss", "train_accuracy", "val_loss", "val_accuracy"} <= set(d["epochs"][0])
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_flat_adam_matches_per_tensor_oracle_bit_for_bit(dtype):
     x, y = _separable_windows(16, CFG, seed=11)
@@ -345,6 +367,7 @@ def test_a_divergence_error_survives_pickle():
 STEP_CASES = [(pos, ss, drop) for pos in (False, True) for ss in (False, True) for drop in (0.0, 0.25)]
 
 
+@pytest.mark.byte_for_byte
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("pos,scale_shift,dropout", STEP_CASES)
 def test_steps_into_adams_buffer_match_the_packing_step_bit_for_bit(pos, scale_shift, dropout, dtype):

@@ -722,15 +722,17 @@ print(name().decode(), end="")
 @pytest.mark.skipif(transformer._OPENBLAS is None, reason="numpy's BLAS is not the bundled OpenBLAS")
 def test_the_byte_comparisons_hold_under_the_sandybridge_kernel():
     """OpenBLAS picks its kernel by CPU, and each kernel may round a product
-    its own way. The byte comparisons of this file hold under SkylakeX and
-    SandyBridge, so they run again in a fresh process under SandyBridge:
-    every test marked `byte_for_byte` (each compares bytes, with another
-    path or with an oracle) that the default kernel collects."""
+    its own way. The byte comparisons of this file and of test_training.py
+    hold under SkylakeX and SandyBridge, so they run again in a fresh process
+    under SandyBridge: every test of the two marked `byte_for_byte` (each
+    compares bytes, with another path or with an oracle) that the default
+    kernel collects."""
     env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=str(ROOT / "src"))
     core = subprocess.run([sys.executable, "-c", _CORENAME], capture_output=True, text=True, env=env, check=True)
     if core.stdout.lower() != "sandybridge":  # OpenBLAS names it Sandybridge
         pytest.skip(f"OpenBLAS runs {core.stdout!r} when asked for SandyBridge on this CPU")
-    pytest_k = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-m", "byte_for_byte"]
+    files = [__file__, str(ROOT / "tests" / "test_training.py")]
+    pytest_k = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *files, "-m", "byte_for_byte"]
     default = {key: value for key, value in env.items() if key != "OPENBLAS_CORETYPE"}
     collected = subprocess.run(pytest_k + ["--collect-only"], capture_output=True, text=True, env=default, cwd=ROOT)
     count = re.search(r"^(\d+)/\d+ tests collected", collected.stdout, re.MULTILINE)
