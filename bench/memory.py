@@ -73,8 +73,7 @@ predict do not depend on trained weights. It records:
                       and fanned out over worker processes (pool start
                       included), in alternating pairs in this process: median
                       and IQR of each, their ratio, and the scores' SHA-256,
-                      which both sides must give. Where fakeseg has no
-                      fan-out both sides run the same serial code.
+                      which both sides must give.
   predict_busy_s      `predict_video` at T = 90,000 (as in predict_s) idle and
                       next to one CPU-bound process that the bench starts and
                       kills, in alternating pairs: medians, IQRs and the ratio
@@ -228,12 +227,7 @@ def _fit_child(root: str) -> None:
 def _train_step(model, adam, batch, targets, rng) -> None:
     """One training step as `train` takes it: `loss_and_grads` with dropout
     into Adam's gradient, then `FlatAdam.step`."""
-    if hasattr(adam, "pack"):  # fakeseg that returned the gradients as a dict for Adam to copy
-        _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng)
-        adam.pack(grads)
-    else:  # Adam's gradient views; a fakeseg that built them per call took the flat buffer
-        out = adam.grads if hasattr(adam, "grads") else adam.grad
-        _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng, out=out)
+    _, _, grads = loss_and_grads(model, batch, targets, train=True, rng=rng, out=adam.grads)
     adam.step()  # with `grads` still bound, as in `train`
 
 
@@ -496,15 +490,13 @@ def _pairs(sides: dict, pairs: int) -> dict[str, list[float]]:
 
 @contextmanager
 def _serially():
-    """fakeseg's fan-out kept serial, where it has one."""
-    saved = getattr(experiment, "FAN_OUT_WORK", None)
-    if saved is not None:
-        experiment.FAN_OUT_WORK = math.inf
+    """fakeseg's fan-out kept serial."""
+    saved = experiment.FAN_OUT_WORK
+    experiment.FAN_OUT_WORK = math.inf
     try:
         yield
     finally:
-        if saved is not None:
-            experiment.FAN_OUT_WORK = saved
+        experiment.FAN_OUT_WORK = saved
 
 
 def score_videos_time(clips: int, frames: int, pairs: int) -> dict:
@@ -569,16 +561,14 @@ def predict_busy_time(frames: int, pairs: int) -> dict:
 @contextmanager
 def _fixed_blas_threads(lib, n: int):
     """Run forwards on n OpenBLAS threads, with fakeseg's own policy set aside."""
-    policy = getattr(transformer, "limit_blas_threads", None)
+    policy = transformer.limit_blas_threads
     before = _openblas_call(lib, "scipy_openblas_get_num_threads64_", ctypes.c_int)
-    if policy is not None:
-        transformer.limit_blas_threads = lambda _: None
+    transformer.limit_blas_threads = lambda _: None
     _openblas_call(lib, "scipy_openblas_set_num_threads64_", None, n)
     try:
         yield
     finally:
-        if policy is not None:
-            transformer.limit_blas_threads = policy
+        transformer.limit_blas_threads = policy
         if before != "unknown":
             _openblas_call(lib, "scipy_openblas_set_num_threads64_", None, before)
 
@@ -615,7 +605,7 @@ def blas_thread_sweep(widths=SWEEP_WIDTHS, pairs: int = PAIRS) -> dict:
         "pairs": pairs,
         "widths": rows,
         "serial_macs": max(cheap, default=0),
-        "in_use": getattr(transformer, "BLAS_SERIAL_MACS", None),
+        "in_use": transformer.BLAS_SERIAL_MACS,
     }
 
 

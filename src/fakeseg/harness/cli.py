@@ -186,8 +186,7 @@ def _cmd_sweep_lengths(args) -> int:
 
 def _cmd_sweep_window(args) -> int:
     cfg = load_experiment_config(args.config)
-    run_dir = _resolve_run_dir(args.run_dir)
-    rows = sweep_window_grid(cfg, run_dir, args.windows, args.overlaps)
+    rows = sweep_window_grid(cfg, args.windows, args.overlaps)
     write_rows(rows, args.out)
     print(f"swept {len(rows)} window/overlap cells -> {args.out}.json/.csv")
     return 0
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep_lengths)
 
     p = sub.add_parser("sweep-window", parents=[config], help="train and score a window/overlap grid")
-    p.add_argument("--run-dir", required=True)
     p.add_argument("--windows", type=functools.partial(_int_list, least=1), required=True)
     p.add_argument("--overlaps", type=functools.partial(_int_list, least=0), required=True)
     p.add_argument("--out", required=True, help="table path prefix")

@@ -1,8 +1,8 @@
 """End-to-end experiment pipeline: plan, synthesize, train, predict, score.
 
 Every stage persists its artifacts under the run directory, so a finished
-run is self-describing and a rerun with the same config and seeds rewrites
-every file byte-identically:
+run is self-describing and a rerun with the same config and seeds into a
+fresh directory writes every file byte-identically:
 
     run_dir/
       config.json            resolved experiment configuration
@@ -15,8 +15,8 @@ every file byte-identically:
       report.{json,txt,csv}
 
 `run_experiment` composes the stage functions below, which the CLI and the
-sweeps call too. A failing stage aborts with the stage name; artifacts
-written so far stay in place for inspection.
+sweeps call too, in a new or empty run directory. A failing stage aborts
+with the stage name; artifacts written so far stay in place for inspection.
 """
 
 from __future__ import annotations
@@ -269,8 +269,10 @@ def _make_videos(cfg: ExperimentConfig) -> dict[str, list[tuple[VideoSpec, Segme
 def synth_features(
     records: Iterable[tuple[VideoSpec, SegmentPlan]], out_dir: str | Path, synth_cfg: SynthConfig
 ) -> None:
-    """Synthesize each planned video and write it as `out_dir/<id>.feat` (+ labels)."""
+    """Synthesize each planned video as `out_dir/<id>.feat` (+ labels); FileExistsError if `out_dir` holds any."""
     out_dir = Path(out_dir)
+    if stale := sorted(path.name for path in out_dir.glob("*.feat")):
+        raise FileExistsError(f"{out_dir} already holds {', '.join(stale)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     records = list(records)
 
@@ -279,25 +281,6 @@ def synth_features(
         write_features(out_dir / f"{video.id}.feat", synth_video(plan, video.length_frames, synth_cfg))
 
     fan_out(synth, records, SYNTH_WORK * sum(video.length_frames for video, _ in records))
-
-
-def materialize_features(cfg: ExperimentConfig, run_dir: Path) -> Path:
-    """The plan and synth stages: write `plans/` and `features/` under
-    `run_dir` and return the features root. A config that names an
-    existing `features_dir` skips both stages and returns that directory.
-    """
-    if cfg.dataset.features_dir is not None:
-        return Path(cfg.dataset.features_dir)
-    with _stage("plan"):
-        split_records = _make_videos(cfg)
-        plans_dir = run_dir / "plans"
-        plans_dir.mkdir(parents=True, exist_ok=True)
-        for split in SPLITS:
-            write_plans(plans_dir / f"{split}.jsonl", split_records[split])
-    with _stage("synth"):
-        for split in SPLITS:
-            synth_features(split_records[split], run_dir / "features" / split, cfg.dataset.synth)
-    return run_dir / "features"
 
 
 def fit(
@@ -336,12 +319,23 @@ def score_videos(
 
 
 def run_experiment(cfg: ExperimentConfig, run_dir: str | Path) -> EvalReport:
-    """Execute the full pipeline under `run_dir` and return the report."""
+    """Execute the full pipeline in a new or empty `run_dir` (else FileExistsError); return the report."""
     run_dir = Path(run_dir)
+    if run_dir.exists() and any(run_dir.iterdir()):
+        raise FileExistsError(f"run directory {run_dir} is not empty")
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json(run_dir / "config.json", dataclasses.asdict(cfg), indent=2)
     ev = cfg.eval
-    features_root = materialize_features(cfg, run_dir)
+    features_root = run_dir / "features" if cfg.dataset.features_dir is None else Path(cfg.dataset.features_dir)
+    if cfg.dataset.features_dir is None:
+        with _stage("plan"):
+            split_records = _make_videos(cfg)
+            (run_dir / "plans").mkdir()
+            for split in SPLITS:
+                write_plans(run_dir / "plans" / f"{split}.jsonl", split_records[split])
+        with _stage("synth"):
+            for split in SPLITS:
+                synth_features(split_records[split], features_root / split, cfg.dataset.synth)
 
     with _stage("train"):
         train_seqs, val_seqs = (load_split_features(features_root / s) for s in ("train", "val"))
@@ -429,27 +423,26 @@ def sweep_segment_lengths(
 
 def sweep_window_grid(
     cfg: ExperimentConfig,
-    run_dir: str | Path,
     window_sizes: Iterable[int],
     overlaps: Iterable[int],
 ) -> list[dict[str, Any]]:
     """Train one desk-scale model per (window, overlap) cell and score it.
 
-    A fresh run dir gets only `plans/` and `features/` (see
-    `materialize_features`). Cells with overlap >= window are emitted with
-    status "skipped". Valid cells report frame-level IoU (unsmoothed) and
-    AUC on the test split; the default geometry (window 5, overlap 4) is flagged.
-    Raises ValueError, before writing anything, for a window < 1 or an overlap < 0.
+    The splits are `run_experiment`'s, synthesized in memory or read from
+    `dataset.features_dir`; nothing is written. Cells with overlap >= window
+    are emitted with status "skipped". Valid cells report frame-level IoU
+    (unsmoothed) and AUC on the test split; the default geometry (window 5, overlap 4) is flagged.
+    Raises ValueError, before any cell, for a window < 1 or an overlap < 0.
     """
     window_sizes, overlaps = list(window_sizes), list(overlaps)
     bad = [f"window {w}" for w in window_sizes if w < 1] + [f"overlap {o}" for o in overlaps if o < 0]
     if bad:
         raise ValueError(f"sweep windows must be >= 1 and overlaps >= 0, got {', '.join(bad)}")
-    run_dir = Path(run_dir)
-    features_root = run_dir / "features"
-    if cfg.dataset.features_dir is not None or not (features_root / "train").exists():
-        features_root = materialize_features(cfg, run_dir)
-    split_seqs = {s: load_split_features(features_root / s) for s in SPLITS}
+    if cfg.dataset.features_dir is None:
+        videos = _make_videos(cfg)
+        split_seqs = {s: [synth_video(p, v.length_frames, cfg.dataset.synth) for v, p in videos[s]] for s in SPLITS}
+    else:
+        split_seqs = {s: load_split_features(Path(cfg.dataset.features_dir) / s) for s in SPLITS}
     min_frames = min(seq.num_frames for seqs in split_seqs.values() for seq in seqs)
 
     rows = []

@@ -223,11 +223,24 @@ def test_sweep_commands(tmp_path):
     assert (tmp_path / "lengths.csv").exists()
 
     out2 = tmp_path / "grid"
-    assert main(["sweep-window", "--config", str(config), "--run-dir", str(run_dir),
+    assert main(["sweep-window", "--config", str(config),
                  "--windows", "5", "--overlaps", "0,4", "--out", str(out2)]) == 0
     rows = json.loads((tmp_path / "grid.json").read_text())
     assert len(rows) == 2
     assert all(r["status"] == "ok" for r in rows)
+    # the window sweep writes its table only
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "grid.csv", "grid.json", "lengths.csv", "lengths.json", "run"]
+
+
+def test_a_run_into_a_used_directory_exits_3_and_leaves_it(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "notes.txt").write_text("mine\n")
+    assert main(["run", "--config", str(config), "--run-dir", str(run_dir)]) == 3
+    assert f"error: FileExistsError: run directory {run_dir} is not empty" in capsys.readouterr().err
+    assert [p.name for p in run_dir.iterdir()] == ["notes.txt"] and (run_dir / "notes.txt").read_text() == "mine\n"
 
 
 _EVAL = "eval --config c.json --gt-dir gt --scores-dir scores --out report"
@@ -319,11 +332,11 @@ def test_run_rejects_a_model_section_that_is_not_an_object(tmp_path, capsys):
     [(["sweep-lengths", "--lengths", ",", "--model", "m.tfkm"], "--lengths"),
      (["sweep-lengths", "--lengths", "25", "--num-videos", "0", "--model", "m.tfkm"], "--num-videos"),
      (["sweep-lengths", "--lengths", "25", "--num-videos", "-1", "--model", "m.tfkm"], "--num-videos"),
-     (["sweep-window", "--windows", "", "--overlaps", "0", "--run-dir", "r"], "--windows"),
-     (["sweep-window", "--windows", "5", "--overlaps", " , ", "--run-dir", "r"], "--overlaps"),
-     (["sweep-window", "--windows", "0", "--overlaps", "0", "--run-dir", "r"], "--windows"),
-     (["sweep-window", "--windows", "5,-2", "--overlaps", "4", "--run-dir", "r"], "--windows"),
-     (["sweep-window", "--windows", "5", "--overlaps", "-1", "--run-dir", "r"], "--overlaps"),
+     (["sweep-window", "--windows", "", "--overlaps", "0"], "--windows"),
+     (["sweep-window", "--windows", "5", "--overlaps", " , "], "--overlaps"),
+     (["sweep-window", "--windows", "0", "--overlaps", "0"], "--windows"),
+     (["sweep-window", "--windows", "5,-2", "--overlaps", "4"], "--windows"),
+     (["sweep-window", "--windows", "5", "--overlaps", "-1"], "--overlaps"),
      (["sweep-lengths", "--lengths", "0", "--model", "m.tfkm"], "--lengths"),
      (["sweep-lengths", "--lengths", "25", "--video-length", "-5", "--model", "m.tfkm"], "--video-length"),
      (["sweep-lengths", "--lengths", "25", "--video-length", "0", "--model", "m.tfkm"], "--video-length")],

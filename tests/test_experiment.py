@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -146,6 +147,30 @@ def test_stage_error_names_the_stage(tmp_path):
     assert err.value.stage == "train"
 
 
+def test_a_rerun_into_a_used_run_directory_is_refused(micro_run, tmp_path):
+    """A rerun would read the last run's features beside its own; it writes
+    nothing, and the first run's files keep their bytes."""
+    cfg, run_dir, _ = micro_run
+    used = tmp_path / "run"
+    shutil.copytree(run_dir, used)
+    before = _tree(used)
+    fewer = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, num_test_videos=1))
+    with pytest.raises(FileExistsError, match=re.escape(f"run directory {used} is not empty")):
+        run_experiment(fewer, used)
+    assert _tree(used) == before
+
+
+def test_synth_features_refuses_a_directory_that_holds_features(micro_run, tmp_path):
+    from fakeseg.harness.experiment import synth_features
+
+    cfg, run_dir, _ = micro_run
+    (tmp_path / "stale.feat").write_bytes(b"")
+    records = read_plans(run_dir / "plans" / "val.jsonl")
+    with pytest.raises(FileExistsError, match=re.escape(f"{tmp_path} already holds stale.feat")):
+        synth_features(records, tmp_path, cfg.dataset.synth)
+    assert [p.name for p in tmp_path.iterdir()] == ["stale.feat"]
+
+
 def test_evaluate_maps_validates_ids():
     gt = {"a": SegmentationMap([0, 1])}
     scores = {"b": ScoreMap([0.5, 0.5])}
@@ -197,7 +222,7 @@ def test_sweep_segment_lengths_checks_every_length_before_it_predicts(micro_run,
 
 def test_sweep_window_grid(micro_run):
     cfg, run_dir, _ = micro_run
-    rows = sweep_window_grid(cfg, run_dir, window_sizes=[2, 3, 5], overlaps=[2, 4])
+    rows = sweep_window_grid(cfg, window_sizes=[2, 3, 5], overlaps=[2, 4])
     assert len(rows) == 6
     by_cell = {(r["window"], r["overlap"]): r for r in rows}
     for cell in ((2, 2), (2, 4), (3, 4)):  # overlap >= window
@@ -267,20 +292,27 @@ def test_stage_commands_reproduce_a_run(tmp_path):
         _same_bytes(ours / name, run_dir / name)
 
 
-def test_sweep_window_grid_fresh_run_dir_holds_features_only(micro_run, tmp_path):
+def test_sweep_window_grid_in_memory_gives_the_rows_of_the_runs_features(micro_run):
+    """Without `features_dir` the sweep synthesizes the splits the run wrote."""
     cfg, run_dir, _ = micro_run
-    fresh = tmp_path / "fresh"
-    rows = sweep_window_grid(cfg, fresh, window_sizes=[5], overlaps=[4])
-    assert sorted(p.name for p in fresh.iterdir()) == ["features", "plans"]
-    assert rows == sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4])
+    from_disk = parse_experiment_config(micro_config_dict(dataset={"features_dir": str(run_dir / "features")}))
+    rows = sweep_window_grid(cfg, window_sizes=[3, 5], overlaps=[2, 4])
+    assert [r["status"] for r in rows] == ["ok", "skipped", "ok", "ok"]
+    assert rows == sweep_window_grid(from_disk, window_sizes=[3, 5], overlaps=[2, 4])
+
+
+def _no_training(*args):
+    raise AssertionError("a cell trained")
 
 
 @pytest.mark.parametrize("windows, overlaps, named", [([0, 5], [4], "window 0"), ([5], [4, -1], "overlap -1")])
-def test_sweep_window_grid_refuses_an_invalid_size_before_writing(micro_run, tmp_path, windows, overlaps, named):
+def test_sweep_window_grid_refuses_an_invalid_size_before_training(micro_run, monkeypatch, windows, overlaps, named):
+    from fakeseg.harness import experiment
+
     cfg, _, _ = micro_run
+    monkeypatch.setattr(experiment, "fit", _no_training)
     with pytest.raises(ValueError, match=named):
-        sweep_window_grid(cfg, tmp_path / "fresh", window_sizes=windows, overlaps=overlaps)
-    assert not (tmp_path / "fresh").exists()
+        sweep_window_grid(cfg, window_sizes=windows, overlaps=overlaps)
 
 
 def _metric_means(model, seqs, overlap, ev):
@@ -308,7 +340,7 @@ def test_sweep_rows_match_the_metric_means(micro_run):
     assert rows[1]["mean_auc"] is None  # every video is all Fake
 
     # the default cell trains the run's model again; the test split holds all-real videos
-    (cell,) = sweep_window_grid(cfg, run_dir, window_sizes=[5], overlaps=[4])
+    (cell,) = sweep_window_grid(cfg, window_sizes=[5], overlaps=[4])
     seqs = [read_features(p) for p in sorted((run_dir / "features" / "test").glob("*.feat"))]
     assert any(seq.labels.fake_ratio == 0 for seq in seqs)
     assert (cell["mean_iou"], cell["mean_auc"]) == _metric_means(model, seqs, 4, cfg.eval)
@@ -329,13 +361,9 @@ def test_sweep_window_grid_checks_the_test_split_before_training(micro_run, tmp_
     shutil.copytree(run_dir / "features", feats)
     (feats / "test" / "test0001.feat.labels").unlink()
     cfg = parse_experiment_config(micro_config_dict(dataset={"features_dir": str(feats)}))
-
-    def no_training(*args):
-        raise AssertionError("a cell trained")
-
-    monkeypatch.setattr(experiment, "fit", no_training)
+    monkeypatch.setattr(experiment, "fit", _no_training)
     with pytest.raises(ValueError, match="video 'test0001' has no labels"):
-        sweep_window_grid(cfg, tmp_path / "sweep", window_sizes=[5], overlaps=[4])
+        sweep_window_grid(cfg, window_sizes=[5], overlaps=[4])
 
 
 def test_run_reads_the_test_split_again_after_training(micro_run, tmp_path, monkeypatch):
